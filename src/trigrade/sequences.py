@@ -33,17 +33,8 @@ class SequenceTerm:
     shift: int = 0
     twist: int = 0
 
-    def read(self, tables: dict[str, TriFilteredTable], c: int, l: int, q: int, p: int) -> int:
-        return tables[self.space].dim(*self.read_quad(c, l, q, p))
-
     def read_quad(self, c: int, l: int, q: int, p: int) -> tuple[int, int, int, int]:
         return (c + self.k_offset, l + self.shift, q + 2 * self.twist, p + self.twist)
-
-    def lane_of_quad(self, quad) -> tuple[int, int, int, int]:
-        """Inverse of read_quad: the (cycle, l, q, p) lane coordinates under
-        which this term would read the given table quadruple."""
-        k, l, q, p = quad
-        return (k - self.k_offset, l - self.shift, q - 2 * self.twist, p - self.twist)
 
 
 @dataclass(frozen=True)
@@ -194,21 +185,32 @@ def extract_lanes(template: SequenceTemplate,
     window)."""
     _required_tables(template, tables)
     P = template.period
+    # (term index, k_offset, shift, twist, lookup) per term, bound once; the
+    # reads below are SequenceTerm.read_quad written out
+    reads = [(i, t.k_offset, t.shift, t.twist, tables[t.space].entries.get)
+             for i, t in enumerate(template.terms)]
     windows: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-    for i, term in enumerate(template.terms):
-        for quad in tables[term.space].entries:
-            c, l, q, p = term.lane_of_quad(quad)
-            key = (c % P, l, q, p)
-            lo, hi = windows.get(key, (c, c))
-            windows[key] = (min(lo, c), max(hi, c))
+    for term in template.terms:
+        ko, s, tw = term.k_offset, term.shift, term.twist
+        for k, l, q, p in tables[term.space].entries:
+            # the lane (and cycle c) under which this term reads the entry
+            c = k - ko
+            key = (c % P, l - s, q - 2 * tw, p - tw)
+            w = windows.get(key)
+            if w is None:
+                windows[key] = (c, c)
+            elif c < w[0]:
+                windows[key] = (c, w[1])
+            elif c > w[1]:
+                windows[key] = (w[0], c)
 
     lanes = []
     for (res, l, q, p), (c_lo, c_hi) in sorted(windows.items(), key=lambda kv: (kv[0][1:], kv[0][0])):
         entries = []
         for c in range(c_lo, c_hi + 1, P):
-            for i, term in enumerate(template.terms):
-                entries.append(LaneEntry(i, c + term.k_offset,
-                                         term.read(tables, c, l, q, p)))
+            for i, ko, s, tw, get in reads:
+                k = c + ko
+                entries.append(LaneEntry(i, k, get((k, l + s, q + 2 * tw, p + tw), 0)))
         lanes.append(Lane(l, q, p, res, c_lo, tuple(entries)))
     return lanes
 
@@ -247,11 +249,19 @@ class RankPin:
             rank = obj["rank"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed pin object: {exc}") from exc
+        degree = obj.get("k")
+        fields = [("between", i), ("between", j), ("rank", rank)]
+        if degree is not None:
+            fields.append(("k", degree))
+        for field, value in fields:
+            # type(...) is int: bool is an int subclass and must not pass
+            if type(value) is not int:
+                raise ValueError(f"pin {field!r} must be an integer, got {value!r}")
         if not 0 <= i < n_terms or j != (i + 1) % n_terms:
             raise ValueError(
                 f"pin 'between' must name adjacent terms, got [{i}, {j}] "
                 f"with {n_terms} terms")
-        return cls(i, rank, obj.get("k"))
+        return cls(i, rank, degree)
 
     def to_json_obj(self, n_terms: int) -> dict:
         obj = {"between": [self.term_index, (self.term_index + 1) % n_terms],

@@ -5,9 +5,11 @@ unknown nonnegative integer; cells outside the box are structural zeros.
 Each lane of the template instance imposes the exactness relation
 d_i = r_{i-1} + r_i with nonnegative connecting ranks that vanish at both
 ends.  We propagate these as interval constraints: a forward and a backward
-sweep of the rank recursion turn known intervals for the d_i into intervals
-for the ranks and back, and sweeping all lanes to a fixpoint tightens every
-cell as far as the dimension data allows.
+pass of the rank recursion turn known intervals for the d_i into intervals
+for the ranks and back, and propagating over all lanes to a fixpoint
+tightens every cell as far as lane-by-lane propagation allows.  Whether that
+is as far as the dimension data allows is unproven: a cell read by two lanes
+couples them, and each lane only ever sees its own projection.
 
 The propagation is sound: the true table always lies inside every computed
 interval, so a cell whose interval collapses to a point is genuinely forced
@@ -15,10 +17,21 @@ interval, so a cell whose interval collapses to a point is genuinely forced
 guessed, and an empty interval means the known tables admit no exact
 completion at all (contradiction, reported with the offending lane).
 
-When a lane contains exactly one unknown position this reduces to the closed
-form d_u = r_{u-1} + r'_u with r run from the left and r' from the right;
-the fixpoint handles the general case where a template reads the unknown
-table at several positions per cycle.
+Within one lane each unknown cell usually sits at one position, and then
+the lane's relations form a path: one forward/backward pass already gives
+the exact interval projection of every cell and rank of the lane, so a
+second pass with no new input from outside the lane changes nothing.  The
+fixpoint is therefore reached with a worklist instead of re-sweeping every
+lane.  A round visits its queued lanes in the sorted lane order.  When a
+lane tightens a cell, every other lane reading that cell is queued: for this
+round if it comes later in the order, for the next round if it came
+earlier.  A lane reading one cell at two positions (custom templates can
+build one) is no path, so it re-queues itself for the next round whenever
+it tightens a cell.  Rank pins act after each round on the lanes' last
+boundary ranks, and a lane whose rank cap a pin changes is queued for the
+next round.  This is the order of sweeping every lane every round, minus
+the sweeps that cannot change anything: the intervals, the contradiction
+reported and the round count are those of the full sweep.
 """
 
 from __future__ import annotations
@@ -34,10 +47,6 @@ from .tables import Quad, TriFilteredTable
 Interval = tuple[int, int | None]
 
 
-def _ok(iv: Interval) -> bool:
-    return iv[1] is None or iv[0] <= iv[1]
-
-
 def _meet(a: Interval, b: Interval) -> Interval:
     if a[1] is None:
         hi = b[1]
@@ -46,18 +55,6 @@ def _meet(a: Interval, b: Interval) -> Interval:
     else:
         hi = min(a[1], b[1])
     return (max(a[0], b[0]), hi)
-
-
-def _add(a: Interval, b: Interval) -> Interval:
-    hi = None if a[1] is None or b[1] is None else a[1] + b[1]
-    return (a[0] + b[0], hi)
-
-
-def _sub(a: Interval, b: Interval) -> Interval:
-    """{x - y : x in a, y in b} clamped into [0, inf); may come out empty."""
-    lo = 0 if b[1] is None else max(0, a[0] - b[1])
-    hi = None if a[1] is None else a[1] - b[0]
-    return (lo, hi)
 
 
 def support_box(space: SpaceDescriptor, degree: int | None = None) -> set[Quad]:
@@ -99,7 +96,9 @@ class SolveResult:
     ``table`` holds every determined cell (None after a contradiction);
     ``underdetermined`` lists cells whose interval stayed wider than a point,
     with the interval bounds; ``report`` carries the contradiction, or the
-    final verification of the completed instance when fully determined.
+    final verification of the completed instance when fully determined;
+    ``iterations`` counts the propagation rounds, the last of which only
+    confirms the fixpoint.
     """
 
     table: TriFilteredTable | None
@@ -163,56 +162,84 @@ def solve_unknown(template: SequenceTemplate,
     box = support_box(space, degree)
 
     # -- assemble the lane system -----------------------------------------
+    # Every read is (k_offset, shift, twist, lookup, reads_unknown), the
+    # terms' SequenceTerm.read_quad written out; lookup gives the known
+    # dimension at a quadruple.  For a degree solve the unknown table's
+    # other degrees are known data.
     P = template.period
     T = len(template.terms)
+    other_degrees = {} if degree is None else {
+        quad: d for quad, d in stored.entries.items() if quad[0] != degree}
+    reads = []
     windows: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-
-    def touch(key, c):
-        lo, hi = windows.get(key, (c, c))
-        windows[key] = (min(lo, c), max(hi, c))
-
     for term in template.terms:
+        ko, s, tw = term.k_offset, term.shift, term.twist
         if term.space == tag:
-            for quad in box:
-                c, l, q, p = term.lane_of_quad(quad)
-                touch((c % P, l, q, p), c)
-            if stored is not None and degree is not None:
-                for quad in stored.entries:
-                    if quad[0] != degree:
-                        c, l, q, p = term.lane_of_quad(quad)
-                        touch((c % P, l, q, p), c)
+            reads.append((ko, s, tw, other_degrees.get, True))
+            touched = list(box) + list(other_degrees)
         else:
-            for quad in known[term.space].entries:
-                c, l, q, p = term.lane_of_quad(quad)
-                touch((c % P, l, q, p), c)
+            entries = known[term.space].entries
+            reads.append((ko, s, tw, entries.get, False))
+            touched = entries
+        for k, l, q, p in touched:
+            c = k - ko
+            key = (c % P, l - s, q - 2 * tw, p - tw)
+            w = windows.get(key)
+            if w is None:
+                windows[key] = (c, c)
+            elif c < w[0]:
+                windows[key] = (c, w[1])
+            elif c > w[1]:
+                windows[key] = (w[0], c)
 
+    # lanes[i] = (key, first cycle, cells): a cell is a known dimension, or
+    # the quadruple of an unknown one.  readers maps each unknown cell to the
+    # lanes that read it; repeats marks lanes reading one cell twice.
     lanes: list[tuple[tuple[int, int, int, int], int, list]] = []
+    readers: dict[Quad, list[int]] = {quad: [] for quad in box}
+    repeats: list[bool] = []
     for (res, l, q, p), (c_lo, c_hi) in sorted(windows.items()):
         cells: list = []
+        unknowns: list[Quad] = []
         keep = False
         for c in range(c_lo, c_hi + 1, P):
-            for term in template.terms:
-                quad = term.read_quad(c, l, q, p)
-                if term.space == tag and (degree is None or quad[0] == degree):
-                    if quad in box:
-                        cells.append(quad)
-                        keep = True
-                    else:
-                        cells.append(0)
-                elif term.space == tag:
-                    v = stored.dim(*quad)
-                    cells.append(v)
-                    keep = keep or v > 0
+            for ko, s, tw, get, reads_unknown in reads:
+                quad = (c + ko, l + s, q + 2 * tw, p + tw)
+                if reads_unknown and quad in box:
+                    cells.append(quad)
+                    unknowns.append(quad)
                 else:
-                    v = known[term.space].dim(*quad)
+                    v = get(quad, 0)
                     cells.append(v)
                     keep = keep or v > 0
-        if keep:
+        if keep or unknowns:
+            distinct = set(unknowns)
+            for quad in distinct:
+                readers[quad].append(len(lanes))
+            repeats.append(len(distinct) < len(unknowns))
             lanes.append(((res, l, q, p), c_lo, cells))
+
+    # Chain positions whose outgoing rank each pin sums.
+    pin_occ: list[list[tuple[int, int]]] = []
+    for pin in pins:
+        if not 0 <= pin.term_index < T:
+            raise ValueError(f"pin names term {pin.term_index}, template has {T} terms")
+        occ: list[tuple[int, int]] = []
+        for li, (_key, c_lo, cells) in enumerate(lanes):
+            for j in range(pin.term_index, len(cells), T):
+                if pin.degree is not None:
+                    c = c_lo + (j // T) * P
+                    if c + template.terms[pin.term_index].k_offset != pin.degree:
+                        continue
+                occ.append((li, j + 1))
+        pin_occ.append(occ)
 
     # -- propagate to a fixpoint ------------------------------------------
     intervals: dict[Quad, Interval] = {quad: (0, None) for quad in box}
-    extra_rank: dict[tuple[int, int], Interval] = {}
+    caps: list[dict[int, Interval]] = [{} for _ in lanes]
+    # boundary[li] = (lo, hi) lists of the lane's connecting ranks at its
+    # last visit; the pin step reads them.
+    boundary: list[tuple[list, list] | None] = [None] * len(lanes)
 
     def fail(lane_key, position, detail) -> SolveResult:
         res, l, q, p = lane_key
@@ -223,61 +250,111 @@ def solve_unknown(template: SequenceTemplate,
             lane=(l, q, p), position=position))
         return SolveResult(None, False, [], rep, iterations)
 
+    dirty = [True] * len(lanes)
     iterations = 0
     while True:
         iterations += 1
         if iterations > 10000:
             raise RuntimeError("interval propagation failed to converge")
         changed = False
-        boundary: list[list[Interval]] = []
+        requeue: set[int] = set()  # lanes to visit next round
 
         for li, (key, _c_lo, cells) in enumerate(lanes):
-            vals = [intervals[c] if isinstance(c, tuple) else (c, c) for c in cells]
-            n_pos = len(vals)
-            F: list[Interval] = [(0, 0)]
+            if not dirty[li]:
+                continue
+            dirty[li] = False
+            lane_caps = caps[li]
+            n_pos = len(cells)
+            # Interval arithmetic on local lo/hi ints; hi None is unbounded.
+            # Forward: F[i+1] = (d_i - F[i]) clamped to [0, inf), then capped.
+            d_lo = [0] * n_pos
+            d_hi: list = [0] * n_pos
+            F_lo = [0] * (n_pos + 1)
+            F_hi: list = [0] * (n_pos + 1)
+            f_lo = f_hi = 0
             for i in range(n_pos):
-                nxt = _sub(vals[i], F[i])
-                cap = extra_rank.get((li, i + 1))
-                if cap is not None:
-                    nxt = _meet(nxt, cap)
-                if not _ok(nxt):
+                cell = cells[i]
+                if cell.__class__ is tuple:
+                    lo, hi = intervals[cell]
+                else:
+                    lo = hi = cell
+                d_lo[i] = lo
+                d_hi[i] = hi
+                if f_hi is not None:
+                    lo = lo - f_hi if lo > f_hi else 0
+                else:
+                    lo = 0
+                if hi is not None:
+                    hi -= f_lo
+                if lane_caps:
+                    cap = lane_caps.get(i + 1)
+                    if cap is not None:
+                        if cap[0] > lo:
+                            lo = cap[0]
+                        if cap[1] is not None and (hi is None or cap[1] < hi):
+                            hi = cap[1]
+                if hi is not None and lo > hi:
                     return fail(key, i, "rank forced negative or above its pin")
-                F.append(nxt)
-            R: list[Interval] = [(0, 0)] * (n_pos + 1)
-            last = _meet(F[n_pos], (0, 0))
-            if not _ok(last):
+                F_lo[i + 1] = f_lo = lo
+                F_hi[i + 1] = f_hi = hi
+            # Backward: the chain closes with rank 0, which F[n] allows iff
+            # its lower end is 0 (ranks are never negative); then
+            # R[i] = F[i] meet (d_i - R[i+1]).
+            if f_lo > 0:
                 return fail(key, n_pos - 1, "chain cannot close")
-            R[n_pos] = last
+            R_lo = [0] * (n_pos + 1)
+            R_hi: list = [0] * (n_pos + 1)
+            r_lo = r_hi = 0
             for i in range(n_pos - 1, -1, -1):
-                back = _meet(F[i], _sub(vals[i], R[i + 1]))
-                if not _ok(back):
+                lo, hi = d_lo[i], d_hi[i]
+                if r_hi is not None:
+                    lo = lo - r_hi if lo > r_hi else 0
+                else:
+                    lo = 0
+                if hi is not None:
+                    hi -= r_lo
+                if F_lo[i] > lo:
+                    lo = F_lo[i]
+                f_hi = F_hi[i]
+                if f_hi is not None and (hi is None or f_hi < hi):
+                    hi = f_hi
+                if hi is not None and lo > hi:
                     return fail(key, i, "forward and backward ranks incompatible")
-                R[i] = back
+                R_lo[i] = r_lo = lo
+                R_hi[i] = r_hi = hi
+            boundary[li] = (R_lo, R_hi)
+            # Each cell meets R[i] + R[i+1].
+            tightened = False
             for i in range(n_pos):
-                if not isinstance(cells[i], tuple):
+                cell = cells[i]
+                if cell.__class__ is not tuple:
                     continue
-                tightened = _meet(intervals[cells[i]], _add(R[i], R[i + 1]))
-                if not _ok(tightened):
-                    return fail(key, i, f"cell {cells[i]} has no feasible dimension")
-                if tightened != intervals[cells[i]]:
-                    intervals[cells[i]] = tightened
-                    changed = True
-            boundary.append(R)
+                cur = intervals[cell]
+                lo = R_lo[i] + R_lo[i + 1]
+                if cur[0] > lo:
+                    lo = cur[0]
+                hi = R_hi[i]
+                if hi is not None:
+                    hi = None if R_hi[i + 1] is None else hi + R_hi[i + 1]
+                if cur[1] is not None and (hi is None or cur[1] < hi):
+                    hi = cur[1]
+                if hi is not None and lo > hi:
+                    return fail(key, i, f"cell {cell} has no feasible dimension")
+                if lo != cur[0] or hi != cur[1]:
+                    intervals[cell] = (lo, hi)
+                    tightened = True
+                    for lj in readers[cell]:
+                        if lj > li:
+                            dirty[lj] = True
+                        elif lj < li:
+                            requeue.add(lj)
+            if tightened:
+                changed = True
+                if repeats[li]:
+                    requeue.add(li)
 
-        for pin in pins:
-            if not 0 <= pin.term_index < T:
-                raise ValueError(f"pin names term {pin.term_index}, template has {T} terms")
-            occ: list[tuple[int, int]] = []
-            for li, (key, c_lo, cells) in enumerate(lanes):
-                for j in range(len(cells)):
-                    if j % T != pin.term_index:
-                        continue
-                    if pin.degree is not None:
-                        c = c_lo + (j // T) * P
-                        if c + template.terms[pin.term_index].k_offset != pin.degree:
-                            continue
-                    occ.append((li, j + 1))
-            ivs = [boundary[li][j] for li, j in occ]
+        for pin, occ in zip(pins, pin_occ):
+            ivs = [(boundary[li][0][j], boundary[li][1][j]) for li, j in occ]
             lo_sum = sum(iv[0] for iv in ivs)
             hi_sum = None if any(iv[1] is None for iv in ivs) else sum(iv[1] for iv in ivs)
             if pin.rank < lo_sum or (hi_sum is not None and pin.rank > hi_sum):
@@ -285,20 +362,23 @@ def solve_unknown(template: SequenceTemplate,
                             f"pinned rank {pin.rank} outside reachable "
                             f"[{lo_sum}, {hi_sum}]")
             for which, (li, j) in enumerate(occ):
-                cur = boundary[li][j]
+                cur = ivs[which]
                 others = [iv for w, iv in enumerate(ivs) if w != which]
                 o_lo = sum(iv[0] for iv in others)
                 o_hi = None if any(iv[1] is None for iv in others) else sum(iv[1] for iv in others)
                 lo_new = cur[0] if o_hi is None else max(cur[0], pin.rank - o_hi)
                 hi_new = pin.rank - o_lo if cur[1] is None else min(cur[1], pin.rank - o_lo)
                 capped = (lo_new, hi_new)
-                prev = extra_rank.get((li, j))
+                prev = caps[li].get(j)
                 if prev is None or _meet(prev, capped) != prev:
-                    extra_rank[(li, j)] = capped if prev is None else _meet(prev, capped)
+                    caps[li][j] = capped if prev is None else _meet(prev, capped)
+                    requeue.add(li)
                     changed = True
 
         if not changed:
             break
+        for li in requeue:
+            dirty[li] = True
 
     # -- collect ----------------------------------------------------------
     solved: dict[Quad, int] = {}
@@ -312,9 +392,7 @@ def solve_unknown(template: SequenceTemplate,
             under.append((quad, lo, hi))
 
     if degree is not None:
-        merged = {q: v for q, v in stored.entries.items() if q[0] != degree}
-        merged.update(solved)
-        solved = merged
+        solved = {**other_degrees, **solved}
     table = TriFilteredTable(space, solved)
     determined = not under
     report = VerificationReport()

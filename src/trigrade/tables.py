@@ -63,9 +63,10 @@ class TriFilteredTable:
     """Finite support map (k, l, q, p) -> dim > 0 for one space.
 
     Construction normalizes the entries: zeros are dropped, and negative or
-    non-integer dimensions are rejected.  Index quadruples are not range
-    checked here; that is validate_table's job, since transforms legitimately
-    move entries outside the canonical windows.
+    non-integer dimensions and indices are rejected, booleans included.
+    Index quadruples are not range checked here; that is validate_table's
+    job, since transforms legitimately move entries outside the canonical
+    windows.
     """
 
     space: SpaceDescriptor
@@ -74,9 +75,10 @@ class TriFilteredTable:
     def __post_init__(self):
         clean = {}
         for quad, dim in self.entries.items():
-            if len(quad) != 4 or not all(isinstance(i, int) for i in quad):
+            # type(...) is int: bool is an int subclass and must not pass
+            if len(quad) != 4 or not all(type(i) is int for i in quad):
                 raise ValueError(f"bad index quadruple {quad!r}")
-            if not isinstance(dim, int):
+            if type(dim) is not int:
                 raise ValueError(f"dimension at {quad} is not an integer: {dim!r}")
             if dim < 0:
                 raise ValueError(f"negative dimension {dim} at {quad}")

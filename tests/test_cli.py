@@ -101,6 +101,30 @@ def test_check_with_pins(runner, tmp_path):
     assert "pinned rank" in res.stdout
 
 
+@pytest.mark.parametrize("pin", [
+    {"between": [1, 2], "rank": "2", "k": 2},
+    {"between": [1, 2], "rank": True, "k": 2},
+    {"between": [1, 2], "rank": 2, "k": "2"},
+    {"between": [1, 2], "rank": 2, "k": True},
+    {"between": [1, 2], "rank": 2.0},
+])
+def test_check_rejects_mistyped_pins(runner, tmp_path, pin):
+    obj = {"template": "cs", "tables": ["k3-typeII:r=3"], "pins": [pin]}
+    res = invoke(runner, ["check", _write(tmp_path, "pin.json", obj)])
+    assert res.exit_code == 2, pin
+    assert "error:" in res.stderr and "pin" in res.stderr
+
+
+@pytest.mark.parametrize("field", ["k", "dim"])
+def test_check_rejects_boolean_table_fields(runner, tmp_path, field):
+    entry = {"k": 0, "l": 0, "q": 0, "p": 0, "dim": 1}
+    entry[field] = True
+    obj = {"space": "Y", "n": 2, "m": 1, "entries": [entry]}
+    res = invoke(runner, ["check", _write(tmp_path, "t.json", obj)])
+    assert res.exit_code == 2
+    assert "error:" in res.stderr
+
+
 def test_check_table_set(runner, tmp_path):
     gen = invoke(runner, ["generate", "k3-finite:g=2"])
     path = tmp_path / "set.json"

@@ -150,7 +150,8 @@ def test_lane_totals_worked_chain():
 
 def test_lane_decomposition_is_exhaustive(fixture_sets):
     """Every table entry is read exactly once per term that references the
-    table, so lane dims total to the term-weighted table totals."""
+    table, so lane dims total to the term-weighted table totals; and every
+    lane entry is the read SequenceTerm.read_quad defines."""
     for spec, tables in fixture_sets.items():
         for name, tmpl in builtin_templates().items():
             if any(s not in tables for s in tmpl.spaces()):
@@ -159,6 +160,12 @@ def test_lane_decomposition_is_exhaustive(fixture_sets):
             lane_sum = sum(sum(lane.chain) for lane in lanes)
             term_sum = sum(tables[t.space].total_dim() for t in tmpl.terms)
             assert lane_sum == term_sum, (spec, name)
+            for lane in lanes:
+                for j, e in enumerate(lane.entries):
+                    term = tmpl.terms[e.term_index]
+                    c = lane.start_cycle + (j // len(tmpl.terms)) * tmpl.period
+                    quad = term.read_quad(c, lane.l, lane.q, lane.p)
+                    assert (e.degree, e.dim) == (quad[0], tables[term.space].dim(*quad))
 
 
 def test_check_sequence_passes_fixtures(fixture_sets):

@@ -1,5 +1,9 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from solver_cases import result_obj, run_case
 from trigrade import (RankPin, SequenceTemplate, SequenceTerm,
                       SpaceDescriptor, TriFilteredTable, builtin_templates,
                       family_tables, parse_family, solve_unknown, support_box)
@@ -19,6 +23,16 @@ def test_support_box_degree_restriction():
     deg2 = support_box(space, 2)
     assert deg2 == {q for q in full if q[0] == 2}
     assert support_box(space, 9) == set()
+
+
+def test_solver_reproduces_golden():
+    """Every case of the regression golden gives the recorded SolveResult:
+    tables, open intervals, reports and iteration counts."""
+    golden = json.loads((Path(__file__).parent / "golden" / "solver_results.json").read_text())
+    assert len(golden) > 200
+    assert max(e["result"]["iterations"] for e in golden) > 2
+    for entry in golden:
+        assert result_obj(run_case(entry["case"])) == entry["result"], entry["case"]
 
 
 def test_recover_limit_table():

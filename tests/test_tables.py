@@ -26,6 +26,16 @@ def test_construction_rejects_bad_values():
         TriFilteredTable(Y2, {(0, 1, 0): 1})
 
 
+@pytest.mark.parametrize("entries", [
+    {(True, 0, 0, 0): 1},
+    {(0, 1, 0, False): 1},
+    {(0, 1, 0, 0): True},
+])
+def test_construction_rejects_booleans(entries):
+    with pytest.raises(ValueError):
+        TriFilteredTable(Y2, entries)
+
+
 def test_totals():
     t = TriFilteredTable(Y2, {
         (2, 2, 2, 0): 1, (2, 2, 2, 1): 18, (2, 2, 2, 2): 1,
