@@ -65,46 +65,35 @@ class VerificationReport:
 def validate_table(table: TriFilteredTable) -> VerificationReport:
     """Check every entry against the support windows of its space.
 
-    Covered: the degree window of the space, the perverse lane window in each
-    degree, weights in [0, 2k] sharpened by purity for the smooth projective
-    kinds (Y, Z) and by the one-sided weight bounds for U and Uc, and the
-    Hodge index window of a degree-k structure on a d-dimensional space.
-    Nonnegativity of dimensions needs no check; construction enforces it.
+    Covered: the degree window of the space, and in each degree the windows
+    of SpaceDescriptor.lane_range, weight_range (purity for Y and Z) and
+    hodge_range, the same windows support_box enumerates.  Nonnegativity of dimensions needs no check; construction enforces it.
     """
     rep = VerificationReport()
     sp = table.space
-    d = sp.complex_dim
     k_lo, k_hi = sp.degree_range()
+    windows = {k: (sp.lane_range(k), sp.weight_range(k)) for k in range(k_lo, k_hi + 1)}
     for (k, l, q, p), _dim in table.sorted_entries():
         where = dict(space=sp.tag, entry=(k, l, q, p))
-        if not k_lo <= k <= k_hi:
+        if k not in windows:
             rep.add(Violation(
                 f"degree window: k={k} outside [{k_lo}, {k_hi}] for {sp.tag}",
                 **where))
             continue
-        l_lo, l_hi = sp.lane_range(k)
+        (l_lo, l_hi), (q_lo, q_hi) = windows[k]
         if not l_lo <= l <= l_hi:
             rep.add(Violation(
                 f"lane window: l={l} outside [{l_lo}, {l_hi}] in degree {k} for {sp.tag}",
                 **where))
-        if sp.kind in ("Y", "Z"):
-            if q != k:
-                rep.add(Violation(
-                    f"purity: weight q={q} != k={k} on smooth projective {sp.tag}",
-                    **where))
-        elif sp.kind == "U" and not k <= q <= 2 * k:
-            rep.add(Violation(
-                f"weight window: q={q} outside [{k}, {2 * k}] on open {sp.tag}",
-                **where))
-        elif sp.kind == "Uc" and not 0 <= q <= k:
-            rep.add(Violation(
-                f"weight window: q={q} outside [0, {k}] on compactly supported {sp.tag}",
-                **where))
-        elif not 0 <= q <= 2 * k:
-            rep.add(Violation(
-                f"weight window: q={q} outside [0, {2 * k}]", **where))
-        p_lo = max(0, q - k, q - d)
-        p_hi = min(q, k, d)
+        if not q_lo <= q <= q_hi:
+            if sp.kind in ("Y", "Z"):
+                relation = f"purity: weight q={q} != k={k} on smooth projective {sp.tag}"
+            else:
+                on = {"U": f" on open {sp.tag}",
+                      "Uc": f" on compactly supported {sp.tag}"}.get(sp.kind, "")
+                relation = f"weight window: q={q} outside [{q_lo}, {q_hi}]{on}"
+            rep.add(Violation(relation, **where))
+        p_lo, p_hi = sp.hodge_range(k, q)
         if not p_lo <= p <= p_hi:
             rep.add(Violation(
                 f"Hodge window: p={p} outside [{p_lo}, {p_hi}] for weight {q} in degree {k}",

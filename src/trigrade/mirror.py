@@ -32,26 +32,28 @@ def mirror_quad(n: int, quad: Quad) -> Quad:
     return (n + k - 2 * p, n + q - 2 * p, n + l - 2 * p, n - p)
 
 
+def _mirror_transform(table: TriFilteredTable, source: str, target: str,
+                      lane_shift: int) -> TriFilteredTable:
+    """mirror_quad with the perverse slot raised by ``lane_shift``."""
+    if table.space.kind != source:
+        raise ValueError(f"expected a {source} table, got {table.space.tag}")
+    n = table.space.n
+    moved = {}
+    for quad, v in table.entries.items():
+        k, l, q, p = mirror_quad(n, quad)
+        moved[(k, l + lane_shift, q, p)] = v
+    return TriFilteredTable(SpaceDescriptor(target, n), moved)
+
+
 def mirror_transform_compact(table_y: TriFilteredTable) -> TriFilteredTable:
     """Reindex a Y table as the limit table its mirror partner should have."""
-    if table_y.space.kind != "Y":
-        raise ValueError(f"expected a Y table, got {table_y.space.tag}")
-    n = table_y.space.n
-    moved = {mirror_quad(n, quad): v for quad, v in table_y.entries.items()}
-    return TriFilteredTable(SpaceDescriptor("Xlim", n), moved)
+    return _mirror_transform(table_y, "Y", "Xlim", 0)
 
 
 def mirror_transform_open(table_uc: TriFilteredTable) -> TriFilteredTable:
     """Reindex a Uc table as the mirror's total-space table: the same index
     map with the perverse slot raised by one."""
-    if table_uc.space.kind != "Uc":
-        raise ValueError(f"expected a Uc table, got {table_uc.space.tag}")
-    n = table_uc.space.n
-    moved = {}
-    for quad, v in table_uc.entries.items():
-        k, l, q, p = mirror_quad(n, quad)
-        moved[(k, l + 1, q, p)] = v
-    return TriFilteredTable(SpaceDescriptor("Total", n), moved)
+    return _mirror_transform(table_uc, "Uc", "Total", 1)
 
 
 @dataclass(frozen=True)

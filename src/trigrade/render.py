@@ -67,9 +67,8 @@ def render_table(table: TriFilteredTable) -> str:
 
 
 def render_tables(tables: dict[str, TriFilteredTable]) -> str:
-    order = ["Y", "Z:1", "Z:2", "Z:3", "U", "Uc", "Xlim", "Total", "Supported"]
-    tags = sorted(tables, key=lambda t: (order.index(t) if t in order else len(order), t))
-    return "\n".join(render_table(tables[t]) for t in tags)
+    ordered = sorted(tables.values(), key=lambda t: t.space.order_key)
+    return "\n".join(render_table(t) for t in ordered)
 
 
 def parse_grid(text: str) -> dict[str, TriFilteredTable]:

@@ -178,22 +178,21 @@ def _required_tables(template: SequenceTemplate, tables: dict[str, TriFilteredTa
             f"template {template.name!r} needs tables for {', '.join(missing)}")
 
 
-def extract_lanes(template: SequenceTemplate,
-                  tables: dict[str, TriFilteredTable]) -> list[Lane]:
-    """All lanes with at least one nonzero entry, as fully materialized
-    chains (interior zeros included, boundaries trimmed to the nonzero
-    window)."""
-    _required_tables(template, tables)
+def _lanes(template: SequenceTemplate, sources):
+    """Yield (key, first cycle, cells) for every lane of a template instance,
+    in key order, where key = (residue, l, q, p).
+
+    ``sources`` maps each space tag to a mapping quad -> value.  A lane is
+    opened by every quad some term reads, and runs over the window of cycles
+    between the first and last of them; cells lists what each term reads at
+    each cycle of the window, in chain order, with 0 for an absent quad.
+    """
     P = template.period
-    # (term index, k_offset, shift, twist, lookup) per term, bound once; the
-    # reads below are SequenceTerm.read_quad written out
-    reads = [(i, t.k_offset, t.shift, t.twist, tables[t.space].entries.get)
-             for i, t in enumerate(template.terms)]
     windows: dict[tuple[int, int, int, int], tuple[int, int]] = {}
     for term in template.terms:
         ko, s, tw = term.k_offset, term.shift, term.twist
-        for k, l, q, p in tables[term.space].entries:
-            # the lane (and cycle c) under which this term reads the entry
+        for k, l, q, p in sources[term.space]:
+            # the lane (and cycle c) under which this term reads the quad
             c = k - ko
             key = (c % P, l - s, q - 2 * tw, p - tw)
             w = windows.get(key)
@@ -204,29 +203,67 @@ def extract_lanes(template: SequenceTemplate,
             elif c > w[1]:
                 windows[key] = (w[0], c)
 
-    lanes = []
-    for (res, l, q, p), (c_lo, c_hi) in sorted(windows.items(), key=lambda kv: (kv[0][1:], kv[0][0])):
-        entries = []
+    # (k_offset, shift, twist, lookup) per term, bound once; the reads below
+    # are SequenceTerm.read_quad written out
+    reads = [(t.k_offset, t.shift, t.twist, sources[t.space].get)
+             for t in template.terms]
+    for key, (c_lo, c_hi) in sorted(windows.items()):
+        _res, l, q, p = key
+        cells = []
         for c in range(c_lo, c_hi + 1, P):
-            for i, ko, s, tw, get in reads:
-                k = c + ko
-                entries.append(LaneEntry(i, k, get((k, l + s, q + 2 * tw, p + tw), 0)))
-        lanes.append(Lane(l, q, p, res, c_lo, tuple(entries)))
-    return lanes
+            for ko, s, tw, get in reads:
+                cells.append(get((c + ko, l + s, q + 2 * tw, p + tw), 0))
+        yield key, c_lo, cells
 
 
-def _position_index(lane: Lane, template: SequenceTemplate,
-                    term_index: int, degree: int) -> int | None:
-    """Chain index of the occurrence of a term at its own degree, if it falls
-    inside this lane's window."""
+def _instance_lanes(template: SequenceTemplate, tables: dict[str, TriFilteredTable]):
+    """The enumerated lanes of a fully known instance, in the checking order
+    (l, q, p, residue)."""
+    _required_tables(template, tables)
+    sources = {s: tables[s].entries for s in template.spaces()}
+    return sorted(_lanes(template, sources), key=lambda lane: (lane[0][1:], lane[0][0]))
+
+
+def _as_lane(template: SequenceTemplate, key, c_lo: int, cells: list) -> Lane:
+    """One enumerated lane as a Lane: cell j belongs to term j % T and reads
+    degree c_lo + (j // T) * P + that term's k_offset."""
+    res, l, q, p = key
+    P = template.period
+    T = len(template.terms)
+    offsets = [t.k_offset for t in template.terms]
+    return Lane(l, q, p, res, c_lo, tuple([
+        LaneEntry(j % T, c_lo + (j // T) * P + offsets[j % T], dim)
+        for j, dim in enumerate(cells)]))
+
+
+def extract_lanes(template: SequenceTemplate,
+                  tables: dict[str, TriFilteredTable]) -> list[Lane]:
+    """All lanes with at least one nonzero entry, as fully materialized
+    chains (interior zeros included, boundaries trimmed to the nonzero
+    window), ordered by (l, q, p, residue)."""
+    return [_as_lane(template, *lane) for lane in _instance_lanes(template, tables)]
+
+
+def _check_term_index(template: SequenceTemplate, term_index: int):
+    if not 0 <= term_index < len(template.terms):
+        raise ValueError(f"pin names term {term_index}, template has "
+                         f"{len(template.terms)} terms")
+
+
+def _pin_positions(template: SequenceTemplate, term_index: int, degree: int | None,
+                   start_cycle: int, length: int) -> range:
+    """Chain indices, in a lane starting at ``start_cycle`` with ``length``
+    cells, of the term's occurrences whose outgoing rank a pin sums: every
+    occurrence, or only the one reading ``degree`` in the term's own table."""
+    T = len(template.terms)
+    if degree is None:
+        return range(term_index, length, T)
     c = degree - template.terms[term_index].k_offset
-    if (c - lane.start_cycle) % template.period != 0:
-        return None
-    block = (c - lane.start_cycle) // template.period
-    idx = block * len(template.terms) + term_index
-    if 0 <= idx < len(lane.entries):
-        return idx
-    return None
+    block, off = divmod(c - start_cycle, template.period)
+    idx = block * T + term_index
+    if off == 0 and 0 <= idx < length:
+        return range(idx, idx + 1)
+    return range(0)
 
 
 @dataclass(frozen=True)
@@ -271,6 +308,18 @@ class RankPin:
         return obj
 
 
+def _lane_results(template: SequenceTemplate, tables: dict[str, TriFilteredTable]):
+    """Every enumerated lane of the instance, in checking order, with the
+    rank recursion run on its cells.  A Lane is built only to name a lane
+    that fails."""
+    return [(lane, check_exactness(lane[2])) for lane in _instance_lanes(template, tables)]
+
+
+def _rank_total(template, results, term_index: int, degree: int | None) -> int:
+    return sum(res.ranks[i] for (_key, c_lo, cells), res in results
+               for i in _pin_positions(template, term_index, degree, c_lo, len(cells)))
+
+
 def check_sequence(template: SequenceTemplate,
                    tables: dict[str, TriFilteredTable],
                    pins: list[RankPin] = ()) -> VerificationReport:
@@ -280,13 +329,13 @@ def check_sequence(template: SequenceTemplate,
     failed.  Pins are only evaluated once all lanes are feasible, since ranks
     are not defined otherwise.
     """
+    for pin in pins:
+        _check_term_index(template, pin.term_index)
     rep = VerificationReport()
-    lanes = extract_lanes(template, tables)
-    results = []
-    for lane in lanes:
-        res = check_exactness(lane.chain)
-        results.append(res)
+    results = _lane_results(template, tables)
+    for lane, res in results:
         if not res.feasible:
+            lane = _as_lane(template, *lane)
             entry = lane.entries[res.failure_index]
             term = template.terms[entry.term_index]
             rep.add(Violation(
@@ -296,10 +345,7 @@ def check_sequence(template: SequenceTemplate,
     if not rep.passed:
         return rep
     for pin in pins:
-        if not 0 <= pin.term_index < len(template.terms):
-            raise ValueError(f"pin names term {pin.term_index}, template has "
-                             f"{len(template.terms)} terms")
-        total = _rank_total(template, lanes, results, pin.term_index, pin.degree)
+        total = _rank_total(template, results, pin.term_index, pin.degree)
         if total != pin.rank:
             term = template.terms[pin.term_index]
             at = "" if pin.degree is None else f" in degree {pin.degree}"
@@ -307,19 +353,6 @@ def check_sequence(template: SequenceTemplate,
                 f"pinned rank: map out of term {pin.term_index} [{term.space}]"
                 f"{at} has total rank {total}, pinned {pin.rank}"))
     return rep
-
-
-def _rank_total(template, lanes, results, term_index: int, degree: int | None) -> int:
-    total = 0
-    for lane, res in zip(lanes, results):
-        if degree is None:
-            total += sum(r for e, r in zip(lane.entries, res.ranks)
-                         if e.term_index == term_index)
-        else:
-            idx = _position_index(lane, template, term_index, degree)
-            if idx is not None:
-                total += res.ranks[idx]
-    return total
 
 
 def infer_rank(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
@@ -330,12 +363,10 @@ def infer_rank(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
     Only meaningful on a fully known, exact instance; raises if any lane is
     infeasible.
     """
-    lanes = extract_lanes(template, tables)
-    results = []
-    for lane in lanes:
-        res = check_exactness(lane.chain)
+    _check_term_index(template, term_index)
+    results = _lane_results(template, tables)
+    for lane, res in results:
         if not res.feasible:
-            raise ValueError(
-                f"cannot infer ranks: {lane.describe()} is not exact ({res.reason})")
-        results.append(res)
-    return _rank_total(template, lanes, results, term_index, degree)
+            raise ValueError(f"cannot infer ranks: {_as_lane(template, *lane).describe()} "
+                             f"is not exact ({res.reason})")
+    return _rank_total(template, results, term_index, degree)

@@ -39,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checks import VerificationReport, Violation
-from .sequences import RankPin, SequenceTemplate, check_sequence
+from .sequences import (RankPin, SequenceTemplate, _check_term_index, _lanes,
+                        _pin_positions, check_sequence)
 from .spaces import SpaceDescriptor
 from .tables import Quad, TriFilteredTable
 
@@ -60,31 +61,21 @@ def _meet(a: Interval, b: Interval) -> Interval:
 def support_box(space: SpaceDescriptor, degree: int | None = None) -> set[Quad]:
     """All index quadruples where a table of this space could be nonzero.
 
-    Degree and lane windows come from the descriptor.  Weights of a degree-k
-    structure lie in [0, 2k], sharpened to q = k for the smooth projective
-    kinds and to one-sided windows for U and Uc; the Hodge index runs over
-    the window a weight-q piece of H^k of a d-dimensional space allows.
-    These are exactly the vanishing facts validate_table checks, so any
-    valid table lives inside its box.
+    Degree, lane, weight and Hodge windows all come from the descriptor,
+    the same windows validate_table checks, so any valid table lives inside
+    its box.
     """
     k_lo, k_hi = space.degree_range()
     if degree is not None:
         k_lo, k_hi = max(k_lo, degree), min(k_hi, degree)
-    d = space.complex_dim
     box: set[Quad] = set()
     for k in range(k_lo, k_hi + 1):
         l_lo, l_hi = space.lane_range(k)
-        if space.kind in ("Y", "Z"):
-            q_range = range(k, k + 1)
-        elif space.kind == "U":
-            q_range = range(k, 2 * k + 1)
-        elif space.kind == "Uc":
-            q_range = range(0, k + 1)
-        else:
-            q_range = range(0, 2 * k + 1)
+        q_lo, q_hi = space.weight_range(k)
         for l in range(l_lo, l_hi + 1):
-            for q in q_range:
-                for p in range(max(0, q - k, q - d), min(q, k, d) + 1):
+            for q in range(q_lo, q_hi + 1):
+                p_lo, p_hi = space.hodge_range(k, q)
+                for p in range(p_lo, p_hi + 1):
                     box.add((k, l, q, p))
     return box
 
@@ -158,81 +149,39 @@ def solve_unknown(template: SequenceTemplate,
     missing = [s for s in template.spaces() if s != tag and s not in known]
     if missing:
         raise ValueError(f"tables missing for {', '.join(missing)}")
+    for pin in pins:
+        _check_term_index(template, pin.term_index)
     space = stored.space if stored is not None else _infer_descriptor(tag, known)
     box = support_box(space, degree)
 
     # -- assemble the lane system -----------------------------------------
-    # Every read is (k_offset, shift, twist, lookup, reads_unknown), the
-    # terms' SequenceTerm.read_quad written out; lookup gives the known
-    # dimension at a quadruple.  For a degree solve the unknown table's
-    # other degrees are known data.
-    P = template.period
-    T = len(template.terms)
+    # The lanes are those of the instance with the unknown table read
+    # through an overlay: a cell of the box reads as its own quadruple, and
+    # for a degree solve the table's other degrees are known data.  A cell
+    # is thus a known dimension, or the quadruple of an unknown one.
     other_degrees = {} if degree is None else {
         quad: d for quad, d in stored.entries.items() if quad[0] != degree}
-    reads = []
-    windows: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-    for term in template.terms:
-        ko, s, tw = term.k_offset, term.shift, term.twist
-        if term.space == tag:
-            reads.append((ko, s, tw, other_degrees.get, True))
-            touched = list(box) + list(other_degrees)
-        else:
-            entries = known[term.space].entries
-            reads.append((ko, s, tw, entries.get, False))
-            touched = entries
-        for k, l, q, p in touched:
-            c = k - ko
-            key = (c % P, l - s, q - 2 * tw, p - tw)
-            w = windows.get(key)
-            if w is None:
-                windows[key] = (c, c)
-            elif c < w[0]:
-                windows[key] = (c, w[1])
-            elif c > w[1]:
-                windows[key] = (w[0], c)
-
-    # lanes[i] = (key, first cycle, cells): a cell is a known dimension, or
-    # the quadruple of an unknown one.  readers maps each unknown cell to the
-    # lanes that read it; repeats marks lanes reading one cell twice.
+    sources = {s: known[s].entries for s in template.spaces() if s != tag}
+    sources[tag] = {**other_degrees, **{quad: quad for quad in box}}
+    # lanes[i] = (key, first cycle, cells).  readers maps each unknown cell
+    # to the lanes that read it; repeats marks lanes reading one cell twice.
     lanes: list[tuple[tuple[int, int, int, int], int, list]] = []
     readers: dict[Quad, list[int]] = {quad: [] for quad in box}
     repeats: list[bool] = []
-    for (res, l, q, p), (c_lo, c_hi) in sorted(windows.items()):
-        cells: list = []
-        unknowns: list[Quad] = []
-        keep = False
-        for c in range(c_lo, c_hi + 1, P):
-            for ko, s, tw, get, reads_unknown in reads:
-                quad = (c + ko, l + s, q + 2 * tw, p + tw)
-                if reads_unknown and quad in box:
-                    cells.append(quad)
-                    unknowns.append(quad)
-                else:
-                    v = get(quad, 0)
-                    cells.append(v)
-                    keep = keep or v > 0
-        if keep or unknowns:
-            distinct = set(unknowns)
-            for quad in distinct:
-                readers[quad].append(len(lanes))
-            repeats.append(len(distinct) < len(unknowns))
-            lanes.append(((res, l, q, p), c_lo, cells))
+    for key, c_lo, cells in _lanes(template, sources):
+        unknowns = [cell for cell in cells if cell.__class__ is tuple]
+        distinct = set(unknowns)
+        for quad in distinct:
+            readers[quad].append(len(lanes))
+        repeats.append(len(distinct) < len(unknowns))
+        lanes.append((key, c_lo, cells))
 
-    # Chain positions whose outgoing rank each pin sums.
-    pin_occ: list[list[tuple[int, int]]] = []
-    for pin in pins:
-        if not 0 <= pin.term_index < T:
-            raise ValueError(f"pin names term {pin.term_index}, template has {T} terms")
-        occ: list[tuple[int, int]] = []
-        for li, (_key, c_lo, cells) in enumerate(lanes):
-            for j in range(pin.term_index, len(cells), T):
-                if pin.degree is not None:
-                    c = c_lo + (j // T) * P
-                    if c + template.terms[pin.term_index].k_offset != pin.degree:
-                        continue
-                occ.append((li, j + 1))
-        pin_occ.append(occ)
+    # Chain positions whose outgoing rank each pin sums: the rank out of
+    # position j is the lane's boundary rank j + 1.
+    pin_occ = [[(li, j + 1) for li, (_key, c_lo, cells) in enumerate(lanes)
+                for j in _pin_positions(template, pin.term_index, pin.degree,
+                                        c_lo, len(cells))]
+               for pin in pins]
 
     # -- propagate to a fixpoint ------------------------------------------
     intervals: dict[Quad, Interval] = {quad: (0, None) for quad in box}

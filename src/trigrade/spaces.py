@@ -72,6 +72,13 @@ class SpaceDescriptor:
         return cls(tag, n, m)
 
     @property
+    def order_key(self) -> tuple[int, int]:
+        """Where a table of this space goes when several are listed, in JSON
+        and in grids alike: Y, the sections Z:r by depth, U, Uc, Xlim,
+        Total, Supported."""
+        return ((FIBRATION_KINDS + DEGENERATION_KINDS).index(self.kind), self.depth)
+
+    @property
     def complex_dim(self) -> int:
         """Complex dimension of the space itself (not of any fibre)."""
         if self.kind == "Z":
@@ -123,3 +130,21 @@ class SpaceDescriptor:
         mb = self.m if self.kind == "Y" else self.m - self.depth
         lo = max(-(-k // 2), k - mb)  # ceil(k/2)
         return (lo, k + mb)
+
+    def weight_range(self, k: int) -> tuple[int, int]:
+        """Weights a degree-``k`` group can carry: [0, 2k], sharpened to
+        q = k by purity for the smooth projective kinds (Y, Z) and to the
+        one-sided windows of the open space U and of Uc."""
+        if self.kind in ("Y", "Z"):
+            return (k, k)
+        if self.kind == "U":
+            return (k, 2 * k)
+        if self.kind == "Uc":
+            return (0, k)
+        return (0, 2 * k)
+
+    def hodge_range(self, k: int, q: int) -> tuple[int, int]:
+        """Hodge indices a weight-``q`` piece of H^k of a space of complex
+        dimension d can carry."""
+        d = self.complex_dim
+        return (max(0, q - k, q - d), min(q, k, d))

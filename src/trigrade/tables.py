@@ -167,20 +167,14 @@ def apply_transform(table: TriFilteredTable, tr: IndexTransform) -> TriFilteredT
 def tables_to_json_obj(tables: dict[str, TriFilteredTable], family: str | None = None) -> dict:
     """A table-set object: one JSON file holding several tables.
 
-    Tables are keyed by their space tag; the serialized order follows a fixed
-    tag order so output is reproducible.
+    Tables are keyed by their space tag; the serialized order is
+    SpaceDescriptor.order_key, so output is reproducible.
     """
-    order = {t: i for i, t in enumerate(("Y", "U", "Uc", "Xlim", "Total", "Supported"))}
-
-    def sort_key(tag: str):
-        if tag.startswith("Z:"):
-            return (1, int(tag[2:]))
-        return (0, 0) if tag == "Y" else (2 + order.get(tag, 9), 0)
-
     obj: dict = {}
     if family:
         obj["family"] = family
-    obj["tables"] = [tables[tag].to_json_obj() for tag in sorted(tables, key=sort_key)]
+    ordered = sorted(tables.values(), key=lambda t: t.space.order_key)
+    obj["tables"] = [t.to_json_obj() for t in ordered]
     return obj
 
 
