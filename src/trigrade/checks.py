@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .spaces import SpaceDescriptor
 from .tables import Quad, TriFilteredTable
 
 
@@ -67,24 +66,25 @@ def validate_table(table: TriFilteredTable) -> VerificationReport:
 
     Covered: the degree window of the space, and in each degree the windows
     of SpaceDescriptor.lane_range, weight_range (purity for Y and Z) and
-    hodge_range, the same windows support_box enumerates.  Nonnegativity of dimensions needs no check; construction enforces it.
+    hodge_range, the same windows support_box enumerates.  Nonnegativity of
+    dimensions needs no check; construction enforces it.
     """
     rep = VerificationReport()
     sp = table.space
     k_lo, k_hi = sp.degree_range()
-    windows = {k: (sp.lane_range(k), sp.weight_range(k)) for k in range(k_lo, k_hi + 1)}
     for (k, l, q, p), _dim in table.sorted_entries():
         where = dict(space=sp.tag, entry=(k, l, q, p))
-        if k not in windows:
+        if not k_lo <= k <= k_hi:
             rep.add(Violation(
                 f"degree window: k={k} outside [{k_lo}, {k_hi}] for {sp.tag}",
                 **where))
             continue
-        (l_lo, l_hi), (q_lo, q_hi) = windows[k]
+        l_lo, l_hi = sp.lane_range(k)
         if not l_lo <= l <= l_hi:
             rep.add(Violation(
                 f"lane window: l={l} outside [{l_lo}, {l_hi}] in degree {k} for {sp.tag}",
                 **where))
+        q_lo, q_hi = sp.weight_range(k)
         if not q_lo <= q <= q_hi:
             if sp.kind in ("Y", "Z"):
                 relation = f"purity: weight q={q} != k={k} on smooth projective {sp.tag}"
@@ -219,14 +219,9 @@ def check_subvariety_constraints(
                     rep.add(Violation(
                         f"section restriction (depth {r}) is an isomorphism here: "
                         f"Y{(k, l, q, p)} = {v} but Z:{r}{zq} = {zv}", **where))
-            elif l < k:
-                if zv < v:
-                    rep.add(Violation(
-                        f"section restriction (depth {r}) is onto here: "
-                        f"Y{(k, l, q, p)} = {v} exceeds Z:{r}{zq} = {zv}", **where))
-            else:
-                if v > zv:
-                    rep.add(Violation(
-                        f"section restriction (depth {r}) is injective here: "
-                        f"Y{(k, l, q, p)} = {v} exceeds Z:{r}{zq} = {zv}", **where))
+            elif v > zv:
+                how = "onto" if l < k else "injective"
+                rep.add(Violation(
+                    f"section restriction (depth {r}) is {how} here: "
+                    f"Y{(k, l, q, p)} = {v} exceeds Z:{r}{zq} = {zv}", **where))
     return rep

@@ -33,6 +33,15 @@ class SequenceTerm:
     shift: int = 0
     twist: int = 0
 
+    def __post_init__(self):
+        if not isinstance(self.space, str):
+            raise ValueError(f"template term 'space' must be a string, got {self.space!r}")
+        for field in ("k_offset", "shift", "twist"):
+            value = getattr(self, field)
+            # type(...) is int: bool is an int subclass and must not pass
+            if type(value) is not int:
+                raise ValueError(f"template term {field!r} must be an integer, got {value!r}")
+
     def read_quad(self, c: int, l: int, q: int, p: int) -> tuple[int, int, int, int]:
         return (c + self.k_offset, l + self.shift, q + 2 * self.twist, p + self.twist)
 
@@ -44,6 +53,8 @@ class SequenceTemplate:
     terms: tuple[SequenceTerm, ...]
 
     def __post_init__(self):
+        if type(self.period) is not int:
+            raise ValueError(f"template 'period' must be an integer, got {self.period!r}")
         if self.period < 1 or not self.terms:
             raise ValueError("template needs a positive period and at least one term")
 
@@ -171,21 +182,30 @@ def check_exactness(dims: "list[int] | Lane") -> FeasibilityResult:
     return FeasibilityResult(True, ranks)
 
 
-def _required_tables(template: SequenceTemplate, tables: dict[str, TriFilteredTable]):
-    missing = [s for s in template.spaces() if s not in tables]
+def _check_instance(template: SequenceTemplate,
+                    tables: dict[str, TriFilteredTable], unknown: str | None):
+    """Raise ValueError unless every space the template reads has a table
+    (the unknown excepted), and those tables agree on n, and on m where m is
+    set."""
+    missing = [s for s in template.spaces() if s != unknown and s not in tables]
     if missing:
         raise ValueError(
-            f"template {template.name!r} needs tables for {', '.join(missing)}")
+            f"template {template.name!r} is missing tables for {', '.join(missing)}")
+    spaces = [tables[s].space for s in template.spaces() if s in tables]
+    for attr in ("n", "m"):
+        found = {sp.tag: getattr(sp, attr) for sp in spaces if getattr(sp, attr) is not None}
+        if len(set(found.values())) > 1:
+            listed = ", ".join(f"{tag} {attr}={v}" for tag, v in found.items())
+            raise ValueError(f"the tables of one instance disagree on {attr}: {listed}")
 
 
 def _lanes(template: SequenceTemplate, sources):
     """Yield (key, first cycle, cells) for every lane of a template instance,
     in key order, where key = (residue, l, q, p).
 
-    ``sources`` maps each space tag to a mapping quad -> value.  A lane is
-    opened by every quad some term reads, and runs over the window of cycles
-    between the first and last of them; cells lists what each term reads at
-    each cycle of the window, in chain order, with 0 for an absent quad.
+    ``sources`` maps each space tag to a mapping quad -> value.  Every quad a
+    term reads opens its lane, which runs from the first such cycle to the
+    last; cells holds each term's read at each cycle, 0 where a quad is absent.
     """
     P = template.period
     windows: dict[tuple[int, int, int, int], tuple[int, int]] = {}
@@ -219,20 +239,20 @@ def _lanes(template: SequenceTemplate, sources):
 def _instance_lanes(template: SequenceTemplate, tables: dict[str, TriFilteredTable]):
     """The enumerated lanes of a fully known instance, in the checking order
     (l, q, p, residue)."""
-    _required_tables(template, tables)
+    _check_instance(template, tables, None)
     sources = {s: tables[s].entries for s in template.spaces()}
     return sorted(_lanes(template, sources), key=lambda lane: (lane[0][1:], lane[0][0]))
 
 
-def _as_lane(template: SequenceTemplate, key, c_lo: int, cells: list) -> Lane:
+def _as_lane(template: SequenceTemplate, key: tuple[int, int, int, int], c_lo: int,
+             cells: list[int]) -> Lane:
     """One enumerated lane as a Lane: cell j belongs to term j % T and reads
     degree c_lo + (j // T) * P + that term's k_offset."""
     res, l, q, p = key
     P = template.period
     T = len(template.terms)
-    offsets = [t.k_offset for t in template.terms]
     return Lane(l, q, p, res, c_lo, tuple([
-        LaneEntry(j % T, c_lo + (j // T) * P + offsets[j % T], dim)
+        LaneEntry(j % T, c_lo + (j // T) * P + template.terms[j % T].k_offset, dim)
         for j, dim in enumerate(cells)]))
 
 
@@ -261,9 +281,7 @@ def _pin_positions(template: SequenceTemplate, term_index: int, degree: int | No
     c = degree - template.terms[term_index].k_offset
     block, off = divmod(c - start_cycle, template.period)
     idx = block * T + term_index
-    if off == 0 and 0 <= idx < length:
-        return range(idx, idx + 1)
-    return range(0)
+    return range(idx, idx + 1) if off == 0 and 0 <= idx < length else range(0)
 
 
 @dataclass(frozen=True)
@@ -329,13 +347,11 @@ def check_sequence(template: SequenceTemplate,
     failed.  Pins are only evaluated once all lanes are feasible, since ranks
     are not defined otherwise.
     """
-    for pin in pins:
-        _check_term_index(template, pin.term_index)
     rep = VerificationReport()
     results = _lane_results(template, tables)
-    for lane, res in results:
+    for raw, res in results:
         if not res.feasible:
-            lane = _as_lane(template, *lane)
+            lane = _as_lane(template, *raw)
             entry = lane.entries[res.failure_index]
             term = template.terms[entry.term_index]
             rep.add(Violation(
@@ -345,6 +361,7 @@ def check_sequence(template: SequenceTemplate,
     if not rep.passed:
         return rep
     for pin in pins:
+        _check_term_index(template, pin.term_index)
         total = _rank_total(template, results, pin.term_index, pin.degree)
         if total != pin.rank:
             term = template.terms[pin.term_index]
@@ -365,8 +382,9 @@ def infer_rank(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
     """
     _check_term_index(template, term_index)
     results = _lane_results(template, tables)
-    for lane, res in results:
+    for raw, res in results:
         if not res.feasible:
-            raise ValueError(f"cannot infer ranks: {_as_lane(template, *lane).describe()} "
-                             f"is not exact ({res.reason})")
+            lane = _as_lane(template, *raw)
+            raise ValueError(
+                f"cannot infer ranks: {lane.describe()} is not exact ({res.reason})")
     return _rank_total(template, results, term_index, degree)

@@ -39,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checks import VerificationReport, Violation
-from .sequences import (RankPin, SequenceTemplate, _check_term_index, _lanes,
-                        _pin_positions, check_sequence)
+from .sequences import (RankPin, SequenceTemplate, _check_instance,
+                        _check_term_index, _lanes, _pin_positions, check_sequence)
 from .spaces import SpaceDescriptor
 from .tables import Quad, TriFilteredTable
 
@@ -146,9 +146,7 @@ def solve_unknown(template: SequenceTemplate,
         raise ValueError(
             f"partial solve for {tag} degree {degree} needs the table present "
             "to supply its other degrees")
-    missing = [s for s in template.spaces() if s != tag and s not in known]
-    if missing:
-        raise ValueError(f"tables missing for {', '.join(missing)}")
+    _check_instance(template, tables, tag)
     for pin in pins:
         _check_term_index(template, pin.term_index)
     space = stored.space if stored is not None else _infer_descriptor(tag, known)
@@ -204,7 +202,7 @@ def solve_unknown(template: SequenceTemplate,
     while True:
         iterations += 1
         if iterations > 10000:
-            raise RuntimeError("interval propagation failed to converge")
+            raise ValueError("interval propagation did not converge within 10000 rounds")
         changed = False
         requeue: set[int] = set()  # lanes to visit next round
 

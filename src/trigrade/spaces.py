@@ -73,9 +73,8 @@ class SpaceDescriptor:
 
     @property
     def order_key(self) -> tuple[int, int]:
-        """Where a table of this space goes when several are listed, in JSON
-        and in grids alike: Y, the sections Z:r by depth, U, Uc, Xlim,
-        Total, Supported."""
+        """Listing order of tables, in JSON and grids alike: Y, the sections
+        Z:r by depth, U, Uc, Xlim, Total, Supported."""
         return ((FIBRATION_KINDS + DEGENERATION_KINDS).index(self.kind), self.depth)
 
     @property

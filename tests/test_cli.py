@@ -3,8 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from trigrade import (TriFilteredTable, family_tables, parse_family,
-                      parse_grid, tables_from_json_obj, tables_to_json_obj)
+from trigrade import (TriFilteredTable, builtin_templates, family_tables,
+                      parse_family, parse_grid, tables_from_json_obj,
+                      tables_to_json_obj)
 from trigrade.cli import main
 
 
@@ -113,6 +114,62 @@ def test_check_rejects_mistyped_pins(runner, tmp_path, pin):
     res = invoke(runner, ["check", _write(tmp_path, "pin.json", obj)])
     assert res.exit_code == 2, pin
     assert "error:" in res.stderr and "pin" in res.stderr
+
+
+def _loc1_with(**changes):
+    obj = builtin_templates()["loc1"].to_json_obj()
+    term = changes.pop("term", None)
+    if term is not None:
+        obj["terms"][2].update(term)
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize("template", [
+    _loc1_with(period=True),
+    _loc1_with(period=1.0),
+    _loc1_with(term={"k_offset": -1.0}),
+    _loc1_with(term={"shift": True}),
+    _loc1_with(term={"twist": "-1"}),
+    _loc1_with(term={"space": 1}),
+], ids=["period-bool", "period-float", "k_offset-float", "shift-bool", "twist-str",
+        "space-int"])
+def test_check_rejects_mistyped_template_fields(runner, tmp_path, template):
+    obj = {"template": template, "tables": ["k3-elliptic:r=2"]}
+    res = invoke(runner, ["check", _write(tmp_path, "tmpl.json", obj)])
+    assert res.exit_code == 2, template
+    assert "error:" in res.stderr and "template" in res.stderr
+
+
+def _retagged(table, **fields):
+    obj = table.to_json_obj()
+    obj.update(fields)
+    return obj
+
+
+def _cs_with_xlim_at_n3():
+    tables = family_tables(parse_family("k3-typeII:r=2"))
+    return [_retagged(tables["Xlim"], n=3),
+            _retagged(tables["Total"]), _retagged(tables["Supported"])]
+
+
+def _loc1_with_u_at_m2():
+    tables = family_tables(parse_family("k3-elliptic:r=2"))
+    return [_retagged(tables["Y"]), _retagged(tables["Z:1"]), _retagged(tables["U"], m=2)]
+
+
+@pytest.mark.parametrize("command, obj, field", [
+    ("check", {"template": "cs", "tables": _cs_with_xlim_at_n3()}, "n"),
+    ("solve", {"template": "cs", "tables": _cs_with_xlim_at_n3(),
+               "unknown": "Supported"}, "n"),
+    ("check", {"template": "loc1", "tables": _loc1_with_u_at_m2()}, "m"),
+    ("solve", {"template": "loc1", "tables": _loc1_with_u_at_m2(),
+               "unknown": {"space": "Y", "k": 2}}, "m"),
+], ids=["check-cs-n", "solve-cs-n", "check-loc1-m", "solve-loc1-m"])
+def test_instance_tables_must_agree_on_n_and_m(runner, tmp_path, command, obj, field):
+    res = invoke(runner, [command, _write(tmp_path, "in.json", obj)])
+    assert res.exit_code == 2
+    assert f"disagree on {field}" in res.stderr
 
 
 @pytest.mark.parametrize("field", ["k", "dim"])
@@ -242,6 +299,18 @@ def test_solve_contradiction(runner, tmp_path):
     out = json.loads(res.stdout)
     assert out["table"] is None
     assert "solve contradiction" in res.stdout
+
+
+def test_solve_nonconvergence_is_an_input_error(runner, tmp_path):
+    # loc1 with a second read of Z:1 never reaches a fixpoint on these tables
+    template = builtin_templates()["loc1"].to_json_obj()
+    template["terms"].append(template["terms"][2])
+    path = _write(tmp_path, "in.json", {
+        "template": template, "tables": ["k3-elliptic:r=2"], "unknown": "Z:1"})
+    res = invoke(runner, ["solve", path])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:") and "converge" in res.stderr
+    assert res.stderr.count("\n") == 1
 
 
 def test_solve_requires_unknown(runner, tmp_path):

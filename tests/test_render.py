@@ -1,6 +1,7 @@
 import pytest
 
-from trigrade import parse_grid, render_table, render_tables
+from trigrade import (SpaceDescriptor, TriFilteredTable, parse_grid, render_table,
+                      render_tables, tables_to_json_obj)
 
 
 def test_round_trip_all_fixtures(fixture_sets):
@@ -62,3 +63,13 @@ def test_parse_reports_line_numbers():
     text = "# table Y n=2 m=1\n\n## k=2 l=2\np\\q  2\n0  1\n0  2\n"
     with pytest.raises(ValueError, match="line 6"):
         parse_grid(text)
+
+
+def test_grid_and_json_share_one_table_order():
+    tags = ["Uc", "Z:4", "U", "Y", "Z:1"]
+    tables = {tag: TriFilteredTable(SpaceDescriptor.parse_tag(tag, 4, 4), {})
+              for tag in tags}
+    grid = [line.split()[2] for line in render_tables(tables).splitlines()
+            if line.startswith("# table ")]
+    json_order = [t["space"] for t in tables_to_json_obj(tables)["tables"]]
+    assert grid == json_order == ["Y", "Z:1", "Z:4", "U", "Uc"]

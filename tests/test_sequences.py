@@ -239,3 +239,20 @@ def test_infer_rank_needs_exactness():
     tables["Xlim"] = type(x)(x.space, entries)
     with pytest.raises(ValueError, match="not exact"):
         infer_rank(builtin_templates()["cs"], tables, 1, 2)
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_pin_outside_template_raises_everywhere(empty):
+    from trigrade import solve_unknown
+    tmpl = builtin_templates()["loc1"]
+    tables = family_tables(parse_family("k3-elliptic:r=2"))
+    if empty:
+        tables = {tag: TriFilteredTable(t.space, {}) for tag, t in tables.items()}
+    pin = RankPin(5, 0)
+    with pytest.raises(ValueError, match="pin names term 5"):
+        check_sequence(tmpl, tables, [pin])
+    with pytest.raises(ValueError, match="pin names term 5"):
+        infer_rank(tmpl, tables, pin.term_index)
+    known = {tag: t for tag, t in tables.items() if tag != "U"}
+    with pytest.raises(ValueError, match="pin names term 5"):
+        solve_unknown(tmpl, known, "U", [pin])
