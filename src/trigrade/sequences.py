@@ -199,7 +199,7 @@ def _check_instance(template: SequenceTemplate,
             raise ValueError(f"the tables of one instance disagree on {attr}: {listed}")
 
 
-def _lanes(template: SequenceTemplate, sources):
+def _lanes(template: SequenceTemplate, sources: dict[str, dict]):
     """Yield (key, first cycle, cells) for every lane of a template instance,
     in key order, where key = (residue, l, q, p).
 
