@@ -8,98 +8,51 @@ templates at the dimension level, solves for a deleted table from exactness
 alone, generates the builtin K3 fibration and degeneration families, checks
 the mirror correspondence between the two sides, and counts dual complex
 strata through base change.
+
+The public names resolve on first use (PEP 562), so importing the package,
+or running one CLI subcommand, loads only the modules that are used.
 """
 
-from .catalog import (DegenerationFamily, EllipticCurveBase, FibrationFamily,
-                      FiniteSurfaceBase, TypeII, TypeIII, degeneration_tables,
-                      family_spec, family_tables, fibration_tables,
-                      parse_family, phantom_cohomology)
-from .checks import (VerificationReport, Violation,
-                     check_subvariety_constraints, dualize_in_dimension,
-                     hard_lefschetz_check, lefschetz_partner,
-                     poincare_verdier_dual, reindex_cup_filtration,
-                     validate_table)
-from .dualcomplex import (CHAIN, SPHERE, DualComplexData, base_change,
-                          base_changed_family, chain_counts, dual_complex,
-                          type_iii_counts, veronese)
-from .mirror import (MirrorPair, mirror_check, mirror_quad,
-                     mirror_transform_compact, mirror_transform_open,
-                     stability_check)
-from .render import RenderedTable, parse_grid, render_table, render_tables
-from .sequences import (FeasibilityResult, Lane, LaneEntry, RankPin,
-                        SequenceTemplate, SequenceTerm, builtin_templates,
-                        check_exactness, check_sequence, extract_lanes,
-                        infer_rank)
-from .solver import SolveResult, solve_unknown, support_box
-from .spaces import DEGENERATION_KINDS, FIBRATION_KINDS, SpaceDescriptor
-from .tables import (IndexTransform, Quad, TriFilteredTable, apply_transform,
-                     canonical_json, tables_from_json_obj, tables_to_json_obj)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHAIN",
-    "DEGENERATION_KINDS",
-    "DegenerationFamily",
-    "DualComplexData",
-    "EllipticCurveBase",
-    "FIBRATION_KINDS",
-    "FeasibilityResult",
-    "FibrationFamily",
-    "FiniteSurfaceBase",
-    "IndexTransform",
-    "Lane",
-    "LaneEntry",
-    "MirrorPair",
-    "Quad",
-    "RankPin",
-    "RenderedTable",
-    "SPHERE",
-    "SequenceTemplate",
-    "SequenceTerm",
-    "SolveResult",
-    "SpaceDescriptor",
-    "TriFilteredTable",
-    "TypeII",
-    "TypeIII",
-    "VerificationReport",
-    "Violation",
-    "apply_transform",
-    "base_change",
-    "base_changed_family",
-    "builtin_templates",
-    "canonical_json",
-    "chain_counts",
-    "check_exactness",
-    "check_sequence",
-    "check_subvariety_constraints",
-    "degeneration_tables",
-    "dual_complex",
-    "dualize_in_dimension",
-    "extract_lanes",
-    "family_spec",
-    "family_tables",
-    "fibration_tables",
-    "hard_lefschetz_check",
-    "infer_rank",
-    "lefschetz_partner",
-    "mirror_check",
-    "mirror_quad",
-    "mirror_transform_compact",
-    "mirror_transform_open",
-    "parse_family",
-    "parse_grid",
-    "phantom_cohomology",
-    "poincare_verdier_dual",
-    "reindex_cup_filtration",
-    "render_table",
-    "render_tables",
-    "solve_unknown",
-    "stability_check",
-    "support_box",
-    "tables_from_json_obj",
-    "tables_to_json_obj",
-    "type_iii_counts",
-    "validate_table",
-    "veronese",
-]
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "catalog": ("DegenerationFamily", "EllipticCurveBase", "FibrationFamily",
+                "FiniteSurfaceBase", "TypeII", "TypeIII", "degeneration_tables",
+                "family_spec", "family_tables", "fibration_tables", "parse_family",
+                "phantom_cohomology"),
+    "checks": ("VerificationReport", "Violation", "check_subvariety_constraints",
+               "dualize_in_dimension", "hard_lefschetz_check", "lefschetz_partner",
+               "poincare_verdier_dual", "reindex_cup_filtration", "validate_table"),
+    "dualcomplex": ("CHAIN", "SPHERE", "DualComplexData", "base_change",
+                    "base_changed_family", "chain_counts", "dual_complex",
+                    "type_iii_counts", "veronese"),
+    "mirror": ("MirrorPair", "mirror_check", "mirror_quad", "mirror_transform_compact",
+               "mirror_transform_open", "stability_check"),
+    "render": ("RenderedTable", "parse_grid", "render_table", "render_tables"),
+    "sequences": ("FeasibilityResult", "Lane", "LaneEntry", "RankPin", "SequenceTemplate",
+                  "SequenceTerm", "builtin_templates", "check_exactness", "check_sequence",
+                  "extract_lanes", "infer_rank"),
+    "solver": ("SolveResult", "solve_unknown", "support_box"),
+    "spaces": ("DEGENERATION_KINDS", "FIBRATION_KINDS", "SpaceDescriptor"),
+    "tables": ("IndexTransform", "Quad", "TriFilteredTable", "apply_transform",
+               "canonical_json", "tables_from_json_obj", "tables_to_json_obj"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -31,40 +31,37 @@ from .spaces import SpaceDescriptor
 from .tables import TriFilteredTable
 
 
-@dataclass(frozen=True)
-class EllipticCurveBase:
-    r: int
+class _Family:
+    """A builtin family: one integer parameter, at least LEAST."""
+
+    LEAST, LABEL = 1, None
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"need r >= 1, got {self.r}")
+        (name,) = self.__dataclass_fields__
+        value = getattr(self, name)
+        if value < self.LEAST:
+            raise ValueError(f"need {self.LABEL or name} >= {self.LEAST}, got {value}")
 
 
 @dataclass(frozen=True)
-class FiniteSurfaceBase:
+class EllipticCurveBase(_Family):
+    r: int
+
+
+@dataclass(frozen=True)
+class FiniteSurfaceBase(_Family):
     g: int
-
-    def __post_init__(self):
-        if self.g < 2:
-            raise ValueError(f"need genus g >= 2, got {self.g}")
+    LEAST, LABEL = 2, "genus g"
 
 
 @dataclass(frozen=True)
-class TypeII:
+class TypeII(_Family):
     r: int
 
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"need r >= 1, got {self.r}")
-
 
 @dataclass(frozen=True)
-class TypeIII:
+class TypeIII(_Family):
     k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"need k >= 1, got {self.k}")
 
 
 FibrationFamily = EllipticCurveBase | FiniteSurfaceBase

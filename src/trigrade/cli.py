@@ -8,43 +8,25 @@ correspondence), basechange (dual complex arithmetic).
 Exit codes: 0 all checks pass, 1 a checked relation is violated, 2 the input
 could not be used (bad spec string, malformed JSON, missing file, missing
 flag).
+
+Each subcommand imports the modules it uses in its own body, so a process
+loads only the code its subcommand runs.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
+import os
 import sys
+from typing import TYPE_CHECKING
 
-import click
-
-from .catalog import (DegenerationFamily, FibrationFamily, family_spec,
-                      family_tables, parse_family)
-from .checks import (VerificationReport, check_subvariety_constraints,
-                     hard_lefschetz_check, validate_table)
-from .dualcomplex import base_change, chain_counts, type_iii_counts
-from .mirror import MirrorPair, mirror_check, stability_check
-from .render import render_tables
-from .sequences import RankPin, SequenceTemplate, check_sequence
-from .solver import solve_unknown
-from .tables import (TriFilteredTable, canonical_json, tables_from_json_obj,
-                     tables_to_json_obj)
+if TYPE_CHECKING:
+    from .checks import VerificationReport
+    from .sequences import RankPin, SequenceTemplate
+    from .tables import TriFilteredTable
 
 PASS, VIOLATION, INPUT_ERROR = 0, 1, 2
-
-
-def _input_errors(f):
-    """Turn malformed-input exceptions into exit code 2 on stderr."""
-
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except (ValueError, KeyError, TypeError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(INPUT_ERROR)
-
-    return wrapper
 
 
 def _emit(text: str, out: str | None):
@@ -67,6 +49,9 @@ def _load_json(path: str):
 def _resolve_tables(refs) -> dict[str, TriFilteredTable]:
     """Expand a "tables" list: family spec strings pull in the whole builtin
     set, objects are inline tables (or nested table sets)."""
+    from .catalog import family_tables, parse_family
+    from .tables import TriFilteredTable, tables_from_json_obj
+
     if not isinstance(refs, list):
         raise ValueError('"tables" must be a list of family specs or table objects')
     tables: dict[str, TriFilteredTable] = {}
@@ -88,11 +73,16 @@ def _resolve_tables(refs) -> dict[str, TriFilteredTable]:
 
 
 def _parse_pins(obj, template: SequenceTemplate) -> list[RankPin]:
+    from .sequences import RankPin
+
     return [RankPin.from_json_obj(p, len(template.terms))
             for p in obj.get("pins", [])]
 
 
 def _check_table_set(tables: dict[str, TriFilteredTable]) -> VerificationReport:
+    from .checks import (VerificationReport, check_subvariety_constraints,
+                         hard_lefschetz_check, validate_table)
+
     rep = VerificationReport()
     for tag in sorted(tables):
         rep.extend(validate_table(tables[tag]))
@@ -103,24 +93,16 @@ def _check_table_set(tables: dict[str, TriFilteredTable]) -> VerificationReport:
     return rep
 
 
-@click.group()
-def main():
-    """Verify and solve trigraded cohomology dimension tables."""
-
-
-@main.command()
-@click.argument("family")
-@click.option("--format", "fmt", type=click.Choice(["json", "grid"]),
-              default="json", show_default=True, help="Output form.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write to a file instead of standard output.")
-@_input_errors
 def generate(family, fmt, out):
     """Emit the tables of a builtin family.
 
     FAMILY is a spec string: k3-elliptic:r=3, k3-finite:g=4, k3-typeII:r=3,
     k3-typeIII:k=2.
     """
+    from .catalog import family_spec, family_tables, parse_family
+    from .render import render_tables
+    from .tables import canonical_json, tables_to_json_obj
+
     fam = parse_family(family)
     tables = family_tables(fam)
     if fmt == "json":
@@ -130,11 +112,6 @@ def generate(family, fmt, out):
     _emit(text, out)
 
 
-@main.command()
-@click.argument("input", type=str)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the report to a file instead of standard output.")
-@_input_errors
 def check(input, out):
     """Check a JSON input; report violations.
 
@@ -144,6 +121,9 @@ def check(input, out):
     constraints when Y and its sections are present; a single table
     {"space", "n", "entries"}.
     """
+    from .sequences import SequenceTemplate, check_sequence
+    from .tables import TriFilteredTable, canonical_json, tables_from_json_obj
+
     obj = _load_json(input)
     if not isinstance(obj, dict):
         raise ValueError("input must be a JSON object")
@@ -162,11 +142,6 @@ def check(input, out):
     sys.exit(PASS if rep.passed else VIOLATION)
 
 
-@main.command()
-@click.argument("input", type=str)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the result to a file instead of standard output.")
-@_input_errors
 def solve(input, out):
     """Solve for a table marked unknown in a sequence object.
 
@@ -176,6 +151,10 @@ def solve(input, out):
     cells the lanes leave open, and a contradiction if the known tables
     admit no exact completion.
     """
+    from .sequences import SequenceTemplate
+    from .solver import solve_unknown
+    from .tables import canonical_json
+
     obj = _load_json(input)
     if not isinstance(obj, dict) or "template" not in obj:
         raise ValueError('solve input needs "template", "tables" and "unknown" keys')
@@ -202,18 +181,12 @@ def solve(input, out):
     sys.exit(PASS if result.report.passed else VIOLATION)
 
 
-@main.command()
-@click.option("--fibration", required=True,
-              help="Fibration family spec, e.g. k3-elliptic:r=3.")
-@click.option("--degeneration", required=True,
-              help="Degeneration family spec, e.g. k3-typeII:r=3.")
-@click.option("--mu", type=int, default=None,
-              help="Also check stability under a mu-fold base change.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the report to a file instead of standard output.")
-@_input_errors
 def mirror(fibration, degeneration, mu, out):
     """Check the mirror correspondence between two builtin families."""
+    from .catalog import DegenerationFamily, FibrationFamily, parse_family
+    from .mirror import MirrorPair, mirror_check, stability_check
+    from .tables import canonical_json
+
     fib = parse_family(fibration)
     deg = parse_family(degeneration)
     if not isinstance(fib, FibrationFamily):
@@ -226,18 +199,11 @@ def mirror(fibration, degeneration, mu, out):
     sys.exit(PASS if rep.passed else VIOLATION)
 
 
-@main.command()
-@click.option("--topology", type=click.Choice(["chain", "sphere"]), required=True)
-@click.option("--components", type=int, default=None,
-              help="Component count (chain topology).")
-@click.option("--triple-points", "triple_points", type=int, default=None,
-              help="Triple point count (sphere topology).")
-@click.option("--mu", type=int, required=True, help="Base change degree.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the counts to a file instead of standard output.")
-@_input_errors
 def basechange(topology, components, triple_points, mu, out):
     """Dual complex counts after a mu-fold base change."""
+    from .dualcomplex import base_change, chain_counts, type_iii_counts
+    from .tables import canonical_json
+
     if topology == "chain":
         if components is None or triple_points is not None:
             raise ValueError("chain topology takes --components only")
@@ -247,6 +213,64 @@ def basechange(topology, components, triple_points, mu, out):
             raise ValueError("sphere topology takes --triple-points only")
         d = type_iii_counts(triple_points)
     _emit(canonical_json(base_change(d, mu).to_json_obj()), out)
+
+
+def _out_path(path: str) -> str:
+    """An --out value: a file to write, never a directory."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"File {path!r} is a directory.")
+    return path
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="trigrade", description=main.__doc__,
+                                     allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(func, out_help):
+        doc = func.__doc__
+        sub = commands.add_parser(func.__name__, help=doc.split("\n", 1)[0],
+                                  description=doc, allow_abbrev=False)
+        sub.set_defaults(run=func)
+        sub.add_argument("--out", type=_out_path, default=None, help=out_help)
+        return sub
+
+    sub = command(generate, "Write to a file instead of standard output.")
+    sub.add_argument("family", metavar="FAMILY")
+    sub.add_argument("--format", dest="fmt", choices=["json", "grid"], default="json",
+                     help="Output form (default: json).")
+    sub = command(check, "Write the report to a file instead of standard output.")
+    sub.add_argument("input", metavar="INPUT")
+    sub = command(solve, "Write the result to a file instead of standard output.")
+    sub.add_argument("input", metavar="INPUT")
+    sub = command(mirror, "Write the report to a file instead of standard output.")
+    sub.add_argument("--fibration", required=True,
+                     help="Fibration family spec, e.g. k3-elliptic:r=3.")
+    sub.add_argument("--degeneration", required=True,
+                     help="Degeneration family spec, e.g. k3-typeII:r=3.")
+    sub.add_argument("--mu", type=int, default=None,
+                     help="Also check stability under a mu-fold base change.")
+    sub = command(basechange, "Write the counts to a file instead of standard output.")
+    sub.add_argument("--topology", choices=["chain", "sphere"], required=True)
+    sub.add_argument("--components", type=int, default=None,
+                     help="Component count (chain topology).")
+    sub.add_argument("--triple-points", dest="triple_points", type=int, default=None,
+                     help="Triple point count (sphere topology).")
+    sub.add_argument("--mu", type=int, required=True, help="Base change degree.")
+    return parser
+
+
+def main(argv=None):
+    """Verify and solve trigraded cohomology dimension tables."""
+    args = vars(_parser().parse_args(argv))
+    run = args.pop("run")
+    del args["command"]
+    try:
+        return run(**args)
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        # malformed input: one line on stderr, exit code 2
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(INPUT_ERROR)
 
 
 if __name__ == "__main__":

@@ -185,13 +185,13 @@ def check_exactness(dims: "list[int] | Lane") -> FeasibilityResult:
 def _check_instance(template: SequenceTemplate,
                     tables: dict[str, TriFilteredTable], unknown: str | None):
     """Raise ValueError unless every space the template reads has a table
-    (the unknown excepted), and those tables agree on n, and on m where m is
-    set."""
+    (the unknown excepted), and all the tables given, read by the template
+    or not, agree on n, and on m where m is set."""
     missing = [s for s in template.spaces() if s != unknown and s not in tables]
     if missing:
         raise ValueError(
             f"template {template.name!r} is missing tables for {', '.join(missing)}")
-    spaces = [tables[s].space for s in template.spaces() if s in tables]
+    spaces = [t.space for t in tables.values()]
     for attr in ("n", "m"):
         found = {sp.tag: getattr(sp, attr) for sp in spaces if getattr(sp, attr) is not None}
         if len(set(found.values())) > 1:

@@ -111,6 +111,8 @@ def _parse_unknown(unknown) -> tuple[str, int | None]:
 
 
 def _infer_descriptor(tag: str, known: dict[str, TriFilteredTable]) -> SpaceDescriptor:
+    """The unknown table's descriptor.  _check_instance has made every table
+    given agree on n, and on m where set, so any known table supplies them."""
     if not known:
         raise ValueError("cannot infer the unknown table's descriptor from nothing")
     n = next(iter(known.values())).space.n

@@ -23,6 +23,11 @@ from dataclasses import dataclass
 FIBRATION_KINDS = ("Y", "Z", "U", "Uc")
 DEGENERATION_KINDS = ("Xlim", "Total", "Supported")
 
+# Largest n a descriptor accepts.  A support box grows about as n^4 (30,345
+# cells for U at n = 16), so larger inputs are refused before anything is
+# built from them.
+MAX_N = 16
+
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
@@ -43,6 +48,13 @@ class SpaceDescriptor:
     def __post_init__(self):
         if self.kind not in FIBRATION_KINDS + DEGENERATION_KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
+        # type(...) is int: bool is an int subclass and must not pass
+        if type(self.n) is not int or type(self.depth) is not int or (
+                self.m is not None and type(self.m) is not int):
+            raise ValueError(f"{self.kind} needs integer dimensions, got n={self.n!r}, "
+                             f"m={self.m!r}, depth={self.depth!r}")
+        if not 0 <= self.n <= MAX_N:
+            raise ValueError(f"dimension n={self.n} outside [0, {MAX_N}]")
         if self.kind == "Z":
             if self.depth < 1:
                 raise ValueError("Z requires depth >= 1")
@@ -67,7 +79,7 @@ class SpaceDescriptor:
 
     @classmethod
     def parse_tag(cls, tag: str, n: int, m: int | None = None) -> "SpaceDescriptor":
-        if tag.startswith("Z:"):
+        if isinstance(tag, str) and tag.startswith("Z:"):
             return cls("Z", n, m, depth=int(tag[2:]))
         return cls(tag, n, m)
 

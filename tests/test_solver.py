@@ -187,6 +187,32 @@ def test_missing_companion_tables():
         solve_unknown(builtin_templates()["cs"], known, "Xlim")
 
 
+def _cs_with_extra_y(order, bump):
+    """Total and Supported of k3-typeII:r=2 (one +1 on Total if bump) beside
+    a Y table at n=3, which the cs template never reads."""
+    tables = family_tables(parse_family("k3-typeII:r=2"))
+    y = family_tables(parse_family("k3-elliptic:r=2"))["Y"]
+    given = {"Y": TriFilteredTable(SpaceDescriptor("Y", 3, 1), y.entries),
+             "Total": tables["Total"], "Supported": tables["Supported"]}
+    if bump:
+        entries = dict(tables["Total"].entries)
+        entries[(0, 1, 0, 0)] += 1
+        given["Total"] = TriFilteredTable(tables["Total"].space, entries)
+    return {tag: given[tag] for tag in order}
+
+
+@pytest.mark.parametrize("order, bump", [
+    (("Y", "Total", "Supported"), False),
+    (("Y", "Total", "Supported"), True),
+    (("Total", "Supported", "Y"), False),
+], ids=["y-first", "y-first-bumped", "y-last"])
+def test_tables_given_must_agree_on_n(order, bump):
+    """The unknown's n comes from a given table, so every table given must
+    agree on it, whatever the order, before any box is built."""
+    with pytest.raises(ValueError, match="disagree on n"):
+        solve_unknown(builtin_templates()["cs"], _cs_with_extra_y(order, bump), "Xlim")
+
+
 def test_descriptor_inference_needs_a_table():
     tmpl = SequenceTemplate("solo", 1, (SequenceTerm("Y"),))
     with pytest.raises(ValueError, match="infer"):

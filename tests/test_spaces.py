@@ -1,6 +1,7 @@
 import pytest
 
 from trigrade import SpaceDescriptor
+from trigrade.spaces import MAX_N
 
 
 def test_fibration_side_needs_m():
@@ -34,9 +35,33 @@ def test_m_window():
         SpaceDescriptor("Y", 2, m=-1)
 
 
+@pytest.mark.parametrize("kind, n, m, depth", [
+    ("Y", True, 1, 0),
+    ("Y", 2.0, 1, 0),
+    ("Xlim", "2", None, 0),
+    ("Y", 2, True, 0),
+    ("Y", 2, 1.0, 0),
+    ("Z", 2, 1, True),
+    ("Xlim", -1, None, 0),
+    ("Xlim", MAX_N + 1, None, 0),
+    ("Total", 10**9, None, 0),
+], ids=["n-bool", "n-float", "n-str", "m-bool", "m-float", "depth-bool", "n-negative",
+        "n-above-max", "n-huge"])
+def test_dimensions_are_bounded_ints(kind, n, m, depth):
+    with pytest.raises(ValueError):
+        SpaceDescriptor(kind, n, m, depth)
+
+
+def test_dimension_bounds_are_inclusive():
+    assert SpaceDescriptor("Xlim", 0).n == 0
+    assert SpaceDescriptor("Y", MAX_N, MAX_N).n == MAX_N
+
+
 def test_unknown_kind():
     with pytest.raises(ValueError):
         SpaceDescriptor("Q", 2, m=1)
+    with pytest.raises(ValueError):
+        SpaceDescriptor.parse_tag(5, 2)
 
 
 def test_tag_parse_round_trip():
