@@ -11,6 +11,10 @@ cases are:
 * seeded +-1 mutations of a known table, most of which end in a
   contradiction;
 * rank pins on target and off by one, with and without a degree;
+* two pins on one term, one with a degree and one without, each on target
+  and off by one;
+* two pins on one term of a template that reads the unknown twice at one
+  quadruple, so some of a pin's occurrences are unbounded above;
 * custom templates that read one cell of the unknown twice in a lane and
   need more than two propagation rounds.
 
@@ -44,6 +48,8 @@ MULTI_ROUND = [
         {"space": "Uc", "k_offset": 2, "shift": 1},
         {"space": "Uc", "k_offset": 1, "shift": 1}]}, "Uc"),
 ]
+SAME_READ = ("k3-typeII:r=2", {"name": "same", "period": 1, "terms": [
+    {"space": "Xlim"}, {"space": "Xlim"}]}, "Xlim")
 
 
 def roundtrip_combos():
@@ -89,6 +95,27 @@ def cases():
                         pin["k"] = k
                     out.append({"template": name, "tables": spec, "drop": tag,
                                 "unknown": tag, "pins": [pin]})
+            if ranked:
+                k = ranked[0]
+                total, part = infer_rank(tmpl, tables, i), infer_rank(tmpl, tables, i, k)
+                between = [i, (i + 1) % len(tmpl.terms)]
+                for d_total in (-1, 0, 1):
+                    for d_part in (-1, 0, 1):
+                        pins = [{"between": between, "rank": total + d_total},
+                                {"between": between, "rank": part + d_part, "k": k}]
+                        out.append({"template": name, "tables": spec, "drop": tag,
+                                    "unknown": tag, "pins": pins})
+
+    spec, tmpl, tag = SAME_READ
+    for rank0 in (0, 1, 5):
+        for rank in (0, 1, 5):
+            for k in (None, 1):
+                pins = [{"between": [0, 1], "rank": rank0, "k": 0},
+                        {"between": [0, 1], "rank": rank}]
+                if k is not None:
+                    pins[1]["k"] = k
+                out.append({"template": tmpl, "tables": spec, "drop": tag,
+                            "unknown": tag, "pins": pins})
 
     for spec, tmpl, tag in MULTI_ROUND:
         out.append({"template": tmpl, "tables": spec, "drop": tag, "unknown": tag})
