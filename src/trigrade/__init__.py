@@ -31,7 +31,7 @@ _EXPORTS = {
                     "type_iii_counts", "veronese"),
     "mirror": ("MirrorPair", "mirror_check", "mirror_quad", "mirror_transform_compact",
                "mirror_transform_open", "stability_check"),
-    "render": ("RenderedTable", "parse_grid", "render_table", "render_tables"),
+    "render": ("parse_grid", "render_table", "render_tables"),
     "sequences": ("FeasibilityResult", "Lane", "LaneEntry", "RankPin", "SequenceTemplate",
                   "SequenceTerm", "builtin_templates", "check_exactness", "check_sequence",
                   "extract_lanes", "infer_rank"),

@@ -72,11 +72,15 @@ def _resolve_tables(refs) -> dict[str, TriFilteredTable]:
     return tables
 
 
-def _parse_pins(obj, template: SequenceTemplate) -> list[RankPin]:
-    from .sequences import RankPin
+def _read_sequence(obj: dict) -> tuple[SequenceTemplate, dict[str, TriFilteredTable],
+                                      list[RankPin]]:
+    """The template, tables and pins of a sequence object."""
+    from .sequences import RankPin, SequenceTemplate
 
-    return [RankPin.from_json_obj(p, len(template.terms))
-            for p in obj.get("pins", [])]
+    template = SequenceTemplate.from_json_obj(obj["template"])
+    tables = _resolve_tables(obj.get("tables", []))
+    pins = [RankPin.from_json_obj(p, len(template.terms)) for p in obj.get("pins", [])]
+    return template, tables, pins
 
 
 def _check_table_set(tables: dict[str, TriFilteredTable]) -> VerificationReport:
@@ -121,16 +125,14 @@ def check(input, out):
     constraints when Y and its sections are present; a single table
     {"space", "n", "entries"}.
     """
-    from .sequences import SequenceTemplate, check_sequence
+    from .sequences import check_sequence
     from .tables import TriFilteredTable, canonical_json, tables_from_json_obj
 
     obj = _load_json(input)
     if not isinstance(obj, dict):
         raise ValueError("input must be a JSON object")
     if "template" in obj:
-        template = SequenceTemplate.from_json_obj(obj["template"])
-        tables = _resolve_tables(obj.get("tables", []))
-        rep = check_sequence(template, tables, _parse_pins(obj, template))
+        rep = check_sequence(*_read_sequence(obj))
     elif "tables" in obj:
         rep = _check_table_set(tables_from_json_obj(obj))
     elif "space" in obj:
@@ -151,7 +153,6 @@ def solve(input, out):
     cells the lanes leave open, and a contradiction if the known tables
     admit no exact completion.
     """
-    from .sequences import SequenceTemplate
     from .solver import solve_unknown
     from .tables import canonical_json
 
@@ -160,14 +161,14 @@ def solve(input, out):
         raise ValueError('solve input needs "template", "tables" and "unknown" keys')
     if "unknown" not in obj:
         raise ValueError('no unknown marked: add an "unknown" key naming a space tag')
-    template = SequenceTemplate.from_json_obj(obj["template"])
-    tables = _resolve_tables(obj.get("tables", []))
-    unk = obj["unknown"]
-    if isinstance(unk, dict):
-        unknown = (unk["space"], unk["k"]) if "k" in unk else unk["space"]
-    else:
-        unknown = unk
-    result = solve_unknown(template, tables, unknown, _parse_pins(obj, template))
+    template, tables, pins = _read_sequence(obj)
+    unknown = obj["unknown"]
+    if isinstance(unknown, dict) and unknown.keys() in ({"space"}, {"space", "k"}):
+        unknown = (unknown["space"], unknown["k"]) if "k" in unknown else unknown["space"]
+    elif not isinstance(unknown, str):
+        raise ValueError('unknown must be a space tag or {"space": tag, "k": degree}, '
+                         f"got {unknown!r}")
+    result = solve_unknown(template, tables, unknown, pins)
     out_obj = {
         "table": None if result.table is None else result.table.to_json_obj(),
         "determined": result.determined,

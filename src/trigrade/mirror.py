@@ -79,10 +79,6 @@ class MirrorPair:
                 f"sides disagree on n: {self.fibration['Y'].space.n} vs "
                 f"{self.degeneration['Xlim'].space.n}")
 
-    @property
-    def n(self) -> int:
-        return self.fibration["Y"].space.n
-
     @classmethod
     def from_families(cls, fib: FibrationFamily, deg: DegenerationFamily) -> "MirrorPair":
         return cls(fibration_tables(fib), degeneration_tables(deg), fib, deg)

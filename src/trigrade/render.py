@@ -8,50 +8,8 @@ the same table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .spaces import SpaceDescriptor
 from .tables import TriFilteredTable
-
-
-@dataclass(frozen=True)
-class RenderedTable:
-    """One (k, l) block of a table: the dims laid out on a (p, q) grid."""
-
-    space: SpaceDescriptor
-    k: int
-    l: int
-    qs: tuple[int, ...]
-    ps: tuple[int, ...]
-    cells: dict[tuple[int, int], int]  # (p, q) -> dim, zeros omitted
-
-    def lines(self) -> list[str]:
-        widths = [max(len(str(q)), *(len(str(self.cells.get((p, q), ".")))
-                                     for p in self.ps)) for q in self.qs]
-        head = "p\\q"
-        left = max(len(head), *(len(str(p)) for p in self.ps))
-        out = [f"## k={self.k} l={self.l}"]
-        out.append("  ".join([head.ljust(left)] +
-                             [str(q).rjust(w) for q, w in zip(self.qs, widths)]))
-        for p in self.ps:
-            row = [str(p).ljust(left)]
-            for q, w in zip(self.qs, widths):
-                row.append(str(self.cells.get((p, q), ".")).rjust(w))
-            out.append("  ".join(row))
-        return out
-
-
-def table_blocks(table: TriFilteredTable) -> list[RenderedTable]:
-    by_kl: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for (k, l, q, p), v in table.entries.items():
-        by_kl.setdefault((k, l), {})[(p, q)] = v
-    blocks = []
-    for (k, l) in sorted(by_kl):
-        cells = by_kl[(k, l)]
-        qs = tuple(sorted({q for (_, q) in cells}))
-        ps = tuple(sorted({p for (p, _) in cells}))
-        blocks.append(RenderedTable(table.space, k, l, qs, ps, cells))
-    return blocks
 
 
 def render_table(table: TriFilteredTable) -> str:
@@ -60,9 +18,20 @@ def render_table(table: TriFilteredTable) -> str:
     if desc.m is not None:
         head += f" m={desc.m}"
     lines = [head]
-    for block in table_blocks(table):
-        lines.append("")
-        lines.extend(block.lines())
+    by_kl: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for (k, l, q, p), v in table.entries.items():
+        by_kl.setdefault((k, l), {})[(p, q)] = v
+    for (k, l), cells in sorted(by_kl.items()):
+        qs = sorted({q for (_, q) in cells})
+        # the column header row, then one row per p; the first column is
+        # left-aligned, the q columns right-aligned
+        rows = [["p\\q", *map(str, qs)]]
+        rows += [[str(p), *[str(cells.get((p, q), ".")) for q in qs]]
+                 for p in sorted({p for (p, _) in cells})]
+        left, *widths = [max(map(len, column)) for column in zip(*rows)]
+        lines += ["", f"## k={k} l={l}"]
+        lines += ["  ".join([row[0].ljust(left), *map(str.rjust, row[1:], widths)])
+                  for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -153,17 +153,15 @@ class FeasibilityResult:
     reason: str | None = None
 
 
-def check_exactness(dims: "list[int] | Lane") -> FeasibilityResult:
+def check_exactness(dims: list[int]) -> FeasibilityResult:
     """Decide whether a chain of dimensions can come from an exact sequence.
 
-    Accepts a Lane or a bare list of dimensions.  Runs r_i = d_i - r_{i-1}
-    with r entering the chain equal to 0.  The chain is realizable iff no
-    r_i goes negative and the final r is 0.  A literal zero d_i forces the
-    running rank to restart, so interior zeros segment the chain
-    automatically.  ranks[i] is the rank of the map out of position i.
+    Runs r_i = d_i - r_{i-1} with r entering the chain equal to 0.  The
+    chain is realizable iff no r_i goes negative and the final r is 0.  A
+    literal zero d_i forces the running rank to restart, so interior zeros
+    segment the chain automatically.  ranks[i] is the rank of the map out
+    of position i.
     """
-    if isinstance(dims, Lane):
-        dims = dims.chain
     ranks: list[int] = []
     r = 0
     for i, d in enumerate(dims):

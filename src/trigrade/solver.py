@@ -41,21 +41,11 @@ from dataclasses import dataclass
 from .checks import VerificationReport, Violation
 from .sequences import (RankPin, SequenceTemplate, _check_instance,
                         _check_term_index, _lanes, _pin_positions, check_sequence)
-from .spaces import SpaceDescriptor
+from .spaces import FIBRATION_KINDS, SpaceDescriptor
 from .tables import Quad, TriFilteredTable
 
 # interval [lo, hi]; hi None means unbounded above
 Interval = tuple[int, int | None]
-
-
-def _meet(a: Interval, b: Interval) -> Interval:
-    if a[1] is None:
-        hi = b[1]
-    elif b[1] is None:
-        hi = a[1]
-    else:
-        hi = min(a[1], b[1])
-    return (max(a[0], b[0]), hi)
 
 
 def support_box(space: SpaceDescriptor, degree: int | None = None) -> set[Quad]:
@@ -102,30 +92,24 @@ class SolveResult:
 def _parse_unknown(unknown) -> tuple[str, int | None]:
     if isinstance(unknown, str):
         return unknown, None
-    try:
-        tag, degree = unknown
-        return str(tag), int(degree)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"unknown must be a space tag or (tag, degree), got {unknown!r}") from None
+    # type(...) is int: bool is an int subclass and must not pass
+    if (isinstance(unknown, tuple) and len(unknown) == 2
+            and isinstance(unknown[0], str) and type(unknown[1]) is int):
+        return unknown
+    raise ValueError(f"unknown must be a space tag or (tag, degree), got {unknown!r}")
 
 
 def _infer_descriptor(tag: str, known: dict[str, TriFilteredTable]) -> SpaceDescriptor:
     """The unknown table's descriptor.  _check_instance has made every table
-    given agree on n, and on m where set, so any known table supplies them."""
+    given agree on n, and on m where set, so any known table supplies them;
+    m goes only to a fibration-side tag."""
     if not known:
         raise ValueError("cannot infer the unknown table's descriptor from nothing")
     n = next(iter(known.values())).space.n
     m = None
-    for t in known.values():
-        if t.space.is_fibration_side:
-            m = t.space.m
-            break
-    try:
-        return SpaceDescriptor.parse_tag(tag, n, m)
-    except ValueError:
-        # degeneration-side tags reject m; retry bare
-        return SpaceDescriptor.parse_tag(tag, n, None)
+    if tag.partition(":")[0] in FIBRATION_KINDS:
+        m = next((t.space.m for t in known.values() if t.space.m is not None), None)
+    return SpaceDescriptor.parse_tag(tag, n, m)
 
 
 def solve_unknown(template: SequenceTemplate,
@@ -304,23 +288,26 @@ def solve_unknown(template: SequenceTemplate,
 
         for pin, occ in zip(pins, pin_occ):
             ivs = [(boundary[li][0][j], boundary[li][1][j]) for li, j in occ]
-            lo_sum = sum(iv[0] for iv in ivs)
-            hi_sum = None if any(iv[1] is None for iv in ivs) else sum(iv[1] for iv in ivs)
+            lo_sum = sum(lo for lo, _hi in ivs)
+            his = [hi for _lo, hi in ivs if hi is not None]
+            bounded_hi, unbounded = sum(his), len(ivs) - len(his)
+            hi_sum = None if unbounded else bounded_hi
             if pin.rank < lo_sum or (hi_sum is not None and pin.rank > hi_sum):
                 return fail(("*",) * 4 if not occ else lanes[occ[0][0]][0], None,
                             f"pinned rank {pin.rank} outside reachable "
                             f"[{lo_sum}, {hi_sum}]")
-            for which, (li, j) in enumerate(occ):
-                cur = ivs[which]
-                others = [iv for w, iv in enumerate(ivs) if w != which]
-                o_lo = sum(iv[0] for iv in others)
-                o_hi = None if any(iv[1] is None for iv in others) else sum(iv[1] for iv in others)
-                lo_new = cur[0] if o_hi is None else max(cur[0], pin.rank - o_hi)
-                hi_new = pin.rank - o_lo if cur[1] is None else min(cur[1], pin.rank - o_lo)
-                capped = (lo_new, hi_new)
+            # Cap each occurrence by the pin less the other occurrences: their
+            # sums are the pin's sums less this occurrence's own bounds.
+            for (li, j), (lo, hi) in zip(occ, ivs):
+                others_lo = lo_sum - lo
+                if unbounded == (hi is None):  # the others are all bounded above
+                    lo = max(lo, pin.rank - (bounded_hi - (hi or 0)))
+                hi = pin.rank - others_lo if hi is None else min(hi, pin.rank - others_lo)
                 prev = caps[li].get(j)
-                if prev is None or _meet(prev, capped) != prev:
-                    caps[li][j] = capped if prev is None else _meet(prev, capped)
+                if prev is not None:
+                    lo, hi = max(prev[0], lo), min(prev[1], hi)
+                if (lo, hi) != prev:
+                    caps[li][j] = (lo, hi)
                     requeue.add(li)
                     changed = True
 

@@ -79,9 +79,14 @@ class SpaceDescriptor:
 
     @classmethod
     def parse_tag(cls, tag: str, n: int, m: int | None = None) -> "SpaceDescriptor":
-        if isinstance(tag, str) and tag.startswith("Z:"):
-            return cls("Z", n, m, depth=int(tag[2:]))
-        return cls(tag, n, m)
+        """The descriptor whose ``tag`` is exactly ``tag``: ``Z:01``, ``Z:+1``
+        and ``Z: 1`` are refused, not read as ``Z:1``."""
+        if not (isinstance(tag, str) and tag.startswith("Z:")):
+            return cls(tag, n, m)
+        desc = cls("Z", n, m, depth=int(tag[2:]))
+        if desc.tag != tag:
+            raise ValueError(f"section tag {tag!r} is not canonical; write {desc.tag!r}")
+        return desc
 
     @property
     def order_key(self) -> tuple[int, int]:

@@ -116,9 +116,6 @@ class TriFilteredTable:
                 out[l] = out.get(l, 0) + d
         return out
 
-    def retagged(self, space: SpaceDescriptor) -> "TriFilteredTable":
-        return TriFilteredTable(space, dict(self.entries))
-
     # -- serialization ----------------------------------------------------
 
     def to_json_obj(self) -> dict:

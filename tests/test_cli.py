@@ -260,6 +260,10 @@ def test_check_stdin():
     '{"template": "nope", "tables": []}',
     '{"space": 5, "n": 2, "entries": []}',
     '{"space": "Y", "n": 2.5, "m": 1, "entries": []}',
+    '{"space": "Z: 1", "n": 2, "m": 1, "entries": []}',
+    '{"space": "Z:+1", "n": 2, "m": 1, "entries": []}',
+    '{"space": "Z:01", "n": 2, "m": 1, "entries": []}',
+    '{"space": "Z:\\uff11", "n": 2, "m": 1, "entries": []}',
 ])
 def test_check_bad_inputs(tmp_path, payload):
     path = tmp_path / "in.json"
@@ -373,6 +377,22 @@ def test_solve_rejects_huge_n_before_allocating(tmp_path):
     assert res.stderr.startswith("error:") and "n=1000000000" in res.stderr
     assert res.stderr.count("\n") == 1
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("unknown", [
+    {"space": "Xlim", "k": "2"},
+    {"space": "Xlim", "k": 2.9},
+    {"space": "Xlim", "k": True},
+    ["Xlim", 2],
+    {"k": 2},
+], ids=["str-degree", "float-degree", "bool-degree", "list", "no-space"])
+def test_solve_takes_only_the_documented_unknowns(tmp_path, unknown):
+    path = _write(tmp_path, "in.json", {
+        "template": "cs", "tables": ["k3-typeIII:k=1"], "unknown": unknown})
+    res = invoke(["solve", path])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: unknown must be")
+    assert res.stderr.count("\n") == 1
 
 
 def test_solve_requires_unknown(tmp_path):

@@ -53,6 +53,7 @@ def test_parse_empty_table():
     ("# table Y n=2 m=1\n## k=2 l=2\n1  5\n", "unexpected row"),
     ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  5  7\n", "expected 1 cells"),
     ("# table Xlim n=2 m=1\n", "m"),
+    ("# table Z:01 n=2 m=1\n", "Z:01"),
 ])
 def test_parse_errors(text, match):
     with pytest.raises(ValueError, match=match):

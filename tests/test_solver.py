@@ -180,6 +180,17 @@ def test_unknown_spec_validation():
         solve_unknown(builtin_templates()["cs"], tables, 3.5)
 
 
+@pytest.mark.parametrize("unknown", [
+    ("Xlim", True), ("Xlim", 2.0), ("Xlim", "2"), ["Xlim", 2], (5, 2),
+], ids=["bool-degree", "float-degree", "str-degree", "list", "int-tag"])
+def test_unknown_is_a_tag_or_a_tag_and_int_degree(unknown):
+    """Only a tag string or a (tag, int degree) tuple names the unknown; a
+    degree is never coerced."""
+    tables = family_tables(parse_family("k3-typeII:r=2"))
+    with pytest.raises(ValueError, match="unknown must be"):
+        solve_unknown(builtin_templates()["cs"], tables, unknown)
+
+
 def test_missing_companion_tables():
     tables = family_tables(parse_family("k3-typeII:r=2"))
     known = {"Total": tables["Total"]}
@@ -217,6 +228,16 @@ def test_descriptor_inference_needs_a_table():
     tmpl = SequenceTemplate("solo", 1, (SequenceTerm("Y"),))
     with pytest.raises(ValueError, match="infer"):
         solve_unknown(tmpl, {}, "Y")
+
+
+def test_unknown_descriptor_error_is_its_own():
+    """An unknown Z:3 over a base of dimension 2 is refused for its depth,
+    not for lacking a base dimension."""
+    loc1 = builtin_templates()["loc1"].to_json_obj()
+    loc1["terms"][2]["space"] = "Z:3"
+    tables = family_tables(parse_family("k3-finite:g=3"))
+    with pytest.raises(ValueError, match="^section codimension exceeds base dimension$"):
+        solve_unknown(SequenceTemplate.from_json_obj(loc1), tables, "Z:3")
 
 
 def test_uncoupled_reads_stay_unbounded():
