@@ -16,7 +16,12 @@ cases are:
 * two pins on one term of a template that reads the unknown twice at one
   quadruple, so some of a pin's occurrences are unbounded above;
 * custom templates that read one cell of the unknown twice in a lane and
-  need more than two propagation rounds.
+  need more than two propagation rounds;
+* degree solves on +1-mutated known tables whose contradiction falls on a
+  lane that reads no cell of the unknown degree, one way for each way a
+  lane fails: the chain cannot close, or a rank is forced negative;
+* a degree solve with a pin whose occurrences cap lanes that read no
+  unknown cell, on target and off by one.
 
 Run it only when a change to the solver's results is intended:
 
@@ -48,6 +53,16 @@ MULTI_ROUND = [
         {"space": "Uc", "k_offset": 2, "shift": 1},
         {"space": "Uc", "k_offset": 1, "shift": 1}]}, "Uc"),
 ]
+# (family, template, unknown tag, mutated space, +1 quadruple, degrees
+# solved): each contradiction falls on a lane with no unknown cell.
+KNOWN_LANE_CONTRADICTIONS = [
+    ("k3-typeII:r=2", "cs", "Total", "Supported", (2, 1, 2, 1), (0, 1, 2)),  # cannot close
+    ("k3-typeII:r=2", "cs", "Xlim", "Total", (2, 2, 2, 1), (0, 1, 2)),  # rank negative
+    ("k3-elliptic:r=2", "loc1", "U", "Y", (2, 2, 2, 1), (0, 3, 4)),  # rank negative
+]
+# (family, template, unknown, pinned term): the pin caps 16 of the 24
+# lanes, and none of those 16 reads a cell of the unknown degree.
+CAPPED_KNOWN_LANES = ("k3-typeII:r=2", "cs", ("Total", 1), 1)
 SAME_READ = ("k3-typeII:r=2", {"name": "same", "period": 1, "terms": [
     {"space": "Xlim"}, {"space": "Xlim"}]}, "Xlim")
 
@@ -119,6 +134,18 @@ def cases():
 
     for spec, tmpl, tag in MULTI_ROUND:
         out.append({"template": tmpl, "tables": spec, "drop": tag, "unknown": tag})
+
+    for spec, name, tag, space, quad, degrees in KNOWN_LANE_CONTRADICTIONS:
+        out.extend({"template": name, "tables": spec, "unknown": [tag, k],
+                    "mutate": {"space": space, "entry": list(quad), "delta": 1}}
+                   for k in degrees)
+
+    spec, name, (tag, k), i = CAPPED_KNOWN_LANES
+    tmpl = builtin_templates()[name]
+    rank = infer_rank(tmpl, family_tables(parse_family(spec)), i)
+    out.extend({"template": name, "tables": spec, "unknown": [tag, k],
+                "pins": [{"between": [i, (i + 1) % len(tmpl.terms)], "rank": rank + delta}]}
+               for delta in (-1, 0, 1))
     return out
 
 

@@ -8,6 +8,7 @@ from trigrade import (RankPin, SequenceTemplate, SequenceTerm,
                       TriFilteredTable, builtin_templates, check_exactness,
                       check_sequence, extract_lanes, family_tables,
                       infer_rank, parse_family)
+from trigrade.sequences import _lanes
 
 
 def test_builtin_shapes():
@@ -166,6 +167,54 @@ def test_lane_decomposition_is_exhaustive(fixture_sets):
                     c = lane.start_cycle + (j // len(tmpl.terms)) * tmpl.period
                     quad = term.read_quad(c, lane.l, lane.q, lane.p)
                     assert (e.degree, e.dim) == (quad[0], tables[term.space].dim(*quad))
+
+
+def _naive_lanes(template, sources):
+    """_lanes by its definition: every quad a term reads opens the lane and
+    cycle it reads it under, and each cell of the window is read through
+    SequenceTerm.read_quad."""
+    P = template.period
+    windows = {}
+    for term in template.terms:
+        for quad in sources[term.space]:
+            c = quad[0] - term.k_offset
+            lane = (quad[1] - term.shift, quad[2] - 2 * term.twist, quad[3] - term.twist)
+            assert term.read_quad(c, *lane) == quad
+            windows.setdefault((c % P, *lane), []).append(c)
+    out = []
+    for key in sorted(windows):
+        c_lo, c_hi = min(windows[key]), max(windows[key])
+        cells = [sources[t.space].get(t.read_quad(c, *key[1:]), 0)
+                 for c in range(c_lo, c_hi + 1, P) for t in template.terms]
+        out.append((key, c_lo, cells))
+    return out
+
+
+_offset = st.integers(-3, 3)
+# narrow (l, q, p) ranges, so that lanes span several cycles
+_quad = st.tuples(st.integers(-4, 4), *[st.integers(-1, 1)] * 3)
+
+
+@st.composite
+def _template_and_sources(draw):
+    terms = draw(st.lists(st.builds(SequenceTerm, st.sampled_from("ABC"),
+                                    _offset, _offset, _offset),
+                          min_size=1, max_size=5))
+    if len(terms) > 1:  # one space read by two terms
+        terms[-1] = SequenceTerm(terms[0].space, terms[-1].k_offset,
+                                 terms[-1].shift, terms[-1].twist)
+    template = SequenceTemplate("random", draw(st.integers(1, 3)), tuple(terms))
+    # values are dimensions or, as in the solver's overlay, quadruples
+    value = st.one_of(st.integers(0, 9), _quad)
+    sources = {s: draw(st.dictionaries(_quad, value, max_size=10))
+               for s in template.spaces()}
+    return template, sources
+
+
+@given(_template_and_sources())
+def test_lanes_match_naive_reads(case):
+    template, sources = case
+    assert list(_lanes(template, sources)) == _naive_lanes(template, sources)
 
 
 def test_check_sequence_passes_fixtures(fixture_sets):
