@@ -204,8 +204,17 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]):
     ``sources`` maps each space tag to a mapping quad -> value.  Every quad a
     term reads opens its lane, which runs from the first such cycle to the
     last; cells holds each term's read at each cycle, 0 where a quad is absent.
+
+    The cells are built by scatter, not by probing every (cycle, term) cell:
+    each lane gets a zero-filled list, and a second pass over the sources
+    writes each entry straight to its cell, (c - c_lo) // P * T + j for term
+    j at cycle c.  The inverse of SequenceTerm.read_quad is written out in
+    both passes.  The second pass recomputes each entry's lane rather than
+    keeping a list of the first pass's reads: such a list was no faster and
+    held every read in memory at once.
     """
     P = template.period
+    T = len(template.terms)
     windows: dict[tuple[int, int, int, int], tuple[int, int]] = {}
     for term in template.terms:
         ko, s, tw = term.k_offset, term.shift, term.twist
@@ -221,16 +230,16 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]):
             elif c > w[1]:
                 windows[key] = (w[0], c)
 
-    # (k_offset, shift, twist, lookup) per term, bound once; the reads below
-    # are SequenceTerm.read_quad written out
-    reads = [(t.k_offset, t.shift, t.twist, sources[t.space].get)
-             for t in template.terms]
-    for key, (c_lo, c_hi) in sorted(windows.items()):
-        _res, l, q, p = key
-        cells = []
-        for c in range(c_lo, c_hi + 1, P):
-            for ko, s, tw, get in reads:
-                cells.append(get((c + ko, l + s, q + 2 * tw, p + tw), 0))
+    lanes = {key: (c_lo, [0] * (((c_hi - c_lo) // P + 1) * T))
+             for key, (c_lo, c_hi) in windows.items()}
+    for j, term in enumerate(template.terms):
+        ko, s, tw = term.k_offset, term.shift, term.twist
+        for (k, l, q, p), value in sources[term.space].items():
+            c = k - ko
+            c_lo, cells = lanes[(c % P, l - s, q - 2 * tw, p - tw)]
+            cells[(c - c_lo) // P * T + j] = value
+    for key in sorted(lanes):
+        c_lo, cells = lanes[key]
         yield key, c_lo, cells
 
 

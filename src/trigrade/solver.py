@@ -32,6 +32,16 @@ boundary ranks, and a lane whose rank cap a pin changes is queued for the
 next round.  This is the order of sweeping every lane every round, minus
 the sweeps that cannot change anything: the intervals, the contradiction
 reported and the round count are those of the full sweep.
+
+Most lanes of a solve read no unknown cell.  While such a lane has no pin
+cap, every d_i is a point, and the forward pass reduces to the rank
+recursion r = d_i - r of check_exactness: it fails where that recursion
+goes negative or leaves a rank at the end, with the message and position the
+interval pass reports, and the backward pass gives back the same points.
+So the lane runs the recursion alone and stores its ranks as both ends of
+its boundary.  The loop is written inline: calling check_exactness and
+reading its result object was slower.  Once a pin caps the lane, it runs
+the interval passes like any other lane.
 """
 
 from __future__ import annotations
@@ -148,16 +158,19 @@ def solve_unknown(template: SequenceTemplate,
     sources = {s: known[s].entries for s in template.spaces() if s != tag}
     sources[tag] = {**other_degrees, **{quad: quad for quad in box}}
     # lanes[i] = (key, first cycle, cells).  readers maps each unknown cell
-    # to the lanes that read it; repeats marks lanes reading one cell twice.
+    # to the lanes that read it; repeats marks lanes reading one cell twice,
+    # and points marks lanes reading no unknown cell.
     lanes: list[tuple[tuple[int, int, int, int], int, list]] = []
     readers: dict[Quad, list[int]] = {quad: [] for quad in box}
     repeats: list[bool] = []
+    points: list[bool] = []
     for key, c_lo, cells in _lanes(template, sources):
         unknowns = [cell for cell in cells if cell.__class__ is tuple]
         distinct = set(unknowns)
         for quad in distinct:
             readers[quad].append(len(lanes))
         repeats.append(len(distinct) < len(unknowns))
+        points.append(not unknowns)
         lanes.append((key, c_lo, cells))
 
     # Chain positions whose outgoing rank each pin sums: the rank out of
@@ -198,6 +211,21 @@ def solve_unknown(template: SequenceTemplate,
             dirty[li] = False
             lane_caps = caps[li]
             n_pos = len(cells)
+            if points[li] and not lane_caps:
+                # Every d_i is a point, so the interval passes reduce to the
+                # rank recursion r = d_i - r (check_exactness, written inline
+                # to skip its result object), with the same failures.
+                ranks = [0] * (n_pos + 1)
+                r = 0
+                for i in range(n_pos):
+                    r = cells[i] - r
+                    if r < 0:
+                        return fail(key, i, "rank forced negative or above its pin")
+                    ranks[i + 1] = r
+                if r:
+                    return fail(key, n_pos - 1, "chain cannot close")
+                boundary[li] = (ranks, ranks)
+                continue
             # Interval arithmetic on local lo/hi ints; hi None is unbounded.
             # Forward: F[i+1] = (d_i - F[i]) clamped to [0, inf), then capped.
             d_lo = [0] * n_pos
