@@ -304,6 +304,17 @@ class RankPin:
     rank: int
     degree: int | None = None
 
+    def __post_init__(self):
+        fields = [("term index", self.term_index), ("rank", self.rank)]
+        if self.degree is not None:
+            fields.append(("degree", self.degree))
+        for field, value in fields:
+            # type(...) is int: bool is an int subclass and must not pass
+            if type(value) is not int:
+                raise ValueError(f"pin {field} must be an integer, got {value!r}")
+        if self.rank < 0:
+            raise ValueError(f"pin rank must be nonnegative, got {self.rank}")
+
     @classmethod
     def from_json_obj(cls, obj: dict, n_terms: int) -> "RankPin":
         try:
@@ -311,19 +322,14 @@ class RankPin:
             rank = obj["rank"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed pin object: {exc}") from exc
-        degree = obj.get("k")
-        fields = [("between", i), ("between", j), ("rank", rank)]
-        if degree is not None:
-            fields.append(("k", degree))
-        for field, value in fields:
-            # type(...) is int: bool is an int subclass and must not pass
-            if type(value) is not int:
-                raise ValueError(f"pin {field!r} must be an integer, got {value!r}")
+        pin = cls(i, rank, obj.get("k"))
+        if type(j) is not int:
+            raise ValueError(f"pin 'between' must hold integers, got {j!r}")
         if not 0 <= i < n_terms or j != (i + 1) % n_terms:
             raise ValueError(
                 f"pin 'between' must name adjacent terms, got [{i}, {j}] "
                 f"with {n_terms} terms")
-        return cls(i, rank, degree)
+        return pin
 
     def to_json_obj(self, n_terms: int) -> dict:
         obj = {"between": [self.term_index, (self.term_index + 1) % n_terms],

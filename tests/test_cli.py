@@ -136,6 +136,19 @@ def test_check_rejects_mistyped_pins(tmp_path, pin):
     assert "error:" in res.stderr and "pin" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_negative_pinned_rank_is_an_input_error(tmp_path, command):
+    obj = {"template": "loc1", "tables": ["k3-elliptic:r=2"],
+           "pins": [{"between": [0, 1], "rank": -3}]}
+    if command == "solve":
+        obj["unknown"] = {"space": "U", "k": 2}
+    res = invoke([command, _write(tmp_path, "pin.json", obj)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert "rank" in res.stderr and "-3" in res.stderr
+
+
 def _loc1_with(**changes):
     obj = builtin_templates()["loc1"].to_json_obj()
     term = changes.pop("term", None)
@@ -264,6 +277,8 @@ def test_check_stdin():
     '{"space": "Z:+1", "n": 2, "m": 1, "entries": []}',
     '{"space": "Z:01", "n": 2, "m": 1, "entries": []}',
     '{"space": "Z:\\uff11", "n": 2, "m": 1, "entries": []}',
+    '{"template": "loc1", "tables": ["k3-elliptic:r=2"], '
+    '"pins": [{"between": [0, 1], "rank": -3}]}',
 ])
 def test_check_bad_inputs(tmp_path, payload):
     path = tmp_path / "in.json"

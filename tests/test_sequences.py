@@ -263,6 +263,24 @@ def test_rank_pin_json():
         RankPin.from_json_obj({"rank": 2}, 4)
 
 
+@pytest.mark.parametrize("fields", [
+    (True, 0, None), (0.0, 0, None), (0, "2", None), (0, False, None),
+    (0, 2, 1.0), (0, 2, True), (0, -1, None), (0, -3, 2),
+], ids=["index-bool", "index-float", "rank-str", "rank-bool", "degree-float",
+        "degree-bool", "rank-negative", "rank-negative-with-degree"])
+def test_rank_pin_fields_are_checked_on_construction(fields):
+    with pytest.raises(ValueError, match="pin"):
+        RankPin(*fields)
+
+
+def test_rank_pin_json_shares_the_constructor_rule():
+    with pytest.raises(ValueError, match="nonnegative"):
+        RankPin.from_json_obj({"between": [0, 1], "rank": -3}, 3)
+    with pytest.raises(ValueError, match="integer"):
+        RankPin.from_json_obj({"between": [0, "1"], "rank": 1}, 3)
+    assert RankPin(0, 0) == RankPin.from_json_obj({"between": [0, 1], "rank": 0}, 3)
+
+
 def test_infer_rank_monodromy():
     cs = builtin_templates()["cs"]
     for spec in ("k3-typeII:r=2", "k3-typeII:r=5", "k3-typeIII:k=1", "k3-typeIII:k=4"):
