@@ -212,9 +212,8 @@ def solve_unknown(template: SequenceTemplate,
             lane_caps = caps[li]
             n_pos = len(cells)
             if points[li] and not lane_caps:
-                # Every d_i is a point, so the interval passes reduce to the
-                # rank recursion r = d_i - r (check_exactness, written inline
-                # to skip its result object), with the same failures.
+                # The interval passes on points: the rank recursion (see the
+                # module docstring).
                 ranks = [0] * (n_pos + 1)
                 r = 0
                 for i in range(n_pos):
