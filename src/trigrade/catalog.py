@@ -76,7 +76,8 @@ _SPEC_FORMS = {
 
 
 def parse_family(spec: str):
-    """Parse a family spec string like ``k3-elliptic:r=3``."""
+    """Parse a family spec string like ``k3-elliptic:r=3``.  Only the form
+    family_spec writes is read: ``r=03``, ``r=+3`` and ``r=1_0`` are refused."""
     try:
         name, arg = spec.split(":", 1)
         key, raw = arg.split("=", 1)
@@ -88,7 +89,10 @@ def parse_family(spec: str):
     ctor = _SPEC_FORMS.get((name, key))
     if ctor is None:
         raise ValueError(f"unknown family {name!r} with parameter {key!r}")
-    return ctor(value)
+    family = ctor(value)
+    if family_spec(family) != spec:
+        raise ValueError(f"family spec {spec!r} is not canonical; write {family_spec(family)!r}")
+    return family
 
 
 def family_spec(family) -> str:

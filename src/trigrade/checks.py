@@ -153,19 +153,6 @@ def hard_lefschetz_check(table: TriFilteredTable) -> VerificationReport:
     return rep
 
 
-def reindex_cup_filtration(table: TriFilteredTable) -> TriFilteredTable:
-    """Reindex so the lane slot carries the cup-product filtration index.
-
-    The cup filtration in degree k is the perverse one shifted by k - n:
-    output(k, l, q, p) = input(k, l + k - n, q, p).
-    """
-    n = table.space.n
-    moved = {
-        (k, l - k + n, q, p): v for (k, l, q, p), v in table.entries.items()
-    }
-    return TriFilteredTable(table.space, moved)
-
-
 def _section_map(sections) -> dict[int, TriFilteredTable]:
     by_depth: dict[int, TriFilteredTable] = {}
     if isinstance(sections, Mapping):

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checks import VerificationReport, Violation
+from .spaces import MAX_N
 from .tables import TriFilteredTable
 
 
@@ -41,6 +42,12 @@ class SequenceTerm:
             # type(...) is int: bool is an int subclass and must not pass
             if type(value) is not int:
                 raise ValueError(f"template term {field!r} must be an integer, got {value!r}")
+        # A lane's cells span the spread of the k_offsets; no table has a
+        # degree above 2(MAX_N + 1), so a larger offset only costs memory.
+        bound = 2 * (MAX_N + 1)
+        if not -bound <= self.k_offset <= bound:
+            raise ValueError(f"template term 'k_offset' must lie in [-{bound}, {bound}], "
+                             f"got {self.k_offset}")
 
     def read_quad(self, c: int, l: int, q: int, p: int) -> tuple[int, int, int, int]:
         return (c + self.k_offset, l + self.shift, q + 2 * self.twist, p + self.twist)

@@ -33,15 +33,17 @@ next round.  This is the order of sweeping every lane every round, minus
 the sweeps that cannot change anything: the intervals, the contradiction
 reported and the round count are those of the full sweep.
 
-Most lanes of a solve read no unknown cell.  While such a lane has no pin
-cap, every d_i is a point, and the forward pass reduces to the rank
-recursion r = d_i - r of check_exactness: it fails where that recursion
-goes negative or leaves a rank at the end, with the message and position the
-interval pass reports, and the backward pass gives back the same points.
-So the lane runs the recursion alone and stores its ranks as both ends of
-its boundary.  The loop is written inline: calling check_exactness and
-reading its result object was slower.  Once a pin caps the lane, it runs
-the interval passes like any other lane.
+Most lanes of a solve read no unknown cell.  On such a lane every d_i is a
+point, and the forward pass reduces to the rank recursion r = d_i - r of
+check_exactness: it fails where that recursion goes negative or leaves a
+rank at the end, with the message and position the interval pass reports,
+and the backward pass gives back the same points.  So the lane runs the
+recursion alone and stores its ranks as both ends of its boundary.  The loop
+is written inline: calling check_exactness and reading its result object was
+slower.  A pin cap changes nothing here: the pin step has already checked
+lo_sum <= pin <= hi_sum, so at an occurrence with point rank r the cap is
+max(r, pin - others_hi) = r and min(r, pin - others_lo) = r, the point the
+recursion yields.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ def solve_unknown(template: SequenceTemplate,
             dirty[li] = False
             lane_caps = caps[li]
             n_pos = len(cells)
-            if points[li] and not lane_caps:
+            if points[li]:
                 # The interval passes on points: the rank recursion (see the
                 # module docstring).
                 ranks = [0] * (n_pos + 1)

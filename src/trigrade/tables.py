@@ -1,4 +1,4 @@
-"""Trigraded dimension tables and index transforms.
+"""Trigraded dimension tables and their JSON form.
 
 A table records, for one space, the dimensions
 
@@ -21,52 +21,14 @@ Quad = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
-class IndexTransform:
-    """Composable reindexing of a table.
-
-    The output table reads the input at shifted indices:
-
-        output(k, l, q, p) = input(k + k_offset,
-                                   l + perverse_shift,
-                                   q + 2 * tate_twist,
-                                   p + tate_twist)
-
-    so a Tate twist by d moves an entry of weight q down to weight q - 2d, as
-    twisting by (d) should.  Transforms compose additively in all three
-    fields.
-    """
-
-    k_offset: int = 0
-    perverse_shift: int = 0
-    tate_twist: int = 0
-
-    def compose(self, other: "IndexTransform") -> "IndexTransform":
-        return IndexTransform(
-            self.k_offset + other.k_offset,
-            self.perverse_shift + other.perverse_shift,
-            self.tate_twist + other.tate_twist,
-        )
-
-    def apply_to_quad(self, quad: Quad) -> Quad:
-        """Where the entry at ``quad`` of the input lands in the output."""
-        k, l, q, p = quad
-        return (
-            k - self.k_offset,
-            l - self.perverse_shift,
-            q - 2 * self.tate_twist,
-            p - self.tate_twist,
-        )
-
-
-@dataclass(frozen=True)
 class TriFilteredTable:
     """Finite support map (k, l, q, p) -> dim > 0 for one space.
 
     Construction normalizes the entries: zeros are dropped, and negative or
     non-integer dimensions and indices are rejected, booleans included.
     Index quadruples are not range checked here; that is validate_table's
-    job, since transforms legitimately move entries outside the canonical
-    windows.
+    job, since an entry outside the support windows is a violation it
+    reports, not an input error.
     """
 
     space: SpaceDescriptor
@@ -92,9 +54,6 @@ class TriFilteredTable:
     def sorted_entries(self) -> list[tuple[Quad, int]]:
         return sorted(self.entries.items())
 
-    def degrees(self) -> list[int]:
-        return sorted({k for (k, _, _, _) in self.entries})
-
     def total_dim(self, k: int | None = None) -> int:
         """Sum of all dimensions, or of those in degree ``k``."""
         if k is None:
@@ -107,13 +66,6 @@ class TriFilteredTable:
         for (kk, _, q, _), d in self.entries.items():
             if kk == k:
                 out[q] = out.get(q, 0) + d
-        return out
-
-    def lane_totals(self, k: int) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (kk, l, _, _), d in self.entries.items():
-            if kk == k:
-                out[l] = out.get(l, 0) + d
         return out
 
     # -- serialization ----------------------------------------------------
@@ -142,23 +94,10 @@ class TriFilteredTable:
             raise ValueError(f"malformed table object: {exc}") from exc
         return cls(space, entries)
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_obj())
-
-    @classmethod
-    def from_json(cls, text: str) -> "TriFilteredTable":
-        return cls.from_json_obj(json.loads(text))
-
 
 def canonical_json(obj) -> str:
     """The one serialized form used everywhere, so files are comparable."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def apply_transform(table: TriFilteredTable, tr: IndexTransform) -> TriFilteredTable:
-    """Reindex a table by a transform.  Entry-preserving and invertible."""
-    moved = {tr.apply_to_quad(quad): d for quad, d in table.entries.items()}
-    return TriFilteredTable(table.space, moved)
 
 
 def tables_to_json_obj(tables: dict[str, TriFilteredTable], family: str | None = None) -> dict:

@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 from trigrade import (SpaceDescriptor, TriFilteredTable,
                       check_subvariety_constraints, dualize_in_dimension,
                       family_tables, hard_lefschetz_check, lefschetz_partner,
-                      parse_family, poincare_verdier_dual,
-                      reindex_cup_filtration, validate_table)
-
-Y2 = SpaceDescriptor("Y", 2, 1)
+                      parse_family, poincare_verdier_dual, validate_table)
 
 
 def test_all_fixture_tables_validate(fixture_sets):
@@ -111,16 +108,6 @@ def test_hard_lefschetz_catches_asymmetry(fixture_sets):
     assert any("hard Lefschetz" in v.relation for v in rep.violations)
     bad = {v.entry for v in rep.violations}
     assert (0, 1, 0, 0) in bad and (2, 3, 2, 1) in bad
-
-
-def test_reindex_cup_filtration():
-    t = TriFilteredTable(Y2, {(0, 1, 0, 0): 1, (2, 3, 2, 1): 1, (4, 3, 4, 2): 1})
-    c = reindex_cup_filtration(t)
-    # in degree n the two filtrations agree; elsewhere they differ by k-n
-    assert c.dim(2, 3, 2, 1) == 1
-    assert c.dim(0, 3, 0, 0) == 1
-    assert c.dim(4, 1, 4, 2) == 1
-    assert c.total_dim() == t.total_dim()
 
 
 def test_subvariety_constraints_pass_fixtures(fixture_sets):

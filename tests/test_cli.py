@@ -69,6 +69,21 @@ def test_generate_bad_spec():
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["generate", "k3-elliptic:r=1_0"],
+    ["generate", "k3-typeIII:k=2 "],
+    ["mirror", "--fibration", "k3-elliptic:r=03", "--degeneration", "k3-typeII:r=3"],
+    ["mirror", "--fibration", "k3-elliptic:r=3", "--degeneration", "k3-typeII:r=+3"],
+], ids=["generate-underscore", "generate-trailing-space", "mirror-leading-zero",
+        "mirror-plus-sign"])
+def test_family_spec_must_be_canonical(args):
+    res = invoke(args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error:") and "not canonical" in res.stderr
+    assert res.stderr.count("\n") == 1
+
+
 def test_generate_out_file(tmp_path):
     out = tmp_path / "tables.json"
     res = invoke(["generate", "k3-typeII:r=2", "--out", str(out)])
@@ -172,6 +187,32 @@ def test_check_rejects_mistyped_template_fields(tmp_path, template):
     res = invoke(["check", _write(tmp_path, "tmpl.json", obj)])
     assert res.exit_code == 2, template
     assert "error:" in res.stderr and "template" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("offset, accepted", [
+    (34, True), (-34, True), (35, False), (-35, False), (10**5, False)])
+def test_template_k_offset_is_bounded(tmp_path, command, offset, accepted):
+    """A lane spans the spread of the k_offsets, so an offset beyond any
+    table's degrees is refused before a lane is built."""
+    template = {"period": 1, "terms": [{"space": "Y"}, {"space": "Y", "k_offset": offset}]}
+    obj = {"template": template, "tables": ["k3-elliptic:r=2"]}
+    if command == "solve":
+        obj["unknown"] = {"space": "Y", "k": 2}
+    path = _write(tmp_path, "in.json", obj)
+    tracemalloc.start()
+    try:
+        res = invoke([command, path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if accepted:
+        assert res.exit_code == 1, res.stderr
+        return
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:") and "k_offset" in res.stderr
+    assert res.stderr.count("\n") == 1
+    assert peak < 1 << 20
 
 
 def _retagged(table, **fields):
@@ -279,6 +320,12 @@ def test_check_stdin():
     '{"space": "Z:\\uff11", "n": 2, "m": 1, "entries": []}',
     '{"template": "loc1", "tables": ["k3-elliptic:r=2"], '
     '"pins": [{"between": [0, 1], "rank": -3}]}',
+    '{"template": "loc1", "tables": ["k3-elliptic:r=1_0"]}',
+    '{"template": "loc1", "tables": ["k3-elliptic:r=03"]}',
+    '{"template": "loc1", "tables": ["k3-elliptic:r=+3"]}',
+    '{"template": "loc1", "tables": ["k3-elliptic:r= 3"]}',
+    '{"template": "loc1", "tables": ["k3-elliptic:r=\\u0663"]}',
+    '{"template": "cs", "tables": ["k3-typeIII:k=2 "]}',
 ])
 def test_check_bad_inputs(tmp_path, payload):
     path = tmp_path / "in.json"
@@ -571,11 +618,35 @@ def _mutated(data, value, root=True):
     return data.draw(_JSON)
 
 
+def _entries(value) -> list[dict]:
+    """The table entry objects, those with a "dim", anywhere inside value."""
+    if isinstance(value, list):
+        return [e for v in value for e in _entries(v)]
+    if isinstance(value, dict):
+        found = [value] if "dim" in value else []
+        return found + _entries(list(value.values()))
+    return []
+
+
+def _nudged(data, value):
+    """value with one entry's dim moved by 1, kept >= 0: a valid input that is
+    mostly wrong, so the CLI has to judge it (exit 1) rather than refuse it.
+    A seed that names its tables by family spec has no entry and is mutated
+    as _mutated does."""
+    entries = _entries(value)
+    if not entries:
+        return _mutated(data, value)
+    entry = data.draw(st.sampled_from(entries))
+    entry["dim"] = max(0, entry["dim"] + data.draw(st.sampled_from([-1, 1])))
+    return value
+
+
 @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_fuzzed_json_inputs(data):
     command, obj = data.draw(st.sampled_from(_fuzz_seeds()))
-    payload = json.dumps(_mutated(data, obj))
+    mutate = data.draw(st.sampled_from([_mutated, _nudged]))
+    payload = json.dumps(mutate(data, obj))
     res = invoke([command, "-"], input=payload)
     assert res.exit_code in (0, 1, 2), payload
     assert "Traceback" not in res.stderr, payload
