@@ -120,10 +120,10 @@ def check(input, out):
     """Check a JSON input; report violations.
 
     INPUT is a path (or - for standard input) holding one of: a sequence
-    object {"template", "tables", "pins"?}, checked for lane exactness; a
-    table set {"tables": [...]}, checked per table plus the section
-    constraints when Y and its sections are present; a single table
-    {"space", "n", "entries"}.
+    object {"template", "tables", "pins"?}, checked for lane exactness (an
+    input error when every table the template reads is empty); a table set
+    {"tables": [...]}, checked per table plus the section constraints when Y
+    and its sections are present; a single table {"space", "n", "entries"}.
     """
     from .sequences import check_sequence
     from .tables import TriFilteredTable, canonical_json, tables_from_json_obj
@@ -132,7 +132,10 @@ def check(input, out):
     if not isinstance(obj, dict):
         raise ValueError("input must be a JSON object")
     if "template" in obj:
-        rep = check_sequence(*_read_sequence(obj))
+        template, tables, pins = _read_sequence(obj)
+        rep = check_sequence(template, tables, pins)
+        if not any(tables[s].entries for s in template.spaces()):
+            raise ValueError(f"nothing checked: the tables {template.name!r} reads are all empty")
     elif "tables" in obj:
         rep = _check_table_set(tables_from_json_obj(obj))
     elif "space" in obj:

@@ -15,7 +15,9 @@ each class is its own exact sequence.  A Lane is one such chain: a triple
 Exactness of a chain of finite dimensional pieces is a pure dimension
 condition: ranks r_i of the connecting maps must satisfy d_i = r_{i-1} + r_i
 with zero rank entering the first position and leaving the last.  That
-recursion is check_exactness.
+recursion is check_exactness.  check_sequence and infer_rank run it inline
+on every lane in one pass, and call check_exactness only on a lane that
+fails, for its reason and position.
 """
 
 from __future__ import annotations
@@ -250,14 +252,6 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]):
         yield key, c_lo, cells
 
 
-def _instance_lanes(template: SequenceTemplate, tables: dict[str, TriFilteredTable]):
-    """The enumerated lanes of a fully known instance, in the checking order
-    (l, q, p, residue)."""
-    _check_instance(template, tables, None)
-    sources = {s: tables[s].entries for s in template.spaces()}
-    return sorted(_lanes(template, sources), key=lambda lane: (lane[0][1:], lane[0][0]))
-
-
 def _as_lane(template: SequenceTemplate, key: tuple[int, int, int, int], c_lo: int,
              cells: list[int]) -> Lane:
     """One enumerated lane as a Lane: cell j belongs to term j % T and reads
@@ -275,7 +269,10 @@ def extract_lanes(template: SequenceTemplate,
     """All lanes with at least one nonzero entry, as fully materialized
     chains (interior zeros included, boundaries trimmed to the nonzero
     window), ordered by (l, q, p, residue)."""
-    return [_as_lane(template, *lane) for lane in _instance_lanes(template, tables)]
+    _check_instance(template, tables, None)
+    sources = {s: tables[s].entries for s in template.spaces()}
+    return sorted((_as_lane(template, *lane) for lane in _lanes(template, sources)),
+                  key=lambda lane: (lane.key, lane.residue))
 
 
 def _check_term_index(template: SequenceTemplate, term_index: int):
@@ -346,16 +343,30 @@ class RankPin:
         return obj
 
 
-def _lane_results(template: SequenceTemplate, tables: dict[str, TriFilteredTable]):
-    """Every enumerated lane of the instance, in checking order, with the
-    rank recursion run on its cells.  A Lane is built only to name a lane
-    that fails."""
-    return [(lane, check_exactness(lane[2])) for lane in _instance_lanes(template, tables)]
-
-
-def _rank_total(template, results, term_index: int, degree: int | None) -> int:
-    return sum(res.ranks[i] for (_key, c_lo, cells), res in results
-               for i in _pin_positions(template, term_index, degree, c_lo, len(cells)))
+def _lane_pass(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
+               pins: list[tuple[int, int | None]]):
+    """The failing lanes of a fully known instance in checking order, as
+    (Lane, check_exactness result) pairs, and the total rank over all lanes
+    of each (term index, degree) pin, meaningful only when none fails."""
+    for term_index, _degree in pins:
+        _check_term_index(template, term_index)
+    _check_instance(template, tables, None)
+    sources = {s: tables[s].entries for s in template.spaces()}
+    failures, totals = [], [0] * len(pins)
+    for key, c_lo, cells in _lanes(template, sources):
+        ranks, r = [], 0
+        for d in cells:
+            r = d - r
+            if r < 0:
+                break
+            ranks.append(r)
+        if r:
+            failures.append((_as_lane(template, key, c_lo, cells), check_exactness(cells)))
+            continue
+        for n, pin in enumerate(pins):
+            totals[n] += sum(ranks[i] for i in _pin_positions(template, *pin, c_lo, len(cells)))
+    failures.sort(key=lambda failure: (failure[0].key, failure[0].residue))
+    return failures, totals
 
 
 def check_sequence(template: SequenceTemplate,
@@ -364,25 +375,21 @@ def check_sequence(template: SequenceTemplate,
     """Check lane-by-lane exactness of a template instance, plus any pins.
 
     Every violation names the lane, the chain position and the relation that
-    failed.  Pins are only evaluated once all lanes are feasible, since ranks
-    are not defined otherwise.
+    failed.  Pin term indices are checked before any lane; pinned ranks only
+    once all lanes are feasible, since ranks are not defined otherwise.
     """
     rep = VerificationReport()
-    results = _lane_results(template, tables)
-    for raw, res in results:
-        if not res.feasible:
-            lane = _as_lane(template, *raw)
-            entry = lane.entries[res.failure_index]
-            term = template.terms[entry.term_index]
-            rep.add(Violation(
-                f"exactness: {res.reason} ({lane.describe()}, "
-                f"term {entry.term_index} [{term.space}] in degree {entry.degree})",
-                space=term.space, lane=lane.key, position=res.failure_index))
+    failures, totals = _lane_pass(template, tables, [(p.term_index, p.degree) for p in pins])
+    for lane, res in failures:
+        entry = lane.entries[res.failure_index]
+        term = template.terms[entry.term_index]
+        rep.add(Violation(
+            f"exactness: {res.reason} ({lane.describe()}, "
+            f"term {entry.term_index} [{term.space}] in degree {entry.degree})",
+            space=term.space, lane=lane.key, position=res.failure_index))
     if not rep.passed:
         return rep
-    for pin in pins:
-        _check_term_index(template, pin.term_index)
-        total = _rank_total(template, results, pin.term_index, pin.degree)
+    for pin, total in zip(pins, totals):
         if total != pin.rank:
             term = template.terms[pin.term_index]
             at = "" if pin.degree is None else f" in degree {pin.degree}"
@@ -400,11 +407,9 @@ def infer_rank(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
     Only meaningful on a fully known, exact instance; raises if any lane is
     infeasible.
     """
-    _check_term_index(template, term_index)
-    results = _lane_results(template, tables)
-    for raw, res in results:
-        if not res.feasible:
-            lane = _as_lane(template, *raw)
-            raise ValueError(
-                f"cannot infer ranks: {lane.describe()} is not exact ({res.reason})")
-    return _rank_total(template, results, term_index, degree)
+    failures, (total,) = _lane_pass(template, tables, [(term_index, degree)])
+    if failures:
+        lane, res = failures[0]
+        raise ValueError(
+            f"cannot infer ranks: {lane.describe()} is not exact ({res.reason})")
+    return total

@@ -335,6 +335,23 @@ def test_check_bad_inputs(tmp_path, payload):
     assert "error:" in res.stderr
 
 
+def test_check_empty_instance(tmp_path):
+    """A sequence object whose template reads only empty tables checks no
+    lane: exit 2 with one line, not a pass."""
+    tables = family_tables(parse_family("k3-typeII:r=2"))
+    empty = {tag: TriFilteredTable(t.space, {}) for tag, t in tables.items()}
+    path = _write(tmp_path, "in.json", {"template": "cs",
+                                        "tables": [tables_to_json_obj(empty)]})
+    res = invoke(["check", path])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and "nothing checked" in res.stderr
+    # one nonempty table the template reads is enough to check lanes
+    path = _write(tmp_path, "in.json", {"template": "cs", "tables": [tables_to_json_obj(
+        {**empty, "Xlim": tables["Xlim"]})]})
+    assert invoke(["check", path]).exit_code == 1
+
+
 def test_check_missing_file(tmp_path):
     res = invoke(["check", str(tmp_path / "absent.json")])
     assert res.exit_code == 2

@@ -308,18 +308,104 @@ def test_infer_rank_needs_exactness():
         infer_rank(builtin_templates()["cs"], tables, 1, 2)
 
 
+def _plus_one(tables, *cells):
+    """A copy of ``tables`` with 1 added to each (tag, quad) cell."""
+    out = dict(tables)
+    for tag, quad in cells:
+        t = out[tag]
+        entries = dict(t.entries)
+        entries[quad] = entries.get(quad, 0) + 1
+        out[tag] = TriFilteredTable(t.space, entries)
+    return out
+
+
 @pytest.mark.parametrize("empty", [False, True])
 def test_pin_outside_template_raises_everywhere(empty):
     from trigrade import solve_unknown
     tmpl = builtin_templates()["loc1"]
     tables = family_tables(parse_family("k3-elliptic:r=2"))
     if empty:
-        tables = {tag: TriFilteredTable(t.space, {}) for tag, t in tables.items()}
+        instances = [{tag: TriFilteredTable(t.space, {}) for tag, t in tables.items()}]
+    else:
+        # an exact instance, and one whose lanes fail before any pin is read
+        instances = [tables, _plus_one(tables, ("Y", (2, 2, 2, 1)))]
     pin = RankPin(5, 0)
-    with pytest.raises(ValueError, match="pin names term 5"):
-        check_sequence(tmpl, tables, [pin])
-    with pytest.raises(ValueError, match="pin names term 5"):
-        infer_rank(tmpl, tables, pin.term_index)
-    known = {tag: t for tag, t in tables.items() if tag != "U"}
-    with pytest.raises(ValueError, match="pin names term 5"):
-        solve_unknown(tmpl, known, "U", [pin])
+    for tables in instances:
+        with pytest.raises(ValueError, match="pin names term 5"):
+            check_sequence(tmpl, tables, [pin])
+        with pytest.raises(ValueError, match="pin names term 5"):
+            infer_rank(tmpl, tables, pin.term_index)
+        known = {tag: t for tag, t in tables.items() if tag != "U"}
+        with pytest.raises(ValueError, match="pin names term 5"):
+            solve_unknown(tmpl, known, "U", [pin])
+
+
+def _reference_report(template, tables, pins):
+    """check_sequence by its definition: every lane of extract_lanes through
+    check_exactness in (l, q, p, residue) order; pins, summed over the
+    entries reading the pinned term (in the pinned degree), only when every
+    lane is exact."""
+    lanes = sorted(extract_lanes(template, tables), key=lambda lane: (lane.key, lane.residue))
+    results = [(lane, check_exactness(lane.chain)) for lane in lanes]
+    violations = []
+    for lane, res in results:
+        if not res.feasible:
+            e = lane.entries[res.failure_index]
+            space = template.terms[e.term_index].space
+            l, q, p = lane.key
+            violations.append({
+                "relation": f"exactness: {res.reason} ({lane.describe()}, "
+                            f"term {e.term_index} [{space}] in degree {e.degree})",
+                "space": space, "lane": {"l": l, "q": q, "p": p},
+                "position": res.failure_index})
+    if not violations:
+        for pin in pins:
+            total = sum(res.ranks[i] for lane, res in results
+                        for i, e in enumerate(lane.entries)
+                        if e.term_index == pin.term_index and pin.degree in (None, e.degree))
+            if total != pin.rank:
+                space = template.terms[pin.term_index].space
+                at = "" if pin.degree is None else f" in degree {pin.degree}"
+                violations.append({
+                    "relation": f"pinned rank: map out of term {pin.term_index} [{space}]"
+                                f"{at} has total rank {total}, pinned {pin.rank}"})
+    return {"pass": not violations, "violations": violations}
+
+
+# (spec, template, +1 cells, failing lanes).  The new Z:1 cell opens a lane
+# that does not close; the cs cells fail lanes of both residues, and a
+# residue 1 lane comes before a residue 0 lane in the checking order.
+_DIFFERENTIAL = [
+    ("k3-elliptic:r=2", "loc1", (("Y", (2, 2, 2, 1)), ("Z:1", (0, 5, 0, 0))), 2),
+    ("k3-elliptic:r=2", "loc1",
+     (("Y", (0, 1, 0, 0)), ("Y", (2, 2, 2, 1)), ("Y", (4, 3, 4, 2))), 3),
+    ("k3-typeII:r=2", "cs", (("Total", (3, 3, 3, 1)), ("Xlim", (4, 4, 4, 2))), 3),
+    ("k3-typeII:r=2", "cs", (("Total", (3, 3, 3, 1)), ("Supported", (4, 4, 4, 2))), 2),
+    ("k3-finite:g=3", "mirror-cs", (("Uc", (2, 2, 2, 1)), ("Y", (4, 2, 4, 2))), 2),
+]
+
+
+@pytest.mark.parametrize("case", _DIFFERENTIAL,
+                         ids=[f"{spec}-{name}-{n}failing" for spec, name, _, n in _DIFFERENTIAL])
+def test_check_sequence_matches_reference(case):
+    spec, name, cells, n_failing = case
+    tmpl = builtin_templates()[name]
+    exact = family_tables(parse_family(spec))
+    mutated = _plus_one(exact, *cells)
+    T = len(tmpl.terms)
+    pin_sets = [[], [RankPin(i, r) for i in range(T) for r in (0, 2)],
+                [RankPin(i, r, k) for i in range(T) for k in (0, 2, 3) for r in (1, 2, 20)]]
+    for tables in (exact, mutated):
+        for pins in pin_sets:
+            got = check_sequence(tmpl, tables, pins).to_json_obj()
+            assert got == _reference_report(tmpl, tables, pins), (name, pins)
+    failing = _reference_report(tmpl, mutated, [])["violations"]
+    assert len(failing) == n_failing
+    # infer_rank names the first failing lane in the checking order
+    first = min((lane for lane in extract_lanes(tmpl, mutated)
+                 if not check_exactness(lane.chain).feasible),
+                key=lambda lane: (lane.key, lane.residue))
+    with pytest.raises(ValueError) as exc:
+        infer_rank(tmpl, mutated, 0)
+    assert str(exc.value) == (f"cannot infer ranks: {first.describe()} is not exact "
+                              f"({check_exactness(first.chain).reason})")
