@@ -21,7 +21,13 @@ cases are:
   lane that reads no cell of the unknown degree, one way for each way a
   lane fails: the chain cannot close, or a rank is forced negative;
 * a degree solve with a pin whose occurrences cap lanes that read no
-  unknown cell, on target and off by one.
+  unknown cell, on target and off by one;
+* solves on +1-mutated known tables where a lane reading exactly one
+  unknown cell has no solution: a rank goes negative before the cell or
+  after it, or the value the cell is forced to lies outside its interval
+  (cs reads Xlim twice, so two lanes force one cell);
+* a degree solve with a pin whose occurrences all cap lanes that read
+  exactly one unknown cell, on target and off by one.
 
 Run it only when a change to the solver's results is intended:
 
@@ -60,9 +66,22 @@ KNOWN_LANE_CONTRADICTIONS = [
     ("k3-typeII:r=2", "cs", "Xlim", "Total", (2, 2, 2, 1), (0, 1, 2)),  # rank negative
     ("k3-elliptic:r=2", "loc1", "U", "Y", (2, 2, 2, 1), (0, 3, 4)),  # rank negative
 ]
+# (family, template, unknown tag, mutated space, +1 quadruple, degrees
+# solved, None for a full solve): a lane that reads one unknown cell has no
+# solution, and the first such lane visited fails as noted.
+ONE_UNKNOWN_CONTRADICTIONS = [
+    ("k3-typeII:r=2", "cs", "Supported", "Total", (0, 1, 0, 0), (2,)),  # before the cell
+    ("k3-elliptic:r=2", "loc1", "Y", "U", (2, 2, 3, 1), (3,)),  # before the cell
+    ("k3-typeII:r=2", "cs", "Total", "Supported", (4, 3, 4, 2), (2,)),  # after the cell
+    ("k3-elliptic:r=2", "loc1", "U", "Y", (2, 2, 2, 1), (1,)),  # after the cell
+    ("k3-typeII:r=2", "cs", "Xlim", "Supported", (2, 1, 2, 1), (None, 0)),  # outside
+]
 # (family, template, unknown, pinned term): the pin caps 16 of the 24
 # lanes, and none of those 16 reads a cell of the unknown degree.
 CAPPED_KNOWN_LANES = ("k3-typeII:r=2", "cs", ("Total", 1), 1)
+# The same for a pin whose 43 occurrences each cap a lane reading exactly
+# one cell of the unknown degree.
+CAPPED_ONE_UNKNOWN_LANES = ("k3-finite:g=3", "loc2", ("Uc", 4), 2)
 SAME_READ = ("k3-typeII:r=2", {"name": "same", "period": 1, "terms": [
     {"space": "Xlim"}, {"space": "Xlim"}]}, "Xlim")
 
@@ -140,12 +159,21 @@ def cases():
                     "mutate": {"space": space, "entry": list(quad), "delta": 1}}
                    for k in degrees)
 
-    spec, name, (tag, k), i = CAPPED_KNOWN_LANES
-    tmpl = builtin_templates()[name]
-    rank = infer_rank(tmpl, family_tables(parse_family(spec)), i)
-    out.extend({"template": name, "tables": spec, "unknown": [tag, k],
-                "pins": [{"between": [i, (i + 1) % len(tmpl.terms)], "rank": rank + delta}]}
-               for delta in (-1, 0, 1))
+    for spec, name, tag, space, quad, degrees in ONE_UNKNOWN_CONTRADICTIONS:
+        for k in degrees:
+            case = {"template": name, "tables": spec, "unknown": tag if k is None else [tag, k],
+                    "mutate": {"space": space, "entry": list(quad), "delta": 1}}
+            if k is None:
+                case["drop"] = tag
+            out.append(case)
+
+    for spec, name, (tag, k), i in (CAPPED_KNOWN_LANES, CAPPED_ONE_UNKNOWN_LANES):
+        tmpl = builtin_templates()[name]
+        rank = infer_rank(tmpl, family_tables(parse_family(spec)), i)
+        out.extend({"template": name, "tables": spec, "unknown": [tag, k],
+                    "pins": [{"between": [i, (i + 1) % len(tmpl.terms)],
+                              "rank": rank + delta}]}
+                   for delta in (-1, 0, 1))
     return out
 
 

@@ -249,3 +249,25 @@ def test_uncoupled_reads_stay_unbounded():
     res = solve_unknown(tmpl, tables, "Y")
     assert not res.determined
     assert any(hi is None for _q, _lo, hi in res.underdetermined)
+
+
+@pytest.mark.parametrize("u, y, position, detail", [
+    # Y(0) reads 1 after U(0) = 2: a rank goes negative before the cell
+    ({(0, 1, 1, 0): 2, (2, 1, 1, 0): 3}, {(0, 1, 1, 0): 1}, 1,
+     "rank forced negative or above its pin"),
+    # U(2) reads 1 before Y(2) = 2: a rank goes negative after the cell
+    ({(1, 1, 1, 0): 3, (2, 1, 1, 0): 1}, {(2, 1, 1, 0): 2}, 3, "chain cannot close"),
+], ids=["before-the-cell", "after-the-cell"])
+def test_one_unknown_lane_with_a_negative_rank(u, y, position, detail):
+    """The lane (l=1, q=1, p=0) reads U and Y in turn, with Y(1, 1, 1, 0) the
+    only unknown cell of the degree solve.  A rank goes negative on one side
+    of the cell while the other side leaves the cell a nonnegative value: the
+    lane still has no solution, and the solve ends in a contradiction there."""
+    tmpl = SequenceTemplate("alternate", 1, (SequenceTerm("U"), SequenceTerm("Y")))
+    tables = {"U": TriFilteredTable(SpaceDescriptor("U", 2, 1), u),
+              "Y": TriFilteredTable(SpaceDescriptor("Y", 2, 1), y)}
+    res = solve_unknown(tmpl, tables, ("Y", 1))
+    assert res.table is None
+    (v,) = res.report.violations
+    assert v.relation == f"solve contradiction: {detail} (lane (l=1, q=1, p=0) residue 0)"
+    assert (v.lane, v.position) == ((1, 1, 0), position)
