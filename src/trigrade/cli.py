@@ -124,6 +124,7 @@ def check(input, out):
     input error when every table the template reads is empty); a table set
     {"tables": [...]}, checked per table plus the section constraints when Y
     and its sections are present; a single table {"space", "n", "entries"}.
+    A table set or table without an entry is an input error.
     """
     from .sequences import check_sequence
     from .tables import TriFilteredTable, canonical_json, tables_from_json_obj
@@ -136,11 +137,15 @@ def check(input, out):
         rep = check_sequence(template, tables, pins)
         if not any(tables[s].entries for s in template.spaces()):
             raise ValueError(f"nothing checked: the tables {template.name!r} reads are all empty")
-    elif "tables" in obj:
-        rep = _check_table_set(tables_from_json_obj(obj))
-    elif "space" in obj:
-        t = TriFilteredTable.from_json_obj(obj)
-        rep = _check_table_set({t.space.tag: t})
+    elif "tables" in obj or "space" in obj:
+        if "tables" in obj:
+            tables = tables_from_json_obj(obj)
+        else:
+            t = TriFilteredTable.from_json_obj(obj)
+            tables = {t.space.tag: t}
+        if not any(t.entries for t in tables.values()):
+            raise ValueError("nothing checked: no table has an entry")
+        rep = _check_table_set(tables)
     else:
         raise ValueError('input needs a "template", "tables" or "space" key')
     _emit(canonical_json(rep.to_json_obj()), out)

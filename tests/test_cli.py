@@ -352,6 +352,24 @@ def test_check_empty_instance(tmp_path):
     assert invoke(["check", path]).exit_code == 1
 
 
+def _empty_table_inputs():
+    tables = family_tables(parse_family("k3-typeII:r=2"))
+    empty = {tag: TriFilteredTable(t.space, {}) for tag, t in tables.items()}
+    return [tables_to_json_obj(empty, "k3-typeII:r=2"), {"tables": []},
+            empty["Xlim"].to_json_obj()]
+
+
+@pytest.mark.parametrize("obj", _empty_table_inputs(),
+                         ids=["empty-tables", "no-tables", "empty-table"])
+def test_check_empty_tables(tmp_path, obj):
+    """A table set or a single table without one entry checks nothing:
+    exit 2 with one line, as for a sequence object, not a pass."""
+    res = invoke(["check", _write(tmp_path, "in.json", obj)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and "error: nothing checked: " in res.stderr
+
+
 def test_check_missing_file(tmp_path):
     res = invoke(["check", str(tmp_path / "absent.json")])
     assert res.exit_code == 2
