@@ -206,13 +206,15 @@ def _check_instance(template: SequenceTemplate,
             raise ValueError(f"the tables of one instance disagree on {attr}: {listed}")
 
 
-def _lanes(template: SequenceTemplate, sources: dict[str, dict]):
-    """Yield (key, first cycle, cells) for every lane of a template instance,
-    in key order, where key = (residue, l, q, p).
+def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
+    """Map key -> (first cycle, cells) for every lane of a template
+    instance, where key = (residue, l, q, p).
 
     ``sources`` maps each space tag to a mapping quad -> value.  Every quad a
     term reads opens its lane, which runs from the first such cycle to the
     last; cells holds each term's read at each cycle, 0 where a quad is absent.
+    The dict is unsorted: extract_lanes and the solver sort it, and
+    _lane_pass needs no order.
 
     The cells are built by scatter, not by probing every (cycle, term) cell:
     each lane gets a zero-filled list, and a second pass over the sources
@@ -247,9 +249,22 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]):
             c = k - ko
             c_lo, cells = lanes[(c % P, l - s, q - 2 * tw, p - tw)]
             cells[(c - c_lo) // P * T + j] = value
-    for key in sorted(lanes):
-        c_lo, cells = lanes[key]
-        yield key, c_lo, cells
+    return lanes
+
+
+def _read_positions(template: SequenceTemplate, lanes: dict, space: str, quads):
+    """Yield (quad, lane key, cell position) of each read of one of ``quads``
+    by a term on ``space``, in lanes _lanes built from sources holding them:
+    SequenceTerm.read_quad inverted as in _lanes."""
+    P, T = template.period, len(template.terms)
+    for j, term in enumerate(template.terms):
+        if term.space != space:
+            continue
+        ko, s, tw = term.k_offset, term.shift, term.twist
+        for quad in quads:
+            c = quad[0] - ko
+            key = (c % P, quad[1] - s, quad[2] - 2 * tw, quad[3] - tw)
+            yield quad, key, (c - lanes[key][0]) // P * T + j
 
 
 def _as_lane(template: SequenceTemplate, key: tuple[int, int, int, int], c_lo: int,
@@ -271,7 +286,8 @@ def extract_lanes(template: SequenceTemplate,
     window), ordered by (l, q, p, residue)."""
     _check_instance(template, tables, None)
     sources = {s: tables[s].entries for s in template.spaces()}
-    return sorted((_as_lane(template, *lane) for lane in _lanes(template, sources)),
+    return sorted((_as_lane(template, key, *lane)
+                   for key, lane in _lanes(template, sources).items()),
                   key=lambda lane: (lane.key, lane.residue))
 
 
@@ -353,7 +369,7 @@ def _lane_pass(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
     _check_instance(template, tables, None)
     sources = {s: tables[s].entries for s in template.spaces()}
     failures, totals = [], [0] * len(pins)
-    for key, c_lo, cells in _lanes(template, sources):
+    for key, (c_lo, cells) in _lanes(template, sources).items():
         ranks, r = [], 0
         for d in cells:
             r = d - r

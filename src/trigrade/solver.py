@@ -9,7 +9,9 @@ pass of the rank recursion turn known intervals for the d_i into intervals
 for the ranks and back, and propagating over all lanes to a fixpoint
 tightens every cell as far as lane-by-lane propagation allows.  Whether that
 is as far as the dimension data allows is unproven: a cell read by two lanes
-couples them, and each lane only ever sees its own projection.
+couples them, and each lane only ever sees its own projection.  On tiny
+degree solves a brute force over all completions finds every interval tight
+(tests/test_solver.py), but there every open interval is unbounded above.
 
 The propagation is sound: the true table always lies inside every computed
 interval, so a cell whose interval collapses to a point is genuinely forced
@@ -33,17 +35,22 @@ next round.  This is the order of sweeping every lane every round, minus
 the sweeps that cannot change anything: the intervals, the contradiction
 reported and the round count are those of the full sweep.
 
-Most lanes of a solve read no unknown cell.  On such a lane every d_i is a
-point, and the forward pass reduces to the rank recursion r = d_i - r of
-check_exactness: it fails where that recursion goes negative or leaves a
-rank at the end, with the message and position the interval pass reports,
-and the backward pass gives back the same points.  So the lane runs the
-recursion alone and stores its ranks as both ends of its boundary.  The loop
-is written inline: calling check_exactness and reading its result object was
-slower.  A pin cap changes nothing here: the pin step has already checked
-lo_sum <= pin <= hi_sum, so at an occurrence with point rank r the cap is
-max(r, pin - others_hi) = r and min(r, pin - others_lo) = r, the point the
-recursion yields.
+Most lanes of a solve read at most one unknown cell, and such a lane takes
+a closed form: the rank recursion r = d_i - r of check_exactness runs from
+the front up to the cell (over the whole lane if it reads none) and from the
+back down to just after it, the cell is forced to r_in + r_out, the ranks
+are stored as both ends of the boundary and the cell is tightened to that
+point.  This is what the interval passes give.  Any solution of the lane
+carries these ranks, so there is at most one.  If no rank goes negative, the
+chain closes and the forced value lies in the cell's interval, it is that,
+and the interval passes, seeing points on both sides of the cell and being
+sound, return exactly it.  Otherwise there is none, and the lane falls
+through to the interval passes, the only code that reports a contradiction.
+A pin cap changes nothing: the closed form succeeds on a visit only if it
+did on every earlier one (its ranks read known cells, intervals only
+shrink), so the lane's boundary always held these point ranks, and the pin
+step, having checked lo_sum <= pin <= hi_sum, caps a point rank r to
+max(r, pin - others_hi) = r and min(r, pin - others_lo) = r.
 """
 
 from __future__ import annotations
@@ -51,8 +58,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checks import VerificationReport, Violation
-from .sequences import (RankPin, SequenceTemplate, _check_instance,
-                        _check_term_index, _lanes, _pin_positions, check_sequence)
+from .sequences import (RankPin, SequenceTemplate, _check_instance, _check_term_index,
+                        _lanes, _pin_positions, _read_positions, check_sequence)
 from .spaces import FIBRATION_KINDS, SpaceDescriptor
 from .tables import Quad, TriFilteredTable
 
@@ -159,21 +166,23 @@ def solve_unknown(template: SequenceTemplate,
         quad: d for quad, d in stored.entries.items() if quad[0] != degree}
     sources = {s: known[s].entries for s in template.spaces() if s != tag}
     sources[tag] = {**other_degrees, **{quad: quad for quad in box}}
-    # lanes[i] = (key, first cycle, cells).  readers maps each unknown cell
-    # to the lanes that read it; repeats marks lanes reading one cell twice,
-    # and points marks lanes reading no unknown cell.
-    lanes: list[tuple[tuple[int, int, int, int], int, list]] = []
+    # lanes[i] = (key, first cycle, cells) in key order.  Walking the box
+    # gives readers (each cell's lanes), repeats (lanes reading a cell twice)
+    # and single[i], lane i's one unknown position: -1 if none, None if more.
+    lane_map = _lanes(template, sources)
+    keys = sorted(lane_map)
+    lanes = [(key, *lane_map[key]) for key in keys]
+    index = {key: li for li, key in enumerate(keys)}
     readers: dict[Quad, list[int]] = {quad: [] for quad in box}
-    repeats: list[bool] = []
-    points: list[bool] = []
-    for key, c_lo, cells in _lanes(template, sources):
-        unknowns = [cell for cell in cells if cell.__class__ is tuple]
-        distinct = set(unknowns)
-        for quad in distinct:
-            readers[quad].append(len(lanes))
-        repeats.append(len(distinct) < len(unknowns))
-        points.append(not unknowns)
-        lanes.append((key, c_lo, cells))
+    repeats = [False] * len(lanes)
+    single: list[int | None] = [-1] * len(lanes)
+    for quad, key, pos in _read_positions(template, lane_map, tag, box):
+        li = index[key]
+        if li in readers[quad]:
+            repeats[li] = True
+        else:
+            readers[quad].append(li)
+        single[li] = pos if single[li] == -1 else None
 
     # Chain positions whose outgoing rank each pin sums: the rank out of
     # position j is the lane's boundary rank j + 1.
@@ -198,6 +207,15 @@ def solve_unknown(template: SequenceTemplate,
             lane=(l, q, p), position=position))
         return SolveResult(None, False, [], rep, iterations)
 
+    def tighten(li, cell, interval):
+        # queue the other readers: later ones this round, earlier ones next
+        intervals[cell] = interval
+        for lj in readers[cell]:
+            if lj > li:
+                dirty[lj] = True
+            elif lj < li:
+                requeue.add(lj)
+
     dirty = [True] * len(lanes)
     iterations = 0
     while True:
@@ -211,22 +229,32 @@ def solve_unknown(template: SequenceTemplate,
             if not dirty[li]:
                 continue
             dirty[li] = False
-            lane_caps = caps[li]
             n_pos = len(cells)
-            if points[li]:
-                # The interval passes on points: the rank recursion (see the
-                # module docstring).
+            pos = single[li]
+            if pos is not None:
+                # the closed form (module docstring), else the interval passes
                 ranks = [0] * (n_pos + 1)
-                r = 0
-                for i in range(n_pos):
+                r = s = 0
+                end = n_pos if pos < 0 else pos
+                for i in range(end):
                     r = cells[i] - r
                     if r < 0:
-                        return fail(key, i, "rank forced negative or above its pin")
+                        break
                     ranks[i + 1] = r
-                if r:
-                    return fail(key, n_pos - 1, "chain cannot close")
-                boundary[li] = (ranks, ranks)
-                continue
+                for i in range(n_pos - 1, end, -1):
+                    s = cells[i] - s
+                    if s < 0:
+                        break
+                    ranks[i] = s
+                # a lane reading no unknown closes: r + s is forced to 0
+                lo, hi = intervals[cells[pos]] if pos >= 0 else (0, 0)
+                if r >= 0 and s >= 0 and lo <= r + s and (hi is None or r + s <= hi):
+                    boundary[li] = (ranks, ranks)
+                    if lo != hi:
+                        tighten(li, cells[pos], (r + s, r + s))
+                        changed = True
+                    continue
+            lane_caps = caps[li]
             # Interval arithmetic on local lo/hi ints; hi None is unbounded.
             # Forward: F[i+1] = (d_i - F[i]) clamped to [0, inf), then capped.
             d_lo = [0] * n_pos
@@ -303,13 +331,8 @@ def solve_unknown(template: SequenceTemplate,
                 if hi is not None and lo > hi:
                     return fail(key, i, f"cell {cell} has no feasible dimension")
                 if lo != cur[0] or hi != cur[1]:
-                    intervals[cell] = (lo, hi)
+                    tighten(li, cell, (lo, hi))
                     tightened = True
-                    for lj in readers[cell]:
-                        if lj > li:
-                            dirty[lj] = True
-                        elif lj < li:
-                            requeue.add(lj)
             if tightened:
                 changed = True
                 if repeats[li]:

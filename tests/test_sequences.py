@@ -8,7 +8,7 @@ from trigrade import (RankPin, SequenceTemplate, SequenceTerm,
                       TriFilteredTable, builtin_templates, check_exactness,
                       check_sequence, extract_lanes, family_tables,
                       infer_rank, parse_family)
-from trigrade.sequences import _lanes
+from trigrade.sequences import _lanes, _read_positions
 
 
 def test_builtin_shapes():
@@ -214,7 +214,26 @@ def _template_and_sources(draw):
 @given(_template_and_sources())
 def test_lanes_match_naive_reads(case):
     template, sources = case
-    assert list(_lanes(template, sources)) == _naive_lanes(template, sources)
+    assert sorted((key, *lane) for key, lane in _lanes(template, sources).items()) \
+        == _naive_lanes(template, sources)
+
+
+@given(_template_and_sources())
+def test_read_positions_invert_read_quad(case):
+    """_read_positions finds each quad of a space at the cell where a term on
+    that space reads it through SequenceTerm.read_quad, once per such term."""
+    template, sources = case
+    lanes = _lanes(template, sources)
+    P, T = template.period, len(template.terms)
+    for space, values in sources.items():
+        found = list(_read_positions(template, lanes, space, values))
+        assert len(found) == len(values) * sum(t.space == space for t in template.terms)
+        for quad, key, pos in found:
+            c_lo, cells = lanes[key]
+            term = template.terms[pos % T]
+            assert term.space == space
+            assert term.read_quad(c_lo + pos // T * P, *key[1:]) == quad
+            assert cells[pos] == values[quad]
 
 
 def test_check_sequence_passes_fixtures(fixture_sets):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from solver_cases import result_obj, run_case
 from trigrade import (RankPin, SequenceTemplate, SequenceTerm,
                       SpaceDescriptor, TriFilteredTable, builtin_templates,
-                      family_tables, parse_family, solve_unknown, support_box)
+                      check_sequence, family_tables, infer_rank, parse_family,
+                      solve_unknown, support_box)
 
 
 def test_support_box_contains_all_fixture_entries(fixture_sets):
@@ -33,6 +36,93 @@ def test_solver_reproduces_golden():
     assert max(e["result"]["iterations"] for e in golden) > 2
     for entry in golden:
         assert result_obj(run_case(entry["case"])) == entry["result"], entry["case"]
+
+
+ORACLE_FAMILIES = ("k3-elliptic:r=1", "k3-finite:g=2", "k3-typeII:r=1", "k3-typeIII:k=1")
+ORACLE_BOUND = 2
+# (family, template, unknown tag, degree): custom templates reading the
+# unknown twice in a lane, so that some cells stay open
+ORACLE_TWICE = [
+    ("k3-elliptic:r=1", [{"space": "U", "k_offset": -1}, {"space": "U"}], "U", 0),
+    ("k3-typeII:r=1", [{"space": "Xlim", "k_offset": -1}, {"space": "Xlim", "k_offset": 1}],
+     "Xlim", 1),
+    ("k3-elliptic:r=1", [{"space": "Y"}, {"space": "Y"}], "Y", 4),
+]
+
+
+def _oracle_instances():
+    """Degree solves with at most 5 box cells on small builtin families:
+    each as it is, with one known entry moved by +-1, and with one pin."""
+    rng = random.Random(5)
+    solves = []
+    for spec in ORACLE_FAMILIES:
+        tables = family_tables(parse_family(spec))
+        for tmpl in builtin_templates().values():
+            if all(s in tables for s in tmpl.spaces()):
+                solves.extend((tmpl, tables, tag, k) for tag in tmpl.spaces()
+                              for k in range(tables[tag].space.degree_range()[1] + 1))
+    for spec, terms, tag, k in ORACLE_TWICE:
+        tmpl = SequenceTemplate.from_json_obj({"period": 1, "terms": terms})
+        solves.append((tmpl, family_tables(parse_family(spec)), tag, k))
+    for tmpl, tables, tag, k in solves:
+        if not 0 < len(support_box(tables[tag].space, k)) <= 5:
+            continue
+        yield tmpl, tables, tag, k, []
+        others = [s for s in tmpl.spaces() if s != tag]
+        if others:
+            space = rng.choice(others)
+            entries = dict(tables[space].entries)
+            quad = rng.choice(sorted(entries))
+            entries[quad] += rng.choice((-1, 1))
+            yield tmpl, {**tables, space: TriFilteredTable(tables[space].space, entries)}, \
+                tag, k, []
+        if not check_sequence(tmpl, tables).passed:
+            continue  # a template reading the unknown twice need not be exact
+        i = rng.randrange(len(tmpl.terms))
+        degree = rng.choice([None, *sorted({q[0] for q in tables[tmpl.terms[i].space].entries})])
+        rank = infer_rank(tmpl, tables, i, degree) + rng.choice((-1, 0, 1))
+        if rank >= 0:
+            yield tmpl, tables, tag, k, [RankPin(i, rank, degree)]
+
+
+def test_solver_agrees_with_brute_force():
+    """On tiny degree solves, every completion up to ORACLE_BOUND that
+    check_sequence passes agrees with the solver: a determined cell takes its
+    value in each, an open interval holds every feasible value (and each
+    value of the interval up to the bound is feasible), and a contradiction
+    leaves none."""
+    counts = {"instances": 0, "contradictions": 0, "open cells": 0}
+    for tmpl, tables, tag, k, pins in _oracle_instances():
+        counts["instances"] += 1
+        res = solve_unknown(tmpl, tables, (tag, k), pins)
+        space = tables[tag].space
+        box = sorted(support_box(space, k))
+        kept = {q: d for q, d in tables[tag].entries.items() if q[0] != k}
+        completions = []
+        for dims in itertools.product(range(ORACLE_BOUND + 1), repeat=len(box)):
+            table = TriFilteredTable(space, {**kept, **{q: d for q, d in zip(box, dims) if d}})
+            if check_sequence(tmpl, {**tables, tag: table}, pins).passed:
+                completions.append(dict(zip(box, dims)))
+        case = (tmpl.name, space.tag, k, pins)
+        if res.table is None:
+            counts["contradictions"] += 1
+            assert completions == [], case
+            continue
+        under = {q: (lo, hi) for q, lo, hi in res.underdetermined}
+        for quad in box:
+            feasible = {c[quad] for c in completions}
+            if quad in under:
+                counts["open cells"] += 1
+                lo, hi = under[quad]
+                top = ORACLE_BOUND if hi is None else min(hi, ORACLE_BOUND)
+                assert feasible == set(range(lo, top + 1)), (case, quad, lo, hi)
+            else:
+                assert feasible <= {res.table.dim(*quad)}, (case, quad)
+        if res.determined and all(res.table.dim(*q) <= ORACLE_BOUND for q in box):
+            assert len(completions) == 1, case
+    # every open cell of these instances is unbounded above, left by a
+    # template reading the unknown twice
+    assert counts == {"instances": 135, "contradictions": 67, "open cells": 7}
 
 
 def test_recover_limit_table():
