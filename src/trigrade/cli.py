@@ -143,7 +143,7 @@ def check(input, out):
         else:
             t = TriFilteredTable.from_json_obj(obj)
             tables = {t.space.tag: t}
-        if not any(t.entries for t in tables.values()):
+        if not any(table.entries for table in tables.values()):
             raise ValueError("nothing checked: no table has an entry")
         rep = _check_table_set(tables)
     else:
