@@ -43,7 +43,10 @@ def _load_json(path: str):
     else:
         with open(path) as fh:
             text = fh.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply to decode") from None
 
 
 def _resolve_tables(refs) -> dict[str, TriFilteredTable]:

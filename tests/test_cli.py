@@ -335,6 +335,16 @@ def test_check_bad_inputs(tmp_path, payload):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_deeply_nested_json_is_an_input_error(command):
+    """JSON nested deeper than the decoder recurses exits 2 with one line,
+    not a RecursionError traceback under the violation code."""
+    res = invoke([command, "-"], input="[" * 1000 + "]" * 1000)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("error: ")
+
+
 def test_check_empty_instance(tmp_path):
     """A sequence object whose template reads only empty tables checks no
     lane: exit 2 with one line, not a pass."""
