@@ -24,44 +24,51 @@ the test suite cross-checks against independently transcribed values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .checks import dualize_in_dimension, poincare_verdier_dual
 from .spaces import SpaceDescriptor
-from .tables import TriFilteredTable
+from .tables import Frozen, TriFilteredTable, _set
 
 
-class _Family:
+class _Family(Frozen):
     """A builtin family: one integer parameter, at least LEAST."""
 
+    __slots__ = ()
     LEAST, LABEL = 1, None
 
-    def __post_init__(self):
-        (name,) = self.__dataclass_fields__
-        value = getattr(self, name)
+    def _checked(self, value: int) -> int:
         if value < self.LEAST:
+            (name,) = self.__slots__
             raise ValueError(f"need {self.LABEL or name} >= {self.LEAST}, got {value}")
+        return value
 
 
-@dataclass(frozen=True)
 class EllipticCurveBase(_Family):
-    r: int
+    __slots__ = ("r",)
+
+    def __init__(self, r: int):
+        _set(self, "r", self._checked(r))
 
 
-@dataclass(frozen=True)
 class FiniteSurfaceBase(_Family):
-    g: int
+    __slots__ = ("g",)
     LEAST, LABEL = 2, "genus g"
 
+    def __init__(self, g: int):
+        _set(self, "g", self._checked(g))
 
-@dataclass(frozen=True)
+
 class TypeII(_Family):
-    r: int
+    __slots__ = ("r",)
+
+    def __init__(self, r: int):
+        _set(self, "r", self._checked(r))
 
 
-@dataclass(frozen=True)
 class TypeIII(_Family):
-    k: int
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        _set(self, "k", self._checked(k))
 
 
 FibrationFamily = EllipticCurveBase | FiniteSurfaceBase

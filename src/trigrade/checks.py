@@ -8,22 +8,24 @@ bad tags), which surfaces as ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .tables import Quad, TriFilteredTable
+from .tables import Frozen, Quad, Record, TriFilteredTable, _set
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One failed relation.  ``entry`` localizes table checks; ``lane`` and
     ``position`` localize sequence checks."""
 
-    relation: str
-    space: str | None = None
-    entry: Quad | None = None
-    lane: tuple[int, int, int] | None = None
-    position: int | None = None
+    __slots__ = ("relation", "space", "entry", "lane", "position")
+
+    def __init__(self, relation: str, space: str | None = None, entry: Quad | None = None,
+                 lane: tuple[int, int, int] | None = None, position: int | None = None):
+        _set(self, "relation", relation)
+        _set(self, "space", space)
+        _set(self, "entry", entry)
+        _set(self, "lane", lane)
+        _set(self, "position", position)
 
     def to_json_obj(self) -> dict:
         obj: dict = {"relation": self.relation}
@@ -40,9 +42,11 @@ class Violation:
         return obj
 
 
-@dataclass
-class VerificationReport:
-    violations: list[Violation] = field(default_factory=list)
+class VerificationReport(Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: list[Violation] | None = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def passed(self) -> bool:

@@ -9,8 +9,9 @@ Exit codes: 0 all checks pass, 1 a checked relation is violated, 2 the input
 could not be used (bad spec string, malformed JSON, missing file, missing
 flag).
 
-Each subcommand imports the modules it uses in its own body, so a process
-loads only the code its subcommand runs.
+Each subcommand imports the modules it uses in its own body, and only on
+the path that uses them (the catalog for a family spec, render for a grid),
+so a process loads only the code its subcommand runs.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ def _load_json(path: str):
 def _resolve_tables(refs) -> dict[str, TriFilteredTable]:
     """Expand a "tables" list: family spec strings pull in the whole builtin
     set, objects are inline tables (or nested table sets)."""
-    from .catalog import family_tables, parse_family
     from .tables import TriFilteredTable, tables_from_json_obj
 
     if not isinstance(refs, list):
@@ -60,6 +60,8 @@ def _resolve_tables(refs) -> dict[str, TriFilteredTable]:
     tables: dict[str, TriFilteredTable] = {}
     for ref in refs:
         if isinstance(ref, str):
+            from .catalog import family_tables, parse_family
+
             new = family_tables(parse_family(ref))
         elif isinstance(ref, dict) and "tables" in ref:
             new = tables_from_json_obj(ref)
@@ -107,7 +109,6 @@ def generate(family, fmt, out):
     k3-typeIII:k=2.
     """
     from .catalog import family_spec, family_tables, parse_family
-    from .render import render_tables
     from .tables import canonical_json, tables_to_json_obj
 
     fam = parse_family(family)
@@ -115,6 +116,8 @@ def generate(family, fmt, out):
     if fmt == "json":
         text = canonical_json(tables_to_json_obj(tables, family_spec(fam)))
     else:
+        from .render import render_tables
+
         text = render_tables(tables)
     _emit(text, out)
 

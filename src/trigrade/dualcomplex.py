@@ -10,41 +10,40 @@ identities rather than tracked stratum by stratum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .catalog import (DegenerationFamily, EllipticCurveBase, FibrationFamily,
-                      FiniteSurfaceBase, TypeII, TypeIII)
+from .tables import Frozen, _set
+
+if TYPE_CHECKING:
+    from .catalog import DegenerationFamily, FibrationFamily
 
 CHAIN = "chain"
 SPHERE = "sphere"
 
 
-@dataclass(frozen=True)
-class DualComplexData:
+class DualComplexData(Frozen):
     """Vertex / edge / face counts of the dual complex: components, double
     curves, triple points."""
 
-    components: int
-    double_curves: int
-    triple_points: int
-    topology: str
+    __slots__ = ("components", "double_curves", "triple_points", "topology")
 
-    def __post_init__(self):
-        if self.components < 1 or self.double_curves < 0 or self.triple_points < 0:
+    def __init__(self, components: int, double_curves: int, triple_points: int,
+                 topology: str):
+        v, e, f = components, double_curves, triple_points
+        if v < 1 or e < 0 or f < 0:
             raise ValueError("counts out of range")
-        if self.topology == CHAIN:
-            if self.triple_points != 0 or self.double_curves != self.components - 1:
-                raise ValueError(
-                    f"not a chain: V={self.components}, E={self.double_curves}, "
-                    f"F={self.triple_points}")
-        elif self.topology == SPHERE:
-            euler = self.components - self.double_curves + self.triple_points
-            if euler != 2 or 3 * self.triple_points != 2 * self.double_curves:
-                raise ValueError(
-                    f"not a triangulated sphere: V={self.components}, "
-                    f"E={self.double_curves}, F={self.triple_points}")
+        if topology == CHAIN:
+            if f != 0 or e != v - 1:
+                raise ValueError(f"not a chain: V={v}, E={e}, F={f}")
+        elif topology == SPHERE:
+            if v - e + f != 2 or 3 * f != 2 * e:  # Euler characteristic 2
+                raise ValueError(f"not a triangulated sphere: V={v}, E={e}, F={f}")
         else:
-            raise ValueError(f"unknown topology {self.topology!r}")
+            raise ValueError(f"unknown topology {topology!r}")
+        _set(self, "components", v)
+        _set(self, "double_curves", e)
+        _set(self, "triple_points", f)
+        _set(self, "topology", topology)
 
     def to_json_obj(self) -> dict:
         return {
@@ -87,6 +86,8 @@ def base_change(d: DualComplexData, mu: int) -> DualComplexData:
 def veronese(f: FibrationFamily, mu: int) -> FibrationFamily:
     """Re-embed the base so the linear section scales: r fibres become
     mu*r; a genus g = k+1 curve becomes genus mu^2*k + 1."""
+    from .catalog import EllipticCurveBase, FiniteSurfaceBase
+
     if mu < 1:
         raise ValueError(f"need mu >= 1, got {mu}")
     if isinstance(f, EllipticCurveBase):
@@ -99,6 +100,8 @@ def veronese(f: FibrationFamily, mu: int) -> FibrationFamily:
 def dual_complex(d: DegenerationFamily) -> DualComplexData:
     """The central fibre's dual complex: a chain of r+1 components for
     TypeII(r), the 2k-triangle sphere for TypeIII(k)."""
+    from .catalog import TypeII, TypeIII
+
     if isinstance(d, TypeII):
         return chain_counts(d.r + 1)
     if isinstance(d, TypeIII):
@@ -109,6 +112,8 @@ def dual_complex(d: DegenerationFamily) -> DualComplexData:
 def base_changed_family(d: DegenerationFamily, mu: int) -> DegenerationFamily:
     """The degeneration family after a mu-fold base change, so that its
     dual complex matches base_change of the original's."""
+    from .catalog import TypeII, TypeIII
+
     if mu < 1:
         raise ValueError(f"need mu >= 1, got {mu}")
     if isinstance(d, TypeII):

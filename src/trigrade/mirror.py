@@ -17,14 +17,12 @@ involution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .catalog import (DegenerationFamily, FibrationFamily, degeneration_tables,
                       family_spec, fibration_tables)
 from .checks import VerificationReport, Violation
 from .dualcomplex import base_change, base_changed_family, dual_complex, veronese
 from .spaces import SpaceDescriptor
-from .tables import Quad, TriFilteredTable
+from .tables import Frozen, Quad, TriFilteredTable, _set
 
 
 def mirror_quad(n: int, quad: Quad) -> Quad:
@@ -56,28 +54,31 @@ def mirror_transform_open(table_uc: TriFilteredTable) -> TriFilteredTable:
     return _mirror_transform(table_uc, "Uc", "Total", 1)
 
 
-@dataclass(frozen=True)
-class MirrorPair:
+class MirrorPair(Frozen):
     """A fibration-side table set {Y, Uc} paired with a degeneration-side
     {Xlim, Total}, sharing n.  Families are kept when the pair comes from
     the catalog, so stability under base change can regenerate it."""
 
-    fibration: dict[str, TriFilteredTable]
-    degeneration: dict[str, TriFilteredTable]
-    fibration_family: FibrationFamily | None = None
-    degeneration_family: DegenerationFamily | None = None
+    __slots__ = ("fibration", "degeneration", "fibration_family", "degeneration_family")
 
-    def __post_init__(self):
+    def __init__(self, fibration: dict[str, TriFilteredTable],
+                 degeneration: dict[str, TriFilteredTable],
+                 fibration_family: FibrationFamily | None = None,
+                 degeneration_family: DegenerationFamily | None = None):
         for tag in ("Y", "Uc"):
-            if tag not in self.fibration:
+            if tag not in fibration:
                 raise ValueError(f"fibration side lacks {tag}")
         for tag in ("Xlim", "Total"):
-            if tag not in self.degeneration:
+            if tag not in degeneration:
                 raise ValueError(f"degeneration side lacks {tag}")
-        if self.fibration["Y"].space.n != self.degeneration["Xlim"].space.n:
+        if fibration["Y"].space.n != degeneration["Xlim"].space.n:
             raise ValueError(
-                f"sides disagree on n: {self.fibration['Y'].space.n} vs "
-                f"{self.degeneration['Xlim'].space.n}")
+                f"sides disagree on n: {fibration['Y'].space.n} vs "
+                f"{degeneration['Xlim'].space.n}")
+        _set(self, "fibration", fibration)
+        _set(self, "degeneration", degeneration)
+        _set(self, "fibration_family", fibration_family)
+        _set(self, "degeneration_family", degeneration_family)
 
     @classmethod
     def from_families(cls, fib: FibrationFamily, deg: DegenerationFamily) -> "MirrorPair":

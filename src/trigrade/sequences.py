@@ -22,50 +22,48 @@ fails, for its reason and position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .checks import VerificationReport, Violation
 from .spaces import MAX_N
-from .tables import TriFilteredTable
+from .tables import Frozen, TriFilteredTable, _set
 
 
-@dataclass(frozen=True)
-class SequenceTerm:
-    space: str  # table tag: "Y", "Z:1", "U", "Uc", "Xlim", "Total", "Supported"
-    k_offset: int = 0
-    shift: int = 0
-    twist: int = 0
+class SequenceTerm(Frozen):
+    __slots__ = ("space", "k_offset", "shift", "twist")
 
-    def __post_init__(self):
-        if not isinstance(self.space, str):
-            raise ValueError(f"template term 'space' must be a string, got {self.space!r}")
-        for field in ("k_offset", "shift", "twist"):
-            value = getattr(self, field)
+    def __init__(self, space: str, k_offset: int = 0, shift: int = 0, twist: int = 0):
+        # space is a table tag: "Y", "Z:1", "U", "Uc", "Xlim", "Total", "Supported"
+        if not isinstance(space, str):
+            raise ValueError(f"template term 'space' must be a string, got {space!r}")
+        for field, value in (("k_offset", k_offset), ("shift", shift), ("twist", twist)):
             # type(...) is int: bool is an int subclass and must not pass
             if type(value) is not int:
                 raise ValueError(f"template term {field!r} must be an integer, got {value!r}")
         # A lane's cells span the spread of the k_offsets; no table has a
         # degree above 2(MAX_N + 1), so a larger offset only costs memory.
         bound = 2 * (MAX_N + 1)
-        if not -bound <= self.k_offset <= bound:
+        if not -bound <= k_offset <= bound:
             raise ValueError(f"template term 'k_offset' must lie in [-{bound}, {bound}], "
-                             f"got {self.k_offset}")
+                             f"got {k_offset}")
+        _set(self, "space", space)
+        _set(self, "k_offset", k_offset)
+        _set(self, "shift", shift)
+        _set(self, "twist", twist)
 
     def read_quad(self, c: int, l: int, q: int, p: int) -> tuple[int, int, int, int]:
         return (c + self.k_offset, l + self.shift, q + 2 * self.twist, p + self.twist)
 
 
-@dataclass(frozen=True)
-class SequenceTemplate:
-    name: str
-    period: int
-    terms: tuple[SequenceTerm, ...]
+class SequenceTemplate(Frozen):
+    __slots__ = ("name", "period", "terms")
 
-    def __post_init__(self):
-        if type(self.period) is not int:
-            raise ValueError(f"template 'period' must be an integer, got {self.period!r}")
-        if self.period < 1 or not self.terms:
+    def __init__(self, name: str, period: int, terms: tuple[SequenceTerm, ...]):
+        if type(period) is not int:
+            raise ValueError(f"template 'period' must be an integer, got {period!r}")
+        if period < 1 or not terms:
             raise ValueError("template needs a positive period and at least one term")
+        _set(self, "name", name)
+        _set(self, "period", period)
+        _set(self, "terms", terms)
 
     def spaces(self) -> list[str]:
         return sorted({t.space for t in self.terms})
@@ -121,24 +119,29 @@ def builtin_templates() -> dict[str, SequenceTemplate]:
     }
 
 
-@dataclass(frozen=True)
-class LaneEntry:
-    term_index: int
-    degree: int  # the k actually read in the term's own table
-    dim: int
+class LaneEntry(Frozen):
+    __slots__ = ("term_index", "degree", "dim")
+
+    def __init__(self, term_index: int, degree: int, dim: int):
+        _set(self, "term_index", term_index)
+        _set(self, "degree", degree)  # the k actually read in the term's own table
+        _set(self, "dim", dim)
 
 
-@dataclass(frozen=True)
-class Lane:
+class Lane(Frozen):
     """One chain of the instantiated sequence: fixed (l, q, p) and a residue
     class of the cycle degree mod the period."""
 
-    l: int
-    q: int
-    p: int
-    residue: int
-    start_cycle: int
-    entries: tuple[LaneEntry, ...]
+    __slots__ = ("l", "q", "p", "residue", "start_cycle", "entries")
+
+    def __init__(self, l: int, q: int, p: int, residue: int, start_cycle: int,
+                 entries: tuple[LaneEntry, ...]):
+        _set(self, "l", l)
+        _set(self, "q", q)
+        _set(self, "p", p)
+        _set(self, "residue", residue)
+        _set(self, "start_cycle", start_cycle)
+        _set(self, "entries", entries)
 
     @property
     def key(self) -> tuple[int, int, int]:
@@ -152,14 +155,17 @@ class Lane:
         return f"lane (l={self.l}, q={self.q}, p={self.p}) residue {self.residue}"
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(Frozen):
     """Outcome of the rank recursion on one chain of dimensions."""
 
-    feasible: bool
-    ranks: list[int]
-    failure_index: int | None = None
-    reason: str | None = None
+    __slots__ = ("feasible", "ranks", "failure_index", "reason")
+
+    def __init__(self, feasible: bool, ranks: list[int], failure_index: int | None = None,
+                 reason: str | None = None):
+        _set(self, "feasible", feasible)
+        _set(self, "ranks", ranks)
+        _set(self, "failure_index", failure_index)
+        _set(self, "reason", reason)
 
 
 def check_exactness(dims: list[int]) -> FeasibilityResult:
@@ -311,8 +317,7 @@ def _pin_positions(template: SequenceTemplate, term_index: int, degree: int | No
     return range(idx, idx + 1) if off == 0 and 0 <= idx < length else range(0)
 
 
-@dataclass(frozen=True)
-class RankPin:
+class RankPin(Frozen):
     """Pinned total rank of the maps out of one term, summed over all lanes.
 
     ``degree`` restricts the pin to the occurrence reading that k in the
@@ -320,20 +325,21 @@ class RankPin:
     case when only one degree carries nonzero rank anyway).
     """
 
-    term_index: int
-    rank: int
-    degree: int | None = None
+    __slots__ = ("term_index", "rank", "degree")
 
-    def __post_init__(self):
-        fields = [("term index", self.term_index), ("rank", self.rank)]
-        if self.degree is not None:
-            fields.append(("degree", self.degree))
+    def __init__(self, term_index: int, rank: int, degree: int | None = None):
+        fields = [("term index", term_index), ("rank", rank)]
+        if degree is not None:
+            fields.append(("degree", degree))
         for field, value in fields:
             # type(...) is int: bool is an int subclass and must not pass
             if type(value) is not int:
                 raise ValueError(f"pin {field} must be an integer, got {value!r}")
-        if self.rank < 0:
-            raise ValueError(f"pin rank must be nonnegative, got {self.rank}")
+        if rank < 0:
+            raise ValueError(f"pin rank must be nonnegative, got {rank}")
+        _set(self, "term_index", term_index)
+        _set(self, "rank", rank)
+        _set(self, "degree", degree)
 
     @classmethod
     def from_json_obj(cls, obj: dict, n_terms: int) -> "RankPin":

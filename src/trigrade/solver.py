@@ -55,13 +55,11 @@ max(r, pin - others_hi) = r and min(r, pin - others_lo) = r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .checks import VerificationReport, Violation
 from .sequences import (RankPin, SequenceTemplate, _check_instance, _check_term_index,
                         _lanes, _pin_positions, _read_positions, check_sequence)
 from .spaces import FIBRATION_KINDS, SpaceDescriptor
-from .tables import Quad, TriFilteredTable
+from .tables import Quad, Record, TriFilteredTable
 
 # interval [lo, hi]; hi None means unbounded above
 Interval = tuple[int, int | None]
@@ -89,8 +87,7 @@ def support_box(space: SpaceDescriptor, degree: int | None = None) -> set[Quad]:
     return box
 
 
-@dataclass
-class SolveResult:
+class SolveResult(Record):
     """Outcome of solve_unknown.
 
     ``table`` holds every determined cell (None after a contradiction);
@@ -101,11 +98,16 @@ class SolveResult:
     confirms the fixpoint.
     """
 
-    table: TriFilteredTable | None
-    determined: bool
-    underdetermined: list[tuple[Quad, int, int | None]]
-    report: VerificationReport
-    iterations: int
+    __slots__ = ("table", "determined", "underdetermined", "report", "iterations")
+
+    def __init__(self, table: TriFilteredTable | None, determined: bool,
+                 underdetermined: list[tuple[Quad, int, int | None]],
+                 report: VerificationReport, iterations: int):
+        self.table = table
+        self.determined = determined
+        self.underdetermined = underdetermined
+        self.report = report
+        self.iterations = iterations
 
 
 def _parse_unknown(unknown) -> tuple[str, int | None]:

@@ -8,20 +8,65 @@ as a finite map from index quadruples (k, l, q, p) to positive integers.  A
 quadruple absent from the map means the graded piece is zero; zero is never
 stored.  Everything downstream (validation, exactness checking, solving)
 consumes these tables.
+
+This lowest module also holds Record and Frozen, the bases of the value
+classes.  Those are written by hand, since @dataclass compiles each class's
+methods with exec at every import, a cost every CLI process would pay.  The
+bases derive ==, hash, repr, copying and (Frozen) the refusal to assign or
+delete from __slots__, as @dataclass did; each __init__ validates and sets.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .spaces import SpaceDescriptor
+if TYPE_CHECKING:
+    from .spaces import SpaceDescriptor
 
 Quad = tuple[int, int, int, int]
 
+_set = object.__setattr__  # how a Frozen __init__ sets its fields
 
-@dataclass(frozen=True)
-class TriFilteredTable:
+
+class Record:
+    """Value semantics over __slots__: equal when of one class with equal
+    fields, unhashable, repr ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Frozen(Record):
+    """A Record whose fields cannot be assigned or deleted, hashed by them."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TriFilteredTable(Frozen):
     """Finite support map (k, l, q, p) -> dim > 0 for one space.
 
     Construction normalizes the entries: zeros are dropped, and negative or
@@ -31,12 +76,11 @@ class TriFilteredTable:
     reports, not an input error.
     """
 
-    space: SpaceDescriptor
-    entries: dict[Quad, int] = field(default_factory=dict)
+    __slots__ = ("space", "entries")
 
-    def __post_init__(self):
+    def __init__(self, space: SpaceDescriptor, entries: dict[Quad, int] | None = None):
         clean = {}
-        for quad, dim in self.entries.items():
+        for quad, dim in ({} if entries is None else entries).items():
             # type(...) is int: bool is an int subclass and must not pass
             if len(quad) != 4 or not all(type(i) is int for i in quad):
                 raise ValueError(f"bad index quadruple {quad!r}")
@@ -46,7 +90,8 @@ class TriFilteredTable:
                 raise ValueError(f"negative dimension {dim} at {quad}")
             if dim > 0:
                 clean[tuple(quad)] = dim
-        object.__setattr__(self, "entries", clean)
+        _set(self, "space", space)
+        _set(self, "entries", clean)
 
     def dim(self, k: int, l: int, q: int, p: int) -> int:
         return self.entries.get((k, l, q, p), 0)
@@ -82,6 +127,8 @@ class TriFilteredTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TriFilteredTable":
+        from .spaces import SpaceDescriptor
+
         try:
             space = SpaceDescriptor.parse_tag(obj["space"], obj["n"], obj.get("m"))
             entries = {}

@@ -46,16 +46,59 @@ def test_import_cli_loads_no_engine_and_no_third_party_module():
     assert not outside
 
 
+def _inline_instances(tmp_path) -> tuple[str, str]:
+    """A loc2 instance to check and a loc1 -U instance to solve, both with
+    their tables inline rather than named by family spec."""
+    from trigrade import family_tables, parse_family, tables_to_json_obj
+
+    tables = family_tables(parse_family("k3-finite:g=3"))
+    known = tables_to_json_obj({t: tab for t, tab in tables.items() if t != "U"})
+    paths = []
+    for name, obj in [("check", {"template": "loc2", "tables": [tables_to_json_obj(tables)]}),
+                      ("solve", {"template": "loc1", "unknown": "U", "tables": [known]})]:
+        paths.append(str(tmp_path / f"{name}.json"))
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    return paths[0], paths[1]
+
+
 @pytest.mark.parametrize("args, absent", [
     (["generate", "k3-elliptic:r=2"],
+     {"trigrade.sequences", "trigrade.solver", "trigrade.mirror", "trigrade.dualcomplex",
+      "trigrade.render"}),
+    (["generate", "k3-elliptic:r=2", "--format", "grid"],
      {"trigrade.sequences", "trigrade.solver", "trigrade.mirror", "trigrade.dualcomplex"}),
+    (["check", "{check}"],
+     {"trigrade.catalog", "trigrade.solver", "trigrade.mirror", "trigrade.dualcomplex",
+      "trigrade.render"}),
+    (["solve", "{solve}"],
+     {"trigrade.catalog", "trigrade.mirror", "trigrade.dualcomplex", "trigrade.render"}),
     (["basechange", "--topology", "chain", "--components", "3", "--mu", "2"],
-     {"trigrade.sequences", "trigrade.solver", "trigrade.mirror", "trigrade.render"}),
-], ids=["generate", "basechange"])
-def test_subcommand_loads_only_what_it_runs(args, absent):
+     {"trigrade.sequences", "trigrade.solver", "trigrade.mirror", "trigrade.render",
+      "trigrade.spaces", "trigrade.catalog", "trigrade.checks", "dataclasses"}),
+], ids=["generate", "generate-grid", "check-inline", "solve-inline", "basechange"])
+def test_subcommand_loads_only_what_it_runs(args, absent, tmp_path):
+    check, solve = _inline_instances(tmp_path)
+    args = [a.format(check=check, solve=solve) for a in args]
     loaded = _loaded_by(
-        f"from trigrade.cli import main\nmain({args!r})\nsys.stdout.write('\\n')")
+        "from trigrade.cli import main\n"
+        f"try:\n    main({args!r})\nexcept SystemExit as exc:\n    assert exc.code == 0\n"
+        "sys.stdout.write('\\n')")
+    assert "trigrade.cli" in loaded
     assert not loaded & absent
+
+
+def test_only_space_descriptor_is_a_dataclass():
+    """The value classes are written by hand, so importing them runs no
+    dataclass code generation; SpaceDescriptor is the one exception."""
+    found = _run(
+        "import importlib, inspect, json, trigrade\n"
+        "names = []\n"
+        "for module in trigrade._EXPORTS:\n"
+        "    mod = importlib.import_module('trigrade.' + module)\n"
+        "    names += [f'{module}.{n}' for n, c in vars(mod).items() if inspect.isclass(c)\n"
+        "              and c.__module__ == mod.__name__ and hasattr(c, '__dataclass_fields__')]\n"
+        "print(json.dumps(sorted(names)))")
+    assert found == ["spaces.SpaceDescriptor"]
 
 
 def test_every_public_name_resolves():
