@@ -31,7 +31,8 @@ _set = object.__setattr__  # how a Frozen __init__ sets its fields
 
 class Record:
     """Value semantics over __slots__: equal when of one class with equal
-    fields, unhashable, repr ``Name(field=value, ...)``."""
+    fields, unhashable, repr ``Name(field=value, ...)``, and copied or
+    pickled by calling the class on the field values again."""
 
     __slots__ = ()
 

@@ -46,19 +46,20 @@ def test_import_cli_loads_no_engine_and_no_third_party_module():
     assert not outside
 
 
-def _inline_instances(tmp_path) -> tuple[str, str]:
-    """A loc2 instance to check and a loc1 -U instance to solve, both with
-    their tables inline rather than named by family spec."""
+def _inline_instances(tmp_path) -> dict[str, str]:
+    """Paths of a loc2 instance to check and a loc1 -U instance to solve,
+    both with their tables inline rather than named by family spec."""
     from trigrade import family_tables, parse_family, tables_to_json_obj
 
     tables = family_tables(parse_family("k3-finite:g=3"))
     known = tables_to_json_obj({t: tab for t, tab in tables.items() if t != "U"})
-    paths = []
-    for name, obj in [("check", {"template": "loc2", "tables": [tables_to_json_obj(tables)]}),
-                      ("solve", {"template": "loc1", "unknown": "U", "tables": [known]})]:
-        paths.append(str(tmp_path / f"{name}.json"))
-        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
-    return paths[0], paths[1]
+    paths = {}
+    for name, obj in {"check": {"template": "loc2", "tables": [tables_to_json_obj(tables)]},
+                      "solve": {"template": "loc1", "unknown": "U", "tables": [known]}}.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    return paths
 
 
 @pytest.mark.parametrize("args, absent", [
@@ -77,8 +78,8 @@ def _inline_instances(tmp_path) -> tuple[str, str]:
       "trigrade.spaces", "trigrade.catalog", "trigrade.checks", "dataclasses"}),
 ], ids=["generate", "generate-grid", "check-inline", "solve-inline", "basechange"])
 def test_subcommand_loads_only_what_it_runs(args, absent, tmp_path):
-    check, solve = _inline_instances(tmp_path)
-    args = [a.format(check=check, solve=solve) for a in args]
+    paths = _inline_instances(tmp_path)
+    args = [a.format(**paths) for a in args]
     loaded = _loaded_by(
         "from trigrade.cli import main\n"
         f"try:\n    main({args!r})\nexcept SystemExit as exc:\n    assert exc.code == 0\n"
