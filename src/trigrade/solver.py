@@ -133,6 +133,208 @@ def _infer_descriptor(tag: str, known: dict[str, TriFilteredTable]) -> SpaceDesc
     return SpaceDescriptor.parse_tag(tag, n, m)
 
 
+def _assemble(template: SequenceTemplate, sources: dict, tag: str, box: set[Quad],
+              pins: list[RankPin]) -> tuple:
+    """The lane system: lanes[i] = (key, first cycle, cells) in key order, a
+    cell being a known dimension or an unknown's quadruple; readers (each
+    cell's lanes), repeats (lanes reading a cell twice), single[i] (lane i's
+    one unknown position: -1 if none, None if more) and pin_occ (for each
+    pin, the (lane, boundary rank) pairs it sums)."""
+    lane_map = _lanes(template, sources)
+    keys = sorted(lane_map)
+    lanes = [(key, *lane_map[key]) for key in keys]
+    index = {key: li for li, key in enumerate(keys)}
+    readers: dict[Quad, list[int]] = {quad: [] for quad in box}
+    repeats = [False] * len(lanes)
+    single: list[int | None] = [-1] * len(lanes)
+    for quad, key, pos in _read_positions(template, lane_map, tag, box):
+        li = index[key]
+        if li in readers[quad]:
+            repeats[li] = True
+        else:
+            readers[quad].append(li)
+        single[li] = pos if single[li] == -1 else None
+
+    # Chain positions whose outgoing rank each pin sums: the rank out of
+    # position j is the lane's boundary rank j + 1.
+    pin_occ = [[(li, j + 1) for li, (_key, c_lo, cells) in enumerate(lanes)
+                for j in _pin_positions(template, pin.term_index, pin.degree,
+                                        c_lo, len(cells))]
+               for pin in pins]
+    return lanes, readers, repeats, single, pin_occ
+
+
+def _propagate(system: tuple, pins: list[RankPin],
+               intervals: dict[Quad, Interval]) -> tuple[int, tuple | None]:
+    """Run the worklist of the module docstring over _assemble's system,
+    tightening ``intervals`` in place: (rounds, None), or (rounds, (lane key,
+    position, detail)) for a contradiction."""
+    lanes, readers, repeats, single, pin_occ = system
+    caps: list[dict[int, Interval]] = [{} for _ in lanes]
+    # boundary[li] = (lo, hi) lists of the lane's connecting ranks at its
+    # last visit; the pin step reads them.
+    boundary: list[tuple[list, list] | None] = [None] * len(lanes)
+    dirty = [True] * len(lanes)
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > 10000:
+            raise ValueError("interval propagation did not converge within 10000 rounds")
+        changed = False
+        requeue: set[int] = set()  # lanes to visit next round
+
+        for li, (key, _c_lo, cells) in enumerate(lanes):
+            if not dirty[li]:
+                continue
+            dirty[li] = False
+            n_pos = len(cells)
+            moved = None  # the cells this visit tightened, once a step has run
+            pos = single[li]
+            if pos is not None:
+                # the closed form (module docstring), else the interval passes
+                ranks = [0] * (n_pos + 1)
+                r = s = 0
+                end = n_pos if pos < 0 else pos
+                for i in range(end):
+                    r = cells[i] - r
+                    if r < 0:
+                        break
+                    ranks[i + 1] = r
+                for i in range(n_pos - 1, end, -1):
+                    s = cells[i] - s
+                    if s < 0:
+                        break
+                    ranks[i] = s
+                # a lane reading no unknown closes: r + s is forced to 0
+                lo, hi = intervals[cells[pos]] if pos >= 0 else (0, 0)
+                if r >= 0 and s >= 0 and lo <= r + s and (hi is None or r + s <= hi):
+                    boundary[li] = (ranks, ranks)
+                    moved = [] if lo == hi else [cells[pos]]
+                    if moved:
+                        intervals[cells[pos]] = (r + s, r + s)
+            if moved is None:
+                moved = []
+                lane_caps = caps[li]
+                # Interval arithmetic on local lo/hi ints; hi None is unbounded.
+                # Forward: F[i+1] = (d_i - F[i]) clamped to [0, inf), then capped.
+                d_lo = [0] * n_pos
+                d_hi: list = [0] * n_pos
+                F_lo = [0] * (n_pos + 1)
+                F_hi: list = [0] * (n_pos + 1)
+                f_lo = f_hi = 0
+                for i in range(n_pos):
+                    cell = cells[i]
+                    if cell.__class__ is tuple:
+                        lo, hi = intervals[cell]
+                    else:
+                        lo = hi = cell
+                    d_lo[i] = lo
+                    d_hi[i] = hi
+                    if f_hi is not None:
+                        lo = lo - f_hi if lo > f_hi else 0
+                    else:
+                        lo = 0
+                    if hi is not None:
+                        hi -= f_lo
+                    if lane_caps:
+                        cap = lane_caps.get(i + 1)
+                        if cap is not None:
+                            if cap[0] > lo:
+                                lo = cap[0]
+                            if cap[1] is not None and (hi is None or cap[1] < hi):
+                                hi = cap[1]
+                    if hi is not None and lo > hi:
+                        return rounds, (key, i, "rank forced negative or above its pin")
+                    F_lo[i + 1] = f_lo = lo
+                    F_hi[i + 1] = f_hi = hi
+                # Backward: the chain closes with rank 0, which F[n] allows iff
+                # its lower end is 0 (ranks are never negative); then
+                # R[i] = F[i] meet (d_i - R[i+1]).
+                if f_lo > 0:
+                    return rounds, (key, n_pos - 1, "chain cannot close")
+                R_lo = [0] * (n_pos + 1)
+                R_hi: list = [0] * (n_pos + 1)
+                r_lo = r_hi = 0
+                for i in range(n_pos - 1, -1, -1):
+                    lo, hi = d_lo[i], d_hi[i]
+                    if r_hi is not None:
+                        lo = lo - r_hi if lo > r_hi else 0
+                    else:
+                        lo = 0
+                    if hi is not None:
+                        hi -= r_lo
+                    if F_lo[i] > lo:
+                        lo = F_lo[i]
+                    f_hi = F_hi[i]
+                    if f_hi is not None and (hi is None or f_hi < hi):
+                        hi = f_hi
+                    if hi is not None and lo > hi:
+                        return rounds, (key, i, "forward and backward ranks incompatible")
+                    R_lo[i] = r_lo = lo
+                    R_hi[i] = r_hi = hi
+                boundary[li] = (R_lo, R_hi)
+                # Each cell meets R[i] + R[i+1].
+                for i in range(n_pos):
+                    cell = cells[i]
+                    if cell.__class__ is not tuple:
+                        continue
+                    cur = intervals[cell]
+                    lo = R_lo[i] + R_lo[i + 1]
+                    if cur[0] > lo:
+                        lo = cur[0]
+                    hi = R_hi[i]
+                    if hi is not None:
+                        hi = None if R_hi[i + 1] is None else hi + R_hi[i + 1]
+                    if cur[1] is not None and (hi is None or cur[1] < hi):
+                        hi = cur[1]
+                    if hi is not None and lo > hi:
+                        return rounds, (key, i, f"cell {cell} has no feasible dimension")
+                    if lo != cur[0] or hi != cur[1]:
+                        intervals[cell] = (lo, hi)
+                        moved.append(cell)
+            if moved:
+                changed = True
+                if repeats[li]:
+                    requeue.add(li)
+                # queue the other readers: later ones this round, earlier ones next
+                for cell in moved:
+                    for lj in readers[cell]:
+                        if lj > li:
+                            dirty[lj] = True
+                        elif lj < li:
+                            requeue.add(lj)
+
+        for pin, occ in zip(pins, pin_occ):
+            ivs = [(boundary[li][0][j], boundary[li][1][j]) for li, j in occ]
+            lo_sum = sum(lo for lo, _hi in ivs)
+            his = [hi for _lo, hi in ivs if hi is not None]
+            bounded_hi, unbounded = sum(his), len(ivs) - len(his)
+            hi_sum = None if unbounded else bounded_hi
+            if pin.rank < lo_sum or (hi_sum is not None and pin.rank > hi_sum):
+                return rounds, (("*",) * 4 if not occ else lanes[occ[0][0]][0], None,
+                                f"pinned rank {pin.rank} outside reachable "
+                                f"[{lo_sum}, {hi_sum}]")
+            # Cap each occurrence by the pin less the other occurrences: their
+            # sums are the pin's sums less this occurrence's own bounds.
+            for (li, j), (lo, hi) in zip(occ, ivs):
+                others_lo = lo_sum - lo
+                if unbounded == (hi is None):  # the others are all bounded above
+                    lo = max(lo, pin.rank - (bounded_hi - (hi or 0)))
+                hi = pin.rank - others_lo if hi is None else min(hi, pin.rank - others_lo)
+                prev = caps[li].get(j)
+                if prev is not None:
+                    lo, hi = max(prev[0], lo), min(prev[1], hi)
+                if (lo, hi) != prev:
+                    caps[li][j] = (lo, hi)
+                    requeue.add(li)
+                    changed = True
+
+        if not changed:
+            return rounds, None
+        for li in requeue:
+            dirty[li] = True
+
+
 def solve_unknown(template: SequenceTemplate,
                   tables: dict[str, TriFilteredTable],
                   unknown,
@@ -159,218 +361,23 @@ def solve_unknown(template: SequenceTemplate,
     space = stored.space if stored is not None else _infer_descriptor(tag, known)
     box = support_box(space, degree)
 
-    # -- assemble the lane system -----------------------------------------
     # The lanes are those of the instance with the unknown table read
     # through an overlay: a cell of the box reads as its own quadruple, and
-    # for a degree solve the table's other degrees are known data.  A cell
-    # is thus a known dimension, or the quadruple of an unknown one.
+    # for a degree solve the table's other degrees are known data.
     other_degrees = {} if degree is None else {
         quad: d for quad, d in stored.entries.items() if quad[0] != degree}
     sources = {s: known[s].entries for s in template.spaces() if s != tag}
     sources[tag] = {**other_degrees, **{quad: quad for quad in box}}
-    # lanes[i] = (key, first cycle, cells) in key order.  Walking the box
-    # gives readers (each cell's lanes), repeats (lanes reading a cell twice)
-    # and single[i], lane i's one unknown position: -1 if none, None if more.
-    lane_map = _lanes(template, sources)
-    keys = sorted(lane_map)
-    lanes = [(key, *lane_map[key]) for key in keys]
-    index = {key: li for li, key in enumerate(keys)}
-    readers: dict[Quad, list[int]] = {quad: [] for quad in box}
-    repeats = [False] * len(lanes)
-    single: list[int | None] = [-1] * len(lanes)
-    for quad, key, pos in _read_positions(template, lane_map, tag, box):
-        li = index[key]
-        if li in readers[quad]:
-            repeats[li] = True
-        else:
-            readers[quad].append(li)
-        single[li] = pos if single[li] == -1 else None
-
-    # Chain positions whose outgoing rank each pin sums: the rank out of
-    # position j is the lane's boundary rank j + 1.
-    pin_occ = [[(li, j + 1) for li, (_key, c_lo, cells) in enumerate(lanes)
-                for j in _pin_positions(template, pin.term_index, pin.degree,
-                                        c_lo, len(cells))]
-               for pin in pins]
-
-    # -- propagate to a fixpoint ------------------------------------------
     intervals: dict[Quad, Interval] = {quad: (0, None) for quad in box}
-    caps: list[dict[int, Interval]] = [{} for _ in lanes]
-    # boundary[li] = (lo, hi) lists of the lane's connecting ranks at its
-    # last visit; the pin step reads them.
-    boundary: list[tuple[list, list] | None] = [None] * len(lanes)
-
-    def fail(lane_key, position, detail) -> SolveResult:
-        res, l, q, p = lane_key
-        rep = VerificationReport()
-        rep.add(Violation(
-            f"solve contradiction: {detail} "
-            f"(lane (l={l}, q={q}, p={p}) residue {res})",
-            lane=(l, q, p), position=position))
+    iterations, failure = _propagate(_assemble(template, sources, tag, box, pins),
+                                     pins, intervals)
+    if failure is not None:
+        (res, l, q, p), position, detail = failure
+        rep = VerificationReport([Violation(
+            f"solve contradiction: {detail} (lane (l={l}, q={q}, p={p}) residue {res})",
+            lane=(l, q, p), position=position)])
         return SolveResult(None, False, [], rep, iterations)
 
-    def tighten(li, cell, interval):
-        # queue the other readers: later ones this round, earlier ones next
-        intervals[cell] = interval
-        for lj in readers[cell]:
-            if lj > li:
-                dirty[lj] = True
-            elif lj < li:
-                requeue.add(lj)
-
-    dirty = [True] * len(lanes)
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > 10000:
-            raise ValueError("interval propagation did not converge within 10000 rounds")
-        changed = False
-        requeue: set[int] = set()  # lanes to visit next round
-
-        for li, (key, _c_lo, cells) in enumerate(lanes):
-            if not dirty[li]:
-                continue
-            dirty[li] = False
-            n_pos = len(cells)
-            pos = single[li]
-            if pos is not None:
-                # the closed form (module docstring), else the interval passes
-                ranks = [0] * (n_pos + 1)
-                r = s = 0
-                end = n_pos if pos < 0 else pos
-                for i in range(end):
-                    r = cells[i] - r
-                    if r < 0:
-                        break
-                    ranks[i + 1] = r
-                for i in range(n_pos - 1, end, -1):
-                    s = cells[i] - s
-                    if s < 0:
-                        break
-                    ranks[i] = s
-                # a lane reading no unknown closes: r + s is forced to 0
-                lo, hi = intervals[cells[pos]] if pos >= 0 else (0, 0)
-                if r >= 0 and s >= 0 and lo <= r + s and (hi is None or r + s <= hi):
-                    boundary[li] = (ranks, ranks)
-                    if lo != hi:
-                        tighten(li, cells[pos], (r + s, r + s))
-                        changed = True
-                    continue
-            lane_caps = caps[li]
-            # Interval arithmetic on local lo/hi ints; hi None is unbounded.
-            # Forward: F[i+1] = (d_i - F[i]) clamped to [0, inf), then capped.
-            d_lo = [0] * n_pos
-            d_hi: list = [0] * n_pos
-            F_lo = [0] * (n_pos + 1)
-            F_hi: list = [0] * (n_pos + 1)
-            f_lo = f_hi = 0
-            for i in range(n_pos):
-                cell = cells[i]
-                if cell.__class__ is tuple:
-                    lo, hi = intervals[cell]
-                else:
-                    lo = hi = cell
-                d_lo[i] = lo
-                d_hi[i] = hi
-                if f_hi is not None:
-                    lo = lo - f_hi if lo > f_hi else 0
-                else:
-                    lo = 0
-                if hi is not None:
-                    hi -= f_lo
-                if lane_caps:
-                    cap = lane_caps.get(i + 1)
-                    if cap is not None:
-                        if cap[0] > lo:
-                            lo = cap[0]
-                        if cap[1] is not None and (hi is None or cap[1] < hi):
-                            hi = cap[1]
-                if hi is not None and lo > hi:
-                    return fail(key, i, "rank forced negative or above its pin")
-                F_lo[i + 1] = f_lo = lo
-                F_hi[i + 1] = f_hi = hi
-            # Backward: the chain closes with rank 0, which F[n] allows iff
-            # its lower end is 0 (ranks are never negative); then
-            # R[i] = F[i] meet (d_i - R[i+1]).
-            if f_lo > 0:
-                return fail(key, n_pos - 1, "chain cannot close")
-            R_lo = [0] * (n_pos + 1)
-            R_hi: list = [0] * (n_pos + 1)
-            r_lo = r_hi = 0
-            for i in range(n_pos - 1, -1, -1):
-                lo, hi = d_lo[i], d_hi[i]
-                if r_hi is not None:
-                    lo = lo - r_hi if lo > r_hi else 0
-                else:
-                    lo = 0
-                if hi is not None:
-                    hi -= r_lo
-                if F_lo[i] > lo:
-                    lo = F_lo[i]
-                f_hi = F_hi[i]
-                if f_hi is not None and (hi is None or f_hi < hi):
-                    hi = f_hi
-                if hi is not None and lo > hi:
-                    return fail(key, i, "forward and backward ranks incompatible")
-                R_lo[i] = r_lo = lo
-                R_hi[i] = r_hi = hi
-            boundary[li] = (R_lo, R_hi)
-            # Each cell meets R[i] + R[i+1].
-            tightened = False
-            for i in range(n_pos):
-                cell = cells[i]
-                if cell.__class__ is not tuple:
-                    continue
-                cur = intervals[cell]
-                lo = R_lo[i] + R_lo[i + 1]
-                if cur[0] > lo:
-                    lo = cur[0]
-                hi = R_hi[i]
-                if hi is not None:
-                    hi = None if R_hi[i + 1] is None else hi + R_hi[i + 1]
-                if cur[1] is not None and (hi is None or cur[1] < hi):
-                    hi = cur[1]
-                if hi is not None and lo > hi:
-                    return fail(key, i, f"cell {cell} has no feasible dimension")
-                if lo != cur[0] or hi != cur[1]:
-                    tighten(li, cell, (lo, hi))
-                    tightened = True
-            if tightened:
-                changed = True
-                if repeats[li]:
-                    requeue.add(li)
-
-        for pin, occ in zip(pins, pin_occ):
-            ivs = [(boundary[li][0][j], boundary[li][1][j]) for li, j in occ]
-            lo_sum = sum(lo for lo, _hi in ivs)
-            his = [hi for _lo, hi in ivs if hi is not None]
-            bounded_hi, unbounded = sum(his), len(ivs) - len(his)
-            hi_sum = None if unbounded else bounded_hi
-            if pin.rank < lo_sum or (hi_sum is not None and pin.rank > hi_sum):
-                return fail(("*",) * 4 if not occ else lanes[occ[0][0]][0], None,
-                            f"pinned rank {pin.rank} outside reachable "
-                            f"[{lo_sum}, {hi_sum}]")
-            # Cap each occurrence by the pin less the other occurrences: their
-            # sums are the pin's sums less this occurrence's own bounds.
-            for (li, j), (lo, hi) in zip(occ, ivs):
-                others_lo = lo_sum - lo
-                if unbounded == (hi is None):  # the others are all bounded above
-                    lo = max(lo, pin.rank - (bounded_hi - (hi or 0)))
-                hi = pin.rank - others_lo if hi is None else min(hi, pin.rank - others_lo)
-                prev = caps[li].get(j)
-                if prev is not None:
-                    lo, hi = max(prev[0], lo), min(prev[1], hi)
-                if (lo, hi) != prev:
-                    caps[li][j] = (lo, hi)
-                    requeue.add(li)
-                    changed = True
-
-        if not changed:
-            break
-        for li in requeue:
-            dirty[li] = True
-
-    # -- collect ----------------------------------------------------------
     solved: dict[Quad, int] = {}
     under: list[tuple[Quad, int, int | None]] = []
     for quad in sorted(box):
