@@ -23,9 +23,8 @@ _EXPORTS = {
                 "FiniteSurfaceBase", "TypeII", "TypeIII", "degeneration_tables",
                 "family_spec", "family_tables", "fibration_tables", "parse_family",
                 "phantom_cohomology"),
-    "checks": ("VerificationReport", "Violation", "check_subvariety_constraints",
-               "dualize_in_dimension", "hard_lefschetz_check", "lefschetz_partner",
-               "poincare_verdier_dual", "validate_table"),
+    "checks": ("check_subvariety_constraints", "dualize_in_dimension", "hard_lefschetz_check",
+               "lefschetz_partner", "poincare_verdier_dual", "validate_table"),
     "dualcomplex": ("CHAIN", "SPHERE", "DualComplexData", "base_change",
                     "base_changed_family", "chain_counts", "dual_complex",
                     "type_iii_counts", "veronese"),
@@ -37,8 +36,8 @@ _EXPORTS = {
                   "extract_lanes", "infer_rank"),
     "solver": ("SolveResult", "solve_unknown", "support_box"),
     "spaces": ("DEGENERATION_KINDS", "FIBRATION_KINDS", "SpaceDescriptor"),
-    "tables": ("Quad", "TriFilteredTable", "canonical_json", "tables_from_json_obj",
-               "tables_to_json_obj"),
+    "tables": ("Quad", "TriFilteredTable", "VerificationReport", "Violation", "canonical_json",
+               "tables_from_json_obj", "tables_to_json_obj"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

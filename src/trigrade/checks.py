@@ -10,59 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .tables import Frozen, Quad, Record, TriFilteredTable, _set
-
-
-class Violation(Frozen):
-    """One failed relation.  ``entry`` localizes table checks; ``lane`` and
-    ``position`` localize sequence checks."""
-
-    __slots__ = ("relation", "space", "entry", "lane", "position")
-
-    def __init__(self, relation: str, space: str | None = None, entry: Quad | None = None,
-                 lane: tuple[int, int, int] | None = None, position: int | None = None):
-        _set(self, "relation", relation)
-        _set(self, "space", space)
-        _set(self, "entry", entry)
-        _set(self, "lane", lane)
-        _set(self, "position", position)
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {"relation": self.relation}
-        if self.space is not None:
-            obj["space"] = self.space
-        if self.entry is not None:
-            k, l, q, p = self.entry
-            obj["entry"] = {"k": k, "l": l, "q": q, "p": p}
-        if self.lane is not None:
-            l, q, p = self.lane
-            obj["lane"] = {"l": l, "q": q, "p": p}
-        if self.position is not None:
-            obj["position"] = self.position
-        return obj
-
-
-class VerificationReport(Record):
-    __slots__ = ("violations",)
-
-    def __init__(self, violations: list[Violation] | None = None):
-        self.violations = [] if violations is None else violations
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def add(self, violation: Violation):
-        self.violations.append(violation)
-
-    def extend(self, other: "VerificationReport"):
-        self.violations.extend(other.violations)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "pass": self.passed,
-            "violations": [v.to_json_obj() for v in self.violations],
-        }
+from .tables import Quad, TriFilteredTable, VerificationReport, Violation
 
 
 def validate_table(table: TriFilteredTable) -> VerificationReport:

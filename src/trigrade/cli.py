@@ -23,9 +23,8 @@ import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .checks import VerificationReport
     from .sequences import RankPin, SequenceTemplate
-    from .tables import TriFilteredTable
+    from .tables import TriFilteredTable, VerificationReport
 
 PASS, VIOLATION, INPUT_ERROR = 0, 1, 2
 
@@ -89,8 +88,8 @@ def _read_sequence(obj: dict) -> tuple[SequenceTemplate, dict[str, TriFilteredTa
 
 
 def _check_table_set(tables: dict[str, TriFilteredTable]) -> VerificationReport:
-    from .checks import (VerificationReport, check_subvariety_constraints,
-                         hard_lefschetz_check, validate_table)
+    from .checks import check_subvariety_constraints, hard_lefschetz_check, validate_table
+    from .tables import VerificationReport
 
     rep = VerificationReport()
     for tag in sorted(tables):

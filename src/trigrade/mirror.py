@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from .catalog import (DegenerationFamily, FibrationFamily, degeneration_tables,
                       family_spec, fibration_tables)
-from .checks import VerificationReport, Violation
 from .dualcomplex import base_change, base_changed_family, dual_complex, veronese
 from .spaces import SpaceDescriptor
-from .tables import Frozen, Quad, TriFilteredTable, _set
+from .tables import Frozen, Quad, TriFilteredTable, VerificationReport, Violation, _set
 
 
 def mirror_quad(n: int, quad: Quad) -> Quad:

@@ -22,9 +22,8 @@ fails, for its reason and position.
 
 from __future__ import annotations
 
-from .checks import VerificationReport, Violation
 from .spaces import MAX_N
-from .tables import Frozen, TriFilteredTable, _set
+from .tables import Frozen, TriFilteredTable, VerificationReport, Violation, _set
 
 
 class SequenceTerm(Frozen):

@@ -55,11 +55,10 @@ max(r, pin - others_hi) = r and min(r, pin - others_lo) = r.
 
 from __future__ import annotations
 
-from .checks import VerificationReport, Violation
 from .sequences import (RankPin, SequenceTemplate, _check_instance, _check_term_index,
                         _lanes, _pin_positions, _read_positions, check_sequence)
 from .spaces import FIBRATION_KINDS, SpaceDescriptor
-from .tables import Quad, Record, TriFilteredTable
+from .tables import Quad, Record, TriFilteredTable, VerificationReport, Violation
 
 # interval [lo, hi]; hi None means unbounded above
 Interval = tuple[int, int | None]

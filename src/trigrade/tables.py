@@ -14,6 +14,8 @@ classes.  Those are written by hand, since @dataclass compiles each class's
 methods with exec at every import, a cost every CLI process would pay.  The
 bases derive ==, hash, repr, copying and (Frozen) the refusal to assign or
 delete from __slots__, as @dataclass did; each __init__ validates and sets.
+Violation and VerificationReport, what every check and solve reports, live
+here too, so that reporting loads none of the single-table checks.
 """
 
 from __future__ import annotations
@@ -65,6 +67,58 @@ class Frozen(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Violation(Frozen):
+    """One failed relation.  ``entry`` localizes table checks; ``lane`` and
+    ``position`` localize sequence checks."""
+
+    __slots__ = ("relation", "space", "entry", "lane", "position")
+
+    def __init__(self, relation: str, space: str | None = None, entry: Quad | None = None,
+                 lane: tuple[int, int, int] | None = None, position: int | None = None):
+        _set(self, "relation", relation)
+        _set(self, "space", space)
+        _set(self, "entry", entry)
+        _set(self, "lane", lane)
+        _set(self, "position", position)
+
+    def to_json_obj(self) -> dict:
+        obj: dict = {"relation": self.relation}
+        if self.space is not None:
+            obj["space"] = self.space
+        if self.entry is not None:
+            k, l, q, p = self.entry
+            obj["entry"] = {"k": k, "l": l, "q": q, "p": p}
+        if self.lane is not None:
+            l, q, p = self.lane
+            obj["lane"] = {"l": l, "q": q, "p": p}
+        if self.position is not None:
+            obj["position"] = self.position
+        return obj
+
+
+class VerificationReport(Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: list[Violation] | None = None):
+        self.violations = [] if violations is None else violations
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def add(self, violation: Violation):
+        self.violations.append(violation)
+
+    def extend(self, other: "VerificationReport"):
+        self.violations.extend(other.violations)
+
+    def to_json_obj(self) -> dict:
+        return {
+            "pass": self.passed,
+            "violations": [v.to_json_obj() for v in self.violations],
+        }
 
 
 class TriFilteredTable(Frozen):

@@ -70,9 +70,10 @@ def _inline_instances(tmp_path) -> dict[str, str]:
      {"trigrade.sequences", "trigrade.solver", "trigrade.mirror", "trigrade.dualcomplex"}),
     (["check", "{check}"],
      {"trigrade.catalog", "trigrade.solver", "trigrade.mirror", "trigrade.dualcomplex",
-      "trigrade.render"}),
+      "trigrade.render", "trigrade.checks"}),
     (["solve", "{solve}"],
-     {"trigrade.catalog", "trigrade.mirror", "trigrade.dualcomplex", "trigrade.render"}),
+     {"trigrade.catalog", "trigrade.mirror", "trigrade.dualcomplex", "trigrade.render",
+      "trigrade.checks"}),
     (["basechange", "--topology", "chain", "--components", "3", "--mu", "2"],
      {"trigrade.sequences", "trigrade.solver", "trigrade.mirror", "trigrade.render",
       "trigrade.spaces", "trigrade.catalog", "trigrade.checks", "dataclasses"}),
