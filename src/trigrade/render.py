@@ -40,8 +40,21 @@ def render_tables(tables: dict[str, TriFilteredTable]) -> str:
     return "\n".join(render_table(t) for t in ordered)
 
 
+def _int(tok: str, lineno: int) -> int:
+    """The integer ``tok`` if render_table would write it so: no sign but a
+    minus, no leading zero, no underscore, ASCII digits only."""
+    try:
+        value = int(tok)
+    except ValueError:
+        value = None
+    if value is None or str(value) != tok:
+        raise ValueError(f"line {lineno}: bad integer {tok!r}")
+    return value
+
+
 def parse_grid(text: str) -> dict[str, TriFilteredTable]:
-    """Parse rendered grids back into tables.  ValueError on malformed text."""
+    """Parse rendered grids back into tables.  Only what render_table writes
+    is read; anything else is a ValueError naming the line."""
     tables: dict[str, TriFilteredTable] = {}
     desc: SpaceDescriptor | None = None
     entries: dict[tuple, int] = {}
@@ -71,7 +84,9 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
                 key, _, val = part.partition("=")
                 if key not in ("n", "m") or not val:
                     raise ValueError(f"line {lineno}: bad header field {part!r}")
-                fields[key] = int(val)
+                if key in fields:
+                    raise ValueError(f"line {lineno}: repeated header field {key!r}")
+                fields[key] = _int(val, lineno)
             if "n" not in fields:
                 raise ValueError(f"line {lineno}: table header lacks n")
             desc = SpaceDescriptor.parse_tag(tag, fields["n"], fields.get("m"))
@@ -79,16 +94,15 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
         elif line.startswith("## "):
             if desc is None:
                 raise ValueError(f"line {lineno}: block before any table header")
-            fields = dict(part.partition("=")[::2] for part in line[3:].split())
-            try:
-                k, l = int(fields["k"]), int(fields["l"])
-            except (KeyError, ValueError):
-                raise ValueError(f"line {lineno}: bad block header {line!r}") from None
+            parts = line[3:].split()
+            if len(parts) != 2 or parts[0][:2] != "k=" or parts[1][:2] != "l=":
+                raise ValueError(f"line {lineno}: bad block header {line!r}")
+            k, l = _int(parts[0][2:], lineno), _int(parts[1][2:], lineno)
             qs = []
         elif line.startswith("p\\q"):
             if k is None:
                 raise ValueError(f"line {lineno}: column header outside a block")
-            qs = [int(tok) for tok in line.split()[1:]]
+            qs = [_int(tok, lineno) for tok in line.split()[1:]]
         else:
             if k is None or not qs:
                 raise ValueError(f"line {lineno}: unexpected row {line!r}")
@@ -96,13 +110,13 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
             if len(toks) != len(qs) + 1:
                 raise ValueError(
                     f"line {lineno}: expected {len(qs)} cells, got {len(toks) - 1}")
-            p = int(toks[0])
+            p = _int(toks[0], lineno)
             for q, tok in zip(qs, toks[1:]):
                 if tok == ".":
                     continue
                 key = (k, l, q, p)
                 if key in entries:
                     raise ValueError(f"line {lineno}: duplicate cell {key}")
-                entries[key] = int(tok)
+                entries[key] = _int(tok, lineno)
     flush()
     return tables

@@ -54,6 +54,18 @@ def test_parse_empty_table():
     ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  5  7\n", "expected 1 cells"),
     ("# table Xlim n=2 m=1\n", "m"),
     ("# table Z:01 n=2 m=1\n", "Z:01"),
+    # only the integers render_table writes, and each field once
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  2_0\n", "line 4: bad integer '2_0'"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  01\n", "line 4: bad integer '01'"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  +0\n", "line 4: bad integer '\\+0'"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  +2\n", "line 3: bad integer '\\+2'"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n01  5\n", "line 4: bad integer '01'"),
+    ("# table Xlim n=\u0662\n", "line 1: bad integer"),
+    ("# table Xlim n=2 n=3\n", "line 1: repeated header field 'n'"),
+    ("# table Y n=2 m=1 m=1\n", "line 1: repeated header field 'm'"),
+    ("# table Y n=2 m=1\n## k=0 l=0 k=4\n", "line 2: bad block header"),
+    ("# table Y n=2 m=1\n## l=2 k=2\n", "line 2: bad block header"),
+    ("# table Y n=2 m=1\n## k=02 l=2\n", "line 2: bad integer '02'"),
 ])
 def test_parse_errors(text, match):
     with pytest.raises(ValueError, match=match):
