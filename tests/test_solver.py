@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
 
+import trigrade.solver as solver
 from solver_cases import result_obj, run_case
 from trigrade import (RankPin, SequenceTemplate, SequenceTerm,
                       SpaceDescriptor, TriFilteredTable, builtin_templates,
@@ -36,6 +38,115 @@ def test_solver_reproduces_golden():
     assert max(e["result"]["iterations"] for e in golden) > 2
     for entry in golden:
         assert result_obj(run_case(entry["case"])) == entry["result"], entry["case"]
+
+
+INF = math.inf
+
+
+def _bounds(interval):
+    lo, hi = interval
+    return lo, INF if hi is None else hi
+
+
+def _full_sweep(lanes, pin_occ, pins, intervals):
+    """Reference propagation: every lane every round through the interval
+    passes alone (no closed form), then the pin caps; unbounded is INF.
+    Tightens ``intervals`` and returns what solver._propagate returns."""
+    caps = {}  # (lane, boundary rank) -> (lo, hi)
+    for rounds in range(1, 10001):
+        changed = False
+        ranks = []  # each lane's boundary rank intervals, this round
+        for li, (key, _c_lo, cells) in enumerate(lanes):
+            d = [_bounds(intervals[c]) if isinstance(c, tuple) else (c, c) for c in cells]
+            n = len(d)
+            fwd = [(0, 0)]
+            for i, (d_lo, d_hi) in enumerate(d):
+                c_lo, c_hi = caps.get((li, i + 1), (0, INF))
+                lo = max(d_lo - fwd[i][1], 0, c_lo)
+                hi = min(d_hi - fwd[i][0], c_hi)
+                if lo > hi:
+                    return rounds, (key, i, "rank forced negative or above its pin")
+                fwd.append((lo, hi))
+            if fwd[n][0] > 0:
+                return rounds, (key, n - 1, "chain cannot close")
+            back = [None] * n + [(0, 0)]
+            for i in reversed(range(n)):
+                lo = max(d[i][0] - back[i + 1][1], 0, fwd[i][0])
+                hi = min(d[i][1] - back[i + 1][0], fwd[i][1])
+                if lo > hi:
+                    return rounds, (key, i, "forward and backward ranks incompatible")
+                back[i] = (lo, hi)
+            ranks.append(back)
+            for i, cell in enumerate(cells):
+                if not isinstance(cell, tuple):
+                    continue
+                cur = _bounds(intervals[cell])
+                lo = max(cur[0], back[i][0] + back[i + 1][0])
+                hi = min(cur[1], back[i][1] + back[i + 1][1])
+                if lo > hi:
+                    return rounds, (key, i, f"cell {cell} has no feasible dimension")
+                if (lo, hi) != cur:
+                    intervals[cell] = (lo, None if hi == INF else hi)
+                    changed = True
+        for pin, occ in zip(pins, pin_occ):
+            ivs = [ranks[li][j] for li, j in occ]
+            lo_sum, hi_sum = sum(lo for lo, _ in ivs), sum(hi for _, hi in ivs)
+            if not lo_sum <= pin.rank <= hi_sum:
+                key = lanes[occ[0][0]][0] if occ else ("*",) * 4
+                reach = f"[{lo_sum}, {None if hi_sum == INF else hi_sum}]"
+                return rounds, (key, None, f"pinned rank {pin.rank} outside reachable {reach}")
+            for at, (lo, hi) in zip(occ, ivs):
+                others = [iv for other, iv in zip(occ, ivs) if other != at]
+                cap = (max(lo, pin.rank - sum(o_hi for _, o_hi in others)),
+                       min(hi, pin.rank - sum(o_lo for o_lo, _ in others)))
+                prev = caps.get(at, (-INF, INF))
+                cap = (max(cap[0], prev[0]), min(cap[1], prev[1]))
+                if cap != prev:
+                    caps[at] = cap
+                    changed = True
+        if not changed:
+            return rounds, None
+    raise AssertionError("the full sweep did not converge")
+
+
+def test_worklist_and_closed_form_match_a_full_sweep(monkeypatch):
+    """The solver module docstring's two claims, on every golden case: the
+    worklist gives the full sweep's intervals, contradiction and round count,
+    and the closed form gives what the interval passes give.  The lane
+    system's readers, repeats and one-unknown positions are those of a scan
+    of its cells."""
+    golden = json.loads((Path(__file__).parent / "golden" / "solver_results.json").read_text())
+    assemble, calls = solver._assemble, []
+    monkeypatch.setattr(solver, "_assemble", lambda *args: calls.append(args) or assemble(*args))
+    outcomes = {"contradiction": 0, "pinned": 0}
+    for entry in golden:
+        calls.clear()
+        run_case(entry["case"])
+        (args,) = calls
+        box, pins = args[3], args[4]
+        lanes, readers, repeats, single, pin_occ = system = assemble(*args)
+
+        scan: dict = {quad: set() for quad in box}
+        for li, (_key, _c_lo, cells) in enumerate(lanes):
+            unknown = [i for i, c in enumerate(cells) if isinstance(c, tuple)]
+            for i in unknown:
+                scan[cells[i]].add(li)
+            assert repeats[li] == (len({cells[i] for i in unknown}) < len(unknown))
+            assert single[li] == (-1 if not unknown else unknown[0] if len(unknown) == 1
+                                  else None)
+        assert {quad: sorted(lis) for quad, lis in readers.items()} == \
+            {quad: sorted(lis) for quad, lis in scan.items()}, entry["case"]
+
+        worklist = {quad: (0, None) for quad in box}
+        sweep = dict(worklist)
+        got = solver._propagate(system, pins, worklist)
+        assert got == _full_sweep(lanes, pin_occ, pins, sweep), entry["case"]
+        assert worklist == sweep, entry["case"]
+        assert got[0] == entry["result"]["iterations"]
+        outcomes["contradiction"] += got[1] is not None
+        outcomes["pinned"] += bool(pins)
+    assert len(golden) == 390
+    assert outcomes == {"contradiction": 175, "pinned": 189}
 
 
 ORACLE_FAMILIES = ("k3-elliptic:r=1", "k3-finite:g=2", "k3-typeII:r=1", "k3-typeIII:k=1")
