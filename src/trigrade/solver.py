@@ -19,6 +19,14 @@ interval, so a cell whose interval collapses to a point is genuinely forced
 guessed, and an empty interval means the known tables admit no exact
 completion at all (contradiction, reported with the offending lane).
 
+A solve runs in two steps.  _assemble builds the lane system once: the
+lanes of the instance with the unknown table read through an overlay, the
+lanes reading each cell, the lanes reading a cell twice, each lane's one
+unknown position and the lanes' ranks each pin sums.  _propagate owns all
+that follows, the worklist, the closed form, the interval passes and the
+pin step; it tightens the intervals in place and returns the round count
+and the contradiction, if any, from which solve_unknown builds the report.
+
 Within one lane each unknown cell usually sits at one position, and then
 the lane's relations form a path: one forward/backward pass already gives
 the exact interval projection of every cell and rank of the lane, so a
@@ -33,7 +41,9 @@ it tightens a cell.  Rank pins act after each round on the lanes' last
 boundary ranks, and a lane whose rank cap a pin changes is queued for the
 next round.  This is the order of sweeping every lane every round, minus
 the sweeps that cannot change anything: the intervals, the contradiction
-reported and the round count are those of the full sweep.
+reported and the round count are those of the full sweep.  A test runs
+such a full sweep, with the interval passes alone, beside _propagate on
+every case of the solver golden, and checks this and the closed form below.
 
 Most lanes of a solve read at most one unknown cell, and such a lane takes
 a closed form: the rank recursion r = d_i - r of check_exactness runs from
