@@ -89,7 +89,10 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
                 fields[key] = _int(val, lineno)
             if "n" not in fields:
                 raise ValueError(f"line {lineno}: table header lacks n")
-            desc = SpaceDescriptor.parse_tag(tag, fields["n"], fields.get("m"))
+            try:
+                desc = SpaceDescriptor.parse_tag(tag, fields["n"], fields.get("m"))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             k = l = None
         elif line.startswith("## "):
             if desc is None:
@@ -118,5 +121,7 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
                 if key in entries:
                     raise ValueError(f"line {lineno}: duplicate cell {key}")
                 entries[key] = _int(tok, lineno)
+                if entries[key] <= 0:
+                    raise ValueError(f"line {lineno}: dimension {tok} is not positive")
     flush()
     return tables

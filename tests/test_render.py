@@ -66,6 +66,9 @@ def test_parse_empty_table():
     ("# table Y n=2 m=1\n## k=0 l=0 k=4\n", "line 2: bad block header"),
     ("# table Y n=2 m=1\n## l=2 k=2\n", "line 2: bad block header"),
     ("# table Y n=2 m=1\n## k=02 l=2\n", "line 2: bad integer '02'"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  -5\n", "line 4: dimension -5 is not"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  0\n", "line 4: dimension 0 is not"),
+    ("# table Y n=99 m=1\n", "line 1: dimension n=99"),
 ])
 def test_parse_errors(text, match):
     with pytest.raises(ValueError, match=match):
