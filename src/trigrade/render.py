@@ -64,8 +64,6 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
     def flush():
         nonlocal entries
         if desc is not None:
-            if desc.tag in tables:
-                raise ValueError(f"duplicate table {desc.tag}")
             tables[desc.tag] = TriFilteredTable(desc, entries)
         entries = {}
 
@@ -93,6 +91,8 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
                 desc = SpaceDescriptor.parse_tag(tag, fields["n"], fields.get("m"))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
+            if desc.tag in tables:
+                raise ValueError(f"line {lineno}: duplicate table {desc.tag}")
             k = l = None
         elif line.startswith("## "):
             if desc is None:
@@ -102,7 +102,7 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
                 raise ValueError(f"line {lineno}: bad block header {line!r}")
             k, l = _int(parts[0][2:], lineno), _int(parts[1][2:], lineno)
             qs = []
-        elif line.startswith("p\\q"):
+        elif line.split()[0] == "p\\q":
             if k is None:
                 raise ValueError(f"line {lineno}: column header outside a block")
             qs = [_int(tok, lineno) for tok in line.split()[1:]]

@@ -69,6 +69,8 @@ def test_parse_empty_table():
     ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  -5\n", "line 4: dimension -5 is not"),
     ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  0\n", "line 4: dimension 0 is not"),
     ("# table Y n=99 m=1\n", "line 1: dimension n=99"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\qX  2\n1  5\n", "line 3: unexpected row"),
+    ("# table Y n=2 m=1\n\n# table U n=2 m=1\n# table Y n=2 m=1\n", "line 4: duplicate table Y"),
 ])
 def test_parse_errors(text, match):
     with pytest.raises(ValueError, match=match):
