@@ -20,16 +20,15 @@ __version__ = "0.1.0"
 # The public names, by the module that defines them.
 _EXPORTS = {
     "catalog": ("DegenerationFamily", "EllipticCurveBase", "FibrationFamily",
-                "FiniteSurfaceBase", "TypeII", "TypeIII", "degeneration_tables",
-                "family_spec", "family_tables", "fibration_tables", "parse_family",
-                "phantom_cohomology"),
+                "FiniteSurfaceBase", "TypeII", "TypeIII", "base_changed_family",
+                "degeneration_tables", "dual_complex", "family_spec", "family_tables",
+                "fibration_tables", "parse_family", "phantom_cohomology", "veronese"),
     "checks": ("check_subvariety_constraints", "dualize_in_dimension", "hard_lefschetz_check",
                "lefschetz_partner", "poincare_verdier_dual", "validate_table"),
-    "dualcomplex": ("CHAIN", "SPHERE", "DualComplexData", "base_change",
-                    "base_changed_family", "chain_counts", "dual_complex",
-                    "type_iii_counts", "veronese"),
-    "mirror": ("MirrorPair", "mirror_check", "mirror_quad", "mirror_transform_compact",
-               "mirror_transform_open", "stability_check"),
+    "dualcomplex": ("CHAIN", "SPHERE", "DualComplexData", "base_change", "chain_counts",
+                    "type_iii_counts"),
+    "mirror": ("MirrorPair", "mirror_check", "mirror_quad", "mirror_transform",
+               "stability_check"),
     "render": ("parse_grid", "render_table", "render_tables"),
     "sequences": ("FeasibilityResult", "Lane", "LaneEntry", "RankPin", "SequenceTemplate",
                   "SequenceTerm", "builtin_templates", "check_exactness", "check_sequence",

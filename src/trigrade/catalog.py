@@ -17,6 +17,9 @@ Two one-parameter degeneration families of K3 surfaces:
   anticanonical cycles, dual complex a sphere with 2k triangles
   (nilpotency index 3).
 
+Base change of the families lives here too (veronese, base_changed_family,
+dual_complex); dualcomplex.py holds only the counts.
+
 The compact-support tables of U and the supported-on-the-central-fibre
 tables are not stored; they are forced by duality and derived here, which
 the test suite cross-checks against independently transcribed values.
@@ -73,6 +76,43 @@ class TypeIII(_Family):
 
 FibrationFamily = EllipticCurveBase | FiniteSurfaceBase
 DegenerationFamily = TypeII | TypeIII
+
+
+def veronese(f: FibrationFamily, mu: int) -> FibrationFamily:
+    """Re-embed the base so the linear section scales: r fibres become
+    mu*r; a genus g = k+1 curve becomes genus mu^2*k + 1."""
+    if mu < 1:
+        raise ValueError(f"need mu >= 1, got {mu}")
+    if isinstance(f, EllipticCurveBase):
+        return EllipticCurveBase(mu * f.r)
+    if isinstance(f, FiniteSurfaceBase):
+        return FiniteSurfaceBase(mu * mu * (f.g - 1) + 1)
+    raise ValueError(f"not a fibration family: {f!r}")
+
+
+def dual_complex(d: DegenerationFamily):
+    """The central fibre's DualComplexData: a chain of r+1 components for
+    TypeII(r), the 2k-triangle sphere for TypeIII(k)."""
+    from .dualcomplex import chain_counts, type_iii_counts
+
+    if isinstance(d, TypeII):
+        return chain_counts(d.r + 1)
+    if isinstance(d, TypeIII):
+        return type_iii_counts(2 * d.k)
+    raise ValueError(f"not a degeneration family: {d!r}")
+
+
+def base_changed_family(d: DegenerationFamily, mu: int) -> DegenerationFamily:
+    """The degeneration family after a mu-fold base change, so that its
+    dual complex matches base_change of the original's."""
+    if mu < 1:
+        raise ValueError(f"need mu >= 1, got {mu}")
+    if isinstance(d, TypeII):
+        return TypeII(mu * d.r)
+    if isinstance(d, TypeIII):
+        return TypeIII(mu * mu * d.k)
+    raise ValueError(f"not a degeneration family: {d!r}")
+
 
 _SPEC_FORMS = {
     ("k3-elliptic", "r"): EllipticCurveBase,

@@ -1,21 +1,18 @@
-"""Dual-complex counting for normal-crossings central fibres, and the
-arithmetic of base change and Veronese re-embedding.
+"""Dual-complex counts for normal-crossings central fibres, and their
+arithmetic under base change.
 
 Only the two shapes that occur for K3 degenerations are modeled: a chain
 (no triple points) and a triangulated sphere.  Base change by mu inserts
 (mu-1) new components along every double curve and (mu-1)(mu-2)/2 at every
 triple point; the edge and face counts are then recovered from the shape's
-identities rather than tracked stratum by stratum.
+identities rather than tracked stratum by stratum.  This module holds the
+counts only; the families, their base change and their dual complexes live
+in the catalog.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .tables import Frozen, _set
-
-if TYPE_CHECKING:
-    from .catalog import DegenerationFamily, FibrationFamily
 
 CHAIN = "chain"
 SPHERE = "sphere"
@@ -81,43 +78,3 @@ def base_change(d: DualComplexData, mu: int) -> DualComplexData:
     if d.topology == CHAIN:
         return chain_counts(v)
     return DualComplexData(v, 3 * (v - 2), 2 * (v - 2), SPHERE)
-
-
-def veronese(f: FibrationFamily, mu: int) -> FibrationFamily:
-    """Re-embed the base so the linear section scales: r fibres become
-    mu*r; a genus g = k+1 curve becomes genus mu^2*k + 1."""
-    from .catalog import EllipticCurveBase, FiniteSurfaceBase
-
-    if mu < 1:
-        raise ValueError(f"need mu >= 1, got {mu}")
-    if isinstance(f, EllipticCurveBase):
-        return EllipticCurveBase(mu * f.r)
-    if isinstance(f, FiniteSurfaceBase):
-        return FiniteSurfaceBase(mu * mu * (f.g - 1) + 1)
-    raise ValueError(f"not a fibration family: {f!r}")
-
-
-def dual_complex(d: DegenerationFamily) -> DualComplexData:
-    """The central fibre's dual complex: a chain of r+1 components for
-    TypeII(r), the 2k-triangle sphere for TypeIII(k)."""
-    from .catalog import TypeII, TypeIII
-
-    if isinstance(d, TypeII):
-        return chain_counts(d.r + 1)
-    if isinstance(d, TypeIII):
-        return type_iii_counts(2 * d.k)
-    raise ValueError(f"not a degeneration family: {d!r}")
-
-
-def base_changed_family(d: DegenerationFamily, mu: int) -> DegenerationFamily:
-    """The degeneration family after a mu-fold base change, so that its
-    dual complex matches base_change of the original's."""
-    from .catalog import TypeII, TypeIII
-
-    if mu < 1:
-        raise ValueError(f"need mu >= 1, got {mu}")
-    if isinstance(d, TypeII):
-        return TypeII(mu * d.r)
-    if isinstance(d, TypeIII):
-        return TypeIII(mu * mu * d.k)
-    raise ValueError(f"not a degeneration family: {d!r}")

@@ -6,20 +6,20 @@ Hodge index:
 
     (k, l, q, p)  on the fibration side
         corresponds to
-    (n+k-2p, n+q-2p, n+l-2p, n-p)  on the degeneration side,
+    (n+k-2p, n+q-2p, n+l-2p, n-p)  on the degeneration side.
 
-with the compact space Y matching the limit table and the compact-support
-table of U matching the total space's, the latter with the perverse index
-raised by one because the total space has dimension n+1.  Applying the map
-twice gives back the original quadruple, so the correspondence is an
-involution.
+The map is an involution.  The tables it matches are written once, in
+_MATCHES: the compact space Y matches the limit table Xlim, and the
+compact-support table Uc of U matches the total space's, the latter with
+the perverse index raised by one because the total space has dimension n+1.
 """
 
 from __future__ import annotations
 
-from .catalog import (DegenerationFamily, FibrationFamily, degeneration_tables,
-                      family_spec, fibration_tables)
-from .dualcomplex import base_change, base_changed_family, dual_complex, veronese
+from .catalog import (DegenerationFamily, FibrationFamily, base_changed_family,
+                      degeneration_tables, dual_complex, family_spec, fibration_tables,
+                      veronese)
+from .dualcomplex import base_change
 from .spaces import SpaceDescriptor
 from .tables import Frozen, Quad, TriFilteredTable, VerificationReport, Violation, _set
 
@@ -29,34 +29,32 @@ def mirror_quad(n: int, quad: Quad) -> Quad:
     return (n + k - 2 * p, n + q - 2 * p, n + l - 2 * p, n - p)
 
 
-def _mirror_transform(table: TriFilteredTable, source: str, target: str,
-                      lane_shift: int) -> TriFilteredTable:
-    """mirror_quad with the perverse slot raised by ``lane_shift``."""
-    if table.space.kind != source:
-        raise ValueError(f"expected a {source} table, got {table.space.tag}")
+# fibration-side tag -> (degeneration-side tag, (k, l, q, p) shift added
+# after mirror_quad); mirror_check reports the matches in this order
+_MATCHES = {"Y": ("Xlim", (0, 0, 0, 0)), "Uc": ("Total", (0, 1, 0, 0))}
+
+
+def mirror_transform(table: TriFilteredTable) -> TriFilteredTable:
+    """Reindex a fibration-side table as the table its mirror partner should
+    have: mirror_quad, then the shift of its match in _MATCHES."""
+    match = _MATCHES.get(table.space.tag)
+    if match is None:
+        raise ValueError(f"no mirror match for a {table.space.tag} table; "
+                         f"expected one of {', '.join(_MATCHES)}")
+    target, (dk, dl, dq, dp) = match
     n = table.space.n
     moved = {}
     for quad, v in table.entries.items():
         k, l, q, p = mirror_quad(n, quad)
-        moved[(k, l + lane_shift, q, p)] = v
+        moved[(k + dk, l + dl, q + dq, p + dp)] = v
     return TriFilteredTable(SpaceDescriptor(target, n), moved)
 
 
-def mirror_transform_compact(table_y: TriFilteredTable) -> TriFilteredTable:
-    """Reindex a Y table as the limit table its mirror partner should have."""
-    return _mirror_transform(table_y, "Y", "Xlim", 0)
-
-
-def mirror_transform_open(table_uc: TriFilteredTable) -> TriFilteredTable:
-    """Reindex a Uc table as the mirror's total-space table: the same index
-    map with the perverse slot raised by one."""
-    return _mirror_transform(table_uc, "Uc", "Total", 1)
-
-
 class MirrorPair(Frozen):
-    """A fibration-side table set {Y, Uc} paired with a degeneration-side
-    {Xlim, Total}, sharing n.  Families are kept when the pair comes from
-    the catalog, so stability under base change can regenerate it."""
+    """A fibration-side table set paired with a degeneration-side one, each
+    holding its side of every match in _MATCHES, sharing n.  Families are
+    kept when the pair comes from the catalog, so stability under base
+    change can regenerate it."""
 
     __slots__ = ("fibration", "degeneration", "fibration_family", "degeneration_family")
 
@@ -64,16 +62,17 @@ class MirrorPair(Frozen):
                  degeneration: dict[str, TriFilteredTable],
                  fibration_family: FibrationFamily | None = None,
                  degeneration_family: DegenerationFamily | None = None):
-        for tag in ("Y", "Uc"):
+        for tag in _MATCHES:
             if tag not in fibration:
                 raise ValueError(f"fibration side lacks {tag}")
-        for tag in ("Xlim", "Total"):
+        for tag, _shift in _MATCHES.values():
             if tag not in degeneration:
                 raise ValueError(f"degeneration side lacks {tag}")
-        if fibration["Y"].space.n != degeneration["Xlim"].space.n:
-            raise ValueError(
-                f"sides disagree on n: {fibration['Y'].space.n} vs "
-                f"{degeneration['Xlim'].space.n}")
+        # the tables of the first match fix n
+        tag, (target, _shift) = next(iter(_MATCHES.items()))
+        fib_n, deg_n = fibration[tag].space.n, degeneration[target].space.n
+        if fib_n != deg_n:
+            raise ValueError(f"sides disagree on n: {fib_n} vs {deg_n}")
         _set(self, "fibration", fibration)
         _set(self, "degeneration", degeneration)
         _set(self, "fibration_family", fibration_family)
@@ -97,13 +96,11 @@ def _compare(transformed: TriFilteredTable, actual: TriFilteredTable,
 
 
 def mirror_check(pair: MirrorPair) -> VerificationReport:
-    """Entrywise comparison of the transformed fibration side against the
-    degeneration side (Y against Xlim, Uc against Total)."""
+    """Entrywise comparison of each transformed fibration-side table against
+    its degeneration-side partner, match by match in _MATCHES order."""
     rep = VerificationReport()
-    _compare(mirror_transform_compact(pair.fibration["Y"]),
-             pair.degeneration["Xlim"], rep)
-    _compare(mirror_transform_open(pair.fibration["Uc"]),
-             pair.degeneration["Total"], rep)
+    for tag, (target, _shift) in _MATCHES.items():
+        _compare(mirror_transform(pair.fibration[tag]), pair.degeneration[target], rep)
     return rep
 
 

@@ -4,8 +4,7 @@ from hypothesis import strategies as st
 
 from trigrade import (EllipticCurveBase, FiniteSurfaceBase, MirrorPair,
                       SpaceDescriptor, TriFilteredTable, TypeII, TypeIII,
-                      family_tables, mirror_check, mirror_quad,
-                      mirror_transform_compact, mirror_transform_open,
+                      family_tables, mirror_check, mirror_quad, mirror_transform,
                       stability_check)
 
 
@@ -24,7 +23,7 @@ def test_index_map_is_an_involution(n, quad):
 
 def test_compact_transform(fixture_sets):
     y = fixture_sets["k3-elliptic:r=2"]["Y"]
-    t = mirror_transform_compact(y)
+    t = mirror_transform(y)
     assert t.space.tag == "Xlim"
     assert t.dim(2, 2, 2, 1) == 18
     assert t.dim(2, 2, 3, 2) == 1  # the image of the H^0 class
@@ -35,18 +34,23 @@ def test_compact_transform(fixture_sets):
 
 def test_open_transform():
     uc = family_tables(EllipticCurveBase(2))["Uc"]
-    t = mirror_transform_open(uc)
+    t = mirror_transform(uc)
     assert t.space.tag == "Total"
     assert t.dim(3, 3, 3, 2) == 1  # from Uc(1,1,0,0), r-1 = 1
     assert t.dim(2, 2, 2, 1) == 2  # from Uc(2,2,1,1), r = 2
 
 
-def test_transform_kind_guards():
-    tables = family_tables(EllipticCurveBase(2))
-    with pytest.raises(ValueError):
-        mirror_transform_compact(tables["U"])
-    with pytest.raises(ValueError):
-        mirror_transform_open(tables["Y"])
+@pytest.mark.parametrize("tag, target", [
+    ("Y", "Xlim"), ("Uc", "Total"), ("U", None), ("Z:1", None),
+    ("Xlim", None), ("Total", None), ("Supported", None)])
+def test_transform_kind_guards(tag, target):
+    """Y and Uc map to their matches; every other kind is refused by name."""
+    tables = {**family_tables(EllipticCurveBase(2)), **family_tables(TypeII(2))}
+    if target is not None:
+        assert mirror_transform(tables[tag]).space.tag == target
+        return
+    with pytest.raises(ValueError, match=f"no mirror match for a {tag} table"):
+        mirror_transform(tables[tag])
 
 
 def test_perverse_raise_is_necessary():
