@@ -39,8 +39,11 @@ class _Family(Frozen):
     LEAST, LABEL = 1, None
 
     def _checked(self, value: int) -> int:
+        (name,) = self.__slots__
+        # type(...) is int: bool is an int subclass and must not pass
+        if type(value) is not int:
+            raise ValueError(f"{self.LABEL or name} must be an integer, got {value!r}")
         if value < self.LEAST:
-            (name,) = self.__slots__
             raise ValueError(f"need {self.LABEL or name} >= {self.LEAST}, got {value}")
         return value
 
@@ -78,11 +81,17 @@ FibrationFamily = EllipticCurveBase | FiniteSurfaceBase
 DegenerationFamily = TypeII | TypeIII
 
 
+def _check_mu(mu: int):
+    if type(mu) is not int:
+        raise ValueError(f"mu must be an integer, got {mu!r}")
+    if mu < 1:
+        raise ValueError(f"need mu >= 1, got {mu}")
+
+
 def veronese(f: FibrationFamily, mu: int) -> FibrationFamily:
     """Re-embed the base so the linear section scales: r fibres become
     mu*r; a genus g = k+1 curve becomes genus mu^2*k + 1."""
-    if mu < 1:
-        raise ValueError(f"need mu >= 1, got {mu}")
+    _check_mu(mu)
     if isinstance(f, EllipticCurveBase):
         return EllipticCurveBase(mu * f.r)
     if isinstance(f, FiniteSurfaceBase):
@@ -105,8 +114,7 @@ def dual_complex(d: DegenerationFamily):
 def base_changed_family(d: DegenerationFamily, mu: int) -> DegenerationFamily:
     """The degeneration family after a mu-fold base change, so that its
     dual complex matches base_change of the original's."""
-    if mu < 1:
-        raise ValueError(f"need mu >= 1, got {mu}")
+    _check_mu(mu)
     if isinstance(d, TypeII):
         return TypeII(mu * d.r)
     if isinstance(d, TypeIII):
@@ -258,8 +266,11 @@ def family_tables(family) -> dict[str, TriFilteredTable]:
 def phantom_cohomology(family: DegenerationFamily, k: int) -> int:
     """dim of the weight-k perverse piece Gr^P_k H^k of the total space:
     the classes killed by restriction to a nearby fibre."""
-    if not 0 <= k <= 4:
-        raise ValueError(f"degree {k} outside [0, 4]")
     total = degeneration_tables(family)["Total"]
+    k_lo, k_hi = total.space.degree_range()
+    if type(k) is not int:
+        raise ValueError(f"degree must be an integer, got {k!r}")
+    if not k_lo <= k <= k_hi:
+        raise ValueError(f"degree {k} outside [{k_lo}, {k_hi}]")
     return sum(v for (kk, l, _q, _p), v in total.entries.items()
                if kk == k and l == k)

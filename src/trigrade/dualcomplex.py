@@ -27,6 +27,9 @@ class DualComplexData(Frozen):
     def __init__(self, components: int, double_curves: int, triple_points: int,
                  topology: str):
         v, e, f = components, double_curves, triple_points
+        # type(...) is int: bool is an int subclass and must not pass
+        if any(type(x) is not int for x in (v, e, f)):
+            raise ValueError(f"counts must be integers, got V={v!r}, E={e!r}, F={f!r}")
         if v < 1 or e < 0 or f < 0:
             raise ValueError("counts out of range")
         if topology == CHAIN:
@@ -71,6 +74,8 @@ def base_change(d: DualComplexData, mu: int) -> DualComplexData:
     from the shape identities (E = V-1 on a chain; Euler 2 and 3F = 2E on
     the sphere).
     """
+    if type(mu) is not int:
+        raise ValueError(f"mu must be an integer, got {mu!r}")
     if mu < 1:
         raise ValueError(f"need mu >= 1, got {mu}")
     v = (d.components + (mu - 1) * d.double_curves

@@ -110,10 +110,8 @@ def stability_check(pair: MirrorPair, mu: int) -> VerificationReport:
     The fibration side is re-embedded (veronese), the degeneration side base
     changed, tables regenerated, and the mirror comparison re-run; the dual
     complex of the new degeneration must also match base_change applied to
-    the old one, component for component.
+    the old one, component for component.  veronese checks mu.
     """
-    if mu < 1:
-        raise ValueError(f"need mu >= 1, got {mu}")
     if pair.fibration_family is None or pair.degeneration_family is None:
         raise ValueError("stability check needs a pair built from catalog families")
     fib2 = veronese(pair.fibration_family, mu)

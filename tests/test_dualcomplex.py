@@ -1,11 +1,13 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from trigrade import (CHAIN, SPHERE, DualComplexData, EllipticCurveBase,
-                      FiniteSurfaceBase, TypeII, TypeIII, base_change,
+                      FiniteSurfaceBase, MirrorPair, TypeII, TypeIII, base_change,
                       base_changed_family, chain_counts, dual_complex,
-                      type_iii_counts, veronese)
+                      phantom_cohomology, stability_check, type_iii_counts, veronese)
 
 
 def test_shape_invariants():
@@ -90,6 +92,20 @@ def test_veronese():
         veronese(EllipticCurveBase(1), 0)
     with pytest.raises(ValueError):
         veronese(TypeII(1), 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: veronese(EllipticCurveBase(2), 1.5), "mu must be an integer, got 1.5"),
+    (lambda: base_changed_family(TypeII(2), True), "mu must be an integer, got True"),
+    (lambda: base_change(chain_counts(3), 2.0), "mu must be an integer, got 2.0"),
+    (lambda: stability_check(MirrorPair.from_families(EllipticCurveBase(2), TypeII(2)), 1.5),
+     "mu must be an integer, got 1.5"),
+    (lambda: phantom_cohomology(TypeII(2), True), "degree must be an integer, got True"),
+])
+def test_no_silent_coercion(call, message):
+    """A float or bool where an integer belongs is refused, not computed with."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(2, 6))

@@ -17,7 +17,7 @@ from trigrade import (CHAIN, SPHERE, DualComplexData, EllipticCurveBase,
                       FeasibilityResult, FiniteSurfaceBase, Lane, LaneEntry,
                       MirrorPair, RankPin, SequenceTemplate, SequenceTerm,
                       SolveResult, SpaceDescriptor, TriFilteredTable, TypeII, TypeIII,
-                      VerificationReport, Violation)
+                      VerificationReport, Violation, chain_counts)
 
 Y = SpaceDescriptor("Y", 2, 1)
 XLIM = SpaceDescriptor("Xlim", 2)
@@ -188,6 +188,10 @@ def test_defaults():
     (lambda: FiniteSurfaceBase(1), "need genus g >= 2, got 1"),
     (lambda: TypeII(0), "need r >= 1, got 0"),
     (lambda: TypeIII(-1), "need k >= 1, got -1"),
+    (lambda: EllipticCurveBase(True), "r must be an integer, got True"),
+    (lambda: FiniteSurfaceBase(3.0), "genus g must be an integer, got 3.0"),
+    (lambda: TypeII(r=True), "r must be an integer, got True"),
+    (lambda: TypeIII("2"), "k must be an integer, got '2'"),
     (lambda: TriFilteredTable(XLIM, {(0, 0, 0): 1}), "bad index quadruple (0, 0, 0)"),
     (lambda: TriFilteredTable(XLIM, {(0, 0, 0, True): 1}),
      "bad index quadruple (0, 0, 0, True)"),
@@ -199,6 +203,9 @@ def test_defaults():
     (lambda: DualComplexData(4, 2, 0, CHAIN), "not a chain: V=4, E=2, F=0"),
     (lambda: DualComplexData(4, 6, 3, SPHERE), "not a triangulated sphere: V=4, E=6, F=3"),
     (lambda: DualComplexData(3, 2, 0, "torus"), "unknown topology 'torus'"),
+    (lambda: DualComplexData(True, 0, 0, CHAIN),
+     "counts must be integers, got V=True, E=0, F=0"),
+    (lambda: chain_counts(3.0), "counts must be integers, got V=3.0, E=2.0, F=0"),
     (lambda: MirrorPair({"Y": _pair()[0]["Y"]}, _pair()[1]), "fibration side lacks Uc"),
     (lambda: MirrorPair(_pair()[0], {"Xlim": _pair()[1]["Xlim"]}),
      "degeneration side lacks Total"),
