@@ -25,6 +25,11 @@ from __future__ import annotations
 from .spaces import MAX_N
 from .tables import Frozen, TriFilteredTable, VerificationReport, Violation, _set
 
+# No space has a degree above 2(MAX_N + 1), the top degree of a space of
+# complex dimension MAX_N + 1.  Template k_offsets lie within this bound, and _lanes refuses an
+# instance whose table degrees stray far enough to widen a lane beyond it.
+MAX_DEGREE = 2 * (MAX_N + 1)
+
 
 class SequenceTerm(Frozen):
     __slots__ = ("space", "k_offset", "shift", "twist")
@@ -37,12 +42,11 @@ class SequenceTerm(Frozen):
             # type(...) is int: bool is an int subclass and must not pass
             if type(value) is not int:
                 raise ValueError(f"template term {field!r} must be an integer, got {value!r}")
-        # A lane's cells span the spread of the k_offsets; no table has a
-        # degree above 2(MAX_N + 1), so a larger offset only costs memory.
-        bound = 2 * (MAX_N + 1)
-        if not -bound <= k_offset <= bound:
-            raise ValueError(f"template term 'k_offset' must lie in [-{bound}, {bound}], "
-                             f"got {k_offset}")
+        # A lane's cells span the spread of the k_offsets, so an offset
+        # beyond any table's degrees only costs memory.
+        if not -MAX_DEGREE <= k_offset <= MAX_DEGREE:
+            raise ValueError(f"template term 'k_offset' must lie in [-{MAX_DEGREE}, "
+                             f"{MAX_DEGREE}], got {k_offset}")
         _set(self, "space", space)
         _set(self, "k_offset", k_offset)
         _set(self, "shift", shift)
@@ -228,6 +232,12 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
     both passes.  The second pass recomputes each entry's lane rather than
     keeping a list of the first pass's reads: such a list was no faster and
     held every read in memory at once.
+
+    Between the passes each lane's cycle window must lie in [-2B, 2B], with
+    B = MAX_DEGREE; else a ValueError names a table entry whose degree lies
+    outside [-B, B], since c = k - k_offset and |k_offset| <= B.  A few KB of
+    input can otherwise ask for lanes of millions of cells.  Checking the
+    windows costs one step per lane, not one per entry.
     """
     P = template.period
     T = len(template.terms)
@@ -245,6 +255,12 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
                 windows[key] = (c, w[1])
             elif c > w[1]:
                 windows[key] = (w[0], c)
+    for c_lo, c_hi in windows.values():
+        if c_lo < -2 * MAX_DEGREE or c_hi > 2 * MAX_DEGREE:
+            tag, k = next((term.space, quad[0]) for term in template.terms
+                          for quad in sources[term.space] if abs(quad[0]) > MAX_DEGREE)
+            raise ValueError(f"table {tag} has an entry in degree {k}, "
+                             f"outside [-{MAX_DEGREE}, {MAX_DEGREE}]")
 
     lanes = {key: (c_lo, [0] * (((c_hi - c_lo) // P + 1) * T))
              for key, (c_lo, c_hi) in windows.items()}

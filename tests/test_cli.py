@@ -215,6 +215,34 @@ def test_template_k_offset_is_bounded(tmp_path, command, offset, accepted):
     assert peak < 1 << 20
 
 
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("degree, accepted", [(34, True), (10**5, False)])
+def test_table_degree_is_bounded(tmp_path, command, degree, accepted):
+    """A lane spans the cycle degrees it reads, so a table entry far beyond
+    any space's degrees is refused before a lane is built."""
+    tables = family_tables(parse_family("k3-elliptic:r=2"))
+    y = tables["Y"]
+    tables["Y"] = TriFilteredTable(y.space, {**y.entries, (degree, 1, 0, 0): 1})
+    obj = {"template": "loc1"}
+    if command == "solve":
+        del tables["U"]
+        obj["unknown"] = "U"
+    obj["tables"] = [tables_to_json_obj(tables)]
+    path = _write(tmp_path, "in.json", obj)
+    tracemalloc.start()
+    try:
+        res = invoke([command, path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if accepted:
+        assert res.exit_code == 1, res.stderr
+        return
+    assert res.exit_code == 2
+    assert res.stderr == f"error: table Y has an entry in degree {degree}, outside [-34, 34]\n"
+    assert peak < 1 << 20
+
 def _retagged(table, **fields):
     obj = table.to_json_obj()
     obj.update(fields)
