@@ -266,10 +266,10 @@ def family_tables(family) -> dict[str, TriFilteredTable]:
 def phantom_cohomology(family: DegenerationFamily, k: int) -> int:
     """dim of the weight-k perverse piece Gr^P_k H^k of the total space:
     the classes killed by restriction to a nearby fibre."""
-    total = degeneration_tables(family)["Total"]
-    k_lo, k_hi = total.space.degree_range()
     if type(k) is not int:
         raise ValueError(f"degree must be an integer, got {k!r}")
+    total = degeneration_tables(family)["Total"]
+    k_lo, k_hi = total.space.degree_range()
     if not k_lo <= k <= k_hi:
         raise ValueError(f"degree {k} outside [{k_lo}, {k_hi}]")
     return sum(v for (kk, l, _q, _p), v in total.entries.items()

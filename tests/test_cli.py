@@ -189,6 +189,15 @@ def test_check_rejects_mistyped_template_fields(tmp_path, template):
     assert "error:" in res.stderr and "template" in res.stderr
 
 
+def _invoke_traced(args):
+    """invoke(args), and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return invoke(args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("command", ["check", "solve"])
 @pytest.mark.parametrize("offset, accepted", [
     (34, True), (-34, True), (35, False), (-35, False), (10**5, False)])
@@ -199,13 +208,7 @@ def test_template_k_offset_is_bounded(tmp_path, command, offset, accepted):
     obj = {"template": template, "tables": ["k3-elliptic:r=2"]}
     if command == "solve":
         obj["unknown"] = {"space": "Y", "k": 2}
-    path = _write(tmp_path, "in.json", obj)
-    tracemalloc.start()
-    try:
-        res = invoke([command, path])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = _invoke_traced([command, _write(tmp_path, "in.json", obj)])
     if accepted:
         assert res.exit_code == 1, res.stderr
         return
@@ -213,7 +216,6 @@ def test_template_k_offset_is_bounded(tmp_path, command, offset, accepted):
     assert res.stderr.startswith("error:") and "k_offset" in res.stderr
     assert res.stderr.count("\n") == 1
     assert peak < 1 << 20
-
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
@@ -229,19 +231,14 @@ def test_table_degree_is_bounded(tmp_path, command, degree, accepted):
         del tables["U"]
         obj["unknown"] = "U"
     obj["tables"] = [tables_to_json_obj(tables)]
-    path = _write(tmp_path, "in.json", obj)
-    tracemalloc.start()
-    try:
-        res = invoke([command, path])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = _invoke_traced([command, _write(tmp_path, "in.json", obj)])
     if accepted:
         assert res.exit_code == 1, res.stderr
         return
     assert res.exit_code == 2
     assert res.stderr == f"error: table Y has an entry in degree {degree}, outside [-34, 34]\n"
     assert peak < 1 << 20
+
 
 def _retagged(table, **fields):
     obj = table.to_json_obj()
