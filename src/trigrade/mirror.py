@@ -52,9 +52,9 @@ def mirror_transform(table: TriFilteredTable) -> TriFilteredTable:
 
 class MirrorPair(Frozen):
     """A fibration-side table set paired with a degeneration-side one, each
-    holding its side of every match in _MATCHES, sharing n.  Families are
-    kept when the pair comes from the catalog, so stability under base
-    change can regenerate it."""
+    holding its side of every match in _MATCHES, all those tables at one n.
+    Families are kept when the pair comes from the catalog, so stability
+    under base change can regenerate it."""
 
     __slots__ = ("fibration", "degeneration", "fibration_family", "degeneration_family")
 
@@ -68,11 +68,16 @@ class MirrorPair(Frozen):
         for tag, _shift in _MATCHES.values():
             if tag not in degeneration:
                 raise ValueError(f"degeneration side lacks {tag}")
-        # the tables of the first match fix n
-        tag, (target, _shift) = next(iter(_MATCHES.items()))
-        fib_n, deg_n = fibration[tag].space.n, degeneration[target].space.n
-        if fib_n != deg_n:
-            raise ValueError(f"sides disagree on n: {fib_n} vs {deg_n}")
+        # the tables of the first match fix n, and every other table takes it
+        (tag, (target, _shift)), *rest = _MATCHES.items()
+        n, deg_n = fibration[tag].space.n, degeneration[target].space.n
+        if n != deg_n:
+            raise ValueError(f"sides disagree on n: {n} vs {deg_n}")
+        for fib_tag, (deg_tag, _shift) in rest:
+            for other in (fibration[fib_tag], degeneration[deg_tag]):
+                if other.space.n != n:
+                    raise ValueError(f"{other.space.tag} has n={other.space.n}, "
+                                     f"{tag} and {target} have n={n}")
         _set(self, "fibration", fibration)
         _set(self, "degeneration", degeneration)
         _set(self, "fibration_family", fibration_family)

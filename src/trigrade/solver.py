@@ -61,6 +61,19 @@ did on every earlier one (its ranks read known cells, intervals only
 shrink), so the lane's boundary always held these point ranks, and the pin
 step, having checked lo_sum <= pin <= hi_sum, caps a point rank r to
 max(r, pin - others_hi) = r and min(r, pin - others_lo) = r.
+
+A determined solve is verified on the lanes _assemble built, by _verify:
+check_exactness's recursion r = d - r runs over every lane, each unknown
+cell read at its point value, and must never go negative and must close at
+0; then each pin's boundary ranks over pin_occ must total its rank.  No lane
+or pin is skipped on the strength of the propagation argument.  This is
+check_sequence of the completed instance: an assembled lane is its lane,
+padded with zero cells (the box cells solved to 0, and whole lanes opened
+only by such cells, every cell 0).  Leading zeros keep the rank at 0, and
+trailing zeros keep a rank of 0 at 0 and drive any other rank negative, so
+padding changes neither whether a lane is exact nor any rank a pin sums.
+If the check fails, which by this argument it never does, the report comes
+from check_sequence of the completed instance.
 """
 
 from __future__ import annotations
@@ -102,7 +115,9 @@ class SolveResult(Record):
     ``table`` holds every determined cell (None after a contradiction);
     ``underdetermined`` lists cells whose interval stayed wider than a point,
     with the interval bounds; ``report`` carries the contradiction, or the
-    final verification of the completed instance when fully determined;
+    final verification of the completed instance when fully determined: a
+    pass is read off the assembled lanes, and only a failure runs
+    check_sequence for the violations;
     ``iterations`` counts the propagation rounds, the last of which only
     confirms the fixpoint.
     """
@@ -344,6 +359,28 @@ def _propagate(system: tuple, pins: list[RankPin],
             dirty[li] = True
 
 
+def _verify(system: tuple, pins: list[RankPin], intervals: dict[Quad, Interval]) -> bool:
+    """Whether check_sequence passes the completed instance, read off the
+    assembled system (module docstring): every lane closes under
+    check_exactness's recursion with each unknown cell at its point value,
+    and each pin's ranks over pin_occ total its rank."""
+    lanes, _readers, _repeats, _single, pin_occ = system
+    ranks = []  # ranks[li][j]: lane li's boundary rank j
+    for _key, _c_lo, cells in lanes:
+        r = 0
+        lane_ranks = [0]
+        for d in cells:
+            r = (intervals[d][0] if d.__class__ is tuple else d) - r
+            if r < 0:
+                return False
+            lane_ranks.append(r)
+        if r:
+            return False
+        ranks.append(lane_ranks)
+    return all(sum(ranks[li][j] for li, j in occ) == pin.rank
+               for pin, occ in zip(pins, pin_occ))
+
+
 def solve_unknown(template: SequenceTemplate,
                   tables: dict[str, TriFilteredTable],
                   unknown,
@@ -378,8 +415,8 @@ def solve_unknown(template: SequenceTemplate,
     sources = {s: known[s].entries for s in template.spaces() if s != tag}
     sources[tag] = {**other_degrees, **{quad: quad for quad in box}}
     intervals: dict[Quad, Interval] = {quad: (0, None) for quad in box}
-    iterations, failure = _propagate(_assemble(template, sources, tag, box, pins),
-                                     pins, intervals)
+    system = _assemble(template, sources, tag, box, pins)
+    iterations, failure = _propagate(system, pins, intervals)
     if failure is not None:
         (res, l, q, p), position, detail = failure
         rep = VerificationReport([Violation(
@@ -402,7 +439,7 @@ def solve_unknown(template: SequenceTemplate,
     table = TriFilteredTable(space, solved)
     determined = not under
     report = VerificationReport()
-    if determined:
+    if determined and not _verify(system, pins, intervals):
         completed = dict(known)
         completed[tag] = table
         report = check_sequence(template, completed, pins=list(pins))

@@ -125,10 +125,12 @@ class TriFilteredTable(Frozen):
     """Finite support map (k, l, q, p) -> dim > 0 for one space.
 
     Construction normalizes the entries: zeros are dropped, and negative or
-    non-integer dimensions and indices are rejected, booleans included.
-    Index quadruples are not range checked here; that is validate_table's
-    job, since an entry outside the support windows is a violation it
-    reports, not an input error.
+    non-integer dimensions and indices are rejected, booleans included.  A
+    key must be a tuple of four indices, stored as a plain tuple; a set, a
+    list or a bare integer is rejected rather than converted.  Index
+    quadruples are not range checked here; that is validate_table's job,
+    since an entry outside the support windows is a violation it reports,
+    not an input error.
     """
 
     __slots__ = ("space", "entries")
@@ -136,15 +138,19 @@ class TriFilteredTable(Frozen):
     def __init__(self, space: SpaceDescriptor, entries: dict[Quad, int] | None = None):
         clean = {}
         for quad, dim in ({} if entries is None else entries).items():
+            if not isinstance(quad, tuple) or len(quad) != 4:
+                raise ValueError(f"bad index quadruple {quad!r}")
+            k, l, q, p = quad
             # type(...) is int: bool is an int subclass and must not pass
-            if len(quad) != 4 or not all(type(i) is int for i in quad):
+            if (type(k) is not int or type(l) is not int or type(q) is not int
+                    or type(p) is not int):
                 raise ValueError(f"bad index quadruple {quad!r}")
             if type(dim) is not int:
                 raise ValueError(f"dimension at {quad} is not an integer: {dim!r}")
             if dim < 0:
                 raise ValueError(f"negative dimension {dim} at {quad}")
             if dim > 0:
-                clean[tuple(quad)] = dim
+                clean[(k, l, q, p)] = dim
         _set(self, "space", space)
         _set(self, "entries", clean)
 

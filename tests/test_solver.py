@@ -30,10 +30,14 @@ def test_support_box_degree_restriction():
     assert support_box(space, 9) == set()
 
 
+def _golden():
+    return json.loads((Path(__file__).parent / "golden" / "solver_results.json").read_text())
+
+
 def test_solver_reproduces_golden():
     """Every case of the regression golden gives the recorded SolveResult:
     tables, open intervals, reports and iteration counts."""
-    golden = json.loads((Path(__file__).parent / "golden" / "solver_results.json").read_text())
+    golden = _golden()
     assert len(golden) > 200
     assert max(e["result"]["iterations"] for e in golden) > 2
     for entry in golden:
@@ -115,7 +119,7 @@ def test_worklist_and_closed_form_match_a_full_sweep(monkeypatch):
     and the closed form gives what the interval passes give.  The lane
     system's readers, repeats and one-unknown positions are those of a scan
     of its cells."""
-    golden = json.loads((Path(__file__).parent / "golden" / "solver_results.json").read_text())
+    golden = _golden()
     assemble, calls = solver._assemble, []
     monkeypatch.setattr(solver, "_assemble", lambda *args: calls.append(args) or assemble(*args))
     outcomes = {"contradiction": 0, "pinned": 0}
@@ -472,3 +476,94 @@ def test_one_unknown_lane_with_a_negative_rank(u, y, position, detail):
     (v,) = res.report.violations
     assert v.relation == f"solve contradiction: {detail} (lane (l=1, q=1, p=0) residue 0)"
     assert (v.lane, v.position) == ((1, 1, 0), position)
+
+
+def test_verification_on_the_assembled_lanes_is_check_sequence(monkeypatch):
+    """On every determined golden case, solver._verify on the assembled
+    lanes gives check_sequence's verdict on the completed instance, and the
+    solve builds its lanes once."""
+    import solver_cases
+    import trigrade.sequences as sequences
+
+    calls = {"solve": None, "verify": None, "lanes": 0}
+    verify, lanes = solver._verify, sequences._lanes
+
+    def solve(template, tables, unknown, pins=()):
+        calls["solve"] = (template, tables, unknown, pins)
+        return solve_unknown(template, tables, unknown, pins)
+
+    def record_verify(*args):
+        calls["verify"] = verify(*args)
+        return calls["verify"]
+
+    def count_lanes(*args):
+        calls["lanes"] += 1
+        return lanes(*args)
+
+    monkeypatch.setattr(solver_cases, "solve_unknown", solve)
+    monkeypatch.setattr(solver, "_verify", record_verify)
+    monkeypatch.setattr(solver, "_lanes", count_lanes)
+    monkeypatch.setattr(sequences, "_lanes", count_lanes)
+    determined = 0
+    for entry in _golden():
+        calls.update(verify=None, lanes=0)
+        res = run_case(entry["case"])
+        assert calls["lanes"] == 1, entry["case"]
+        if not res.determined:
+            assert calls["verify"] is None, entry["case"]
+            continue
+        determined += 1
+        template, tables, unknown, pins = calls["solve"]
+        tag = unknown if isinstance(unknown, str) else unknown[0]
+        completed = {**tables, tag: res.table}
+        assert calls["verify"] == check_sequence(template, completed, pins).passed, \
+            entry["case"]
+        assert calls["verify"], entry["case"]
+    assert determined == 197
+
+
+def test_failed_verification_falls_back_to_check_sequence(monkeypatch):
+    """With the check on the assembled lanes failing every time, every
+    report comes from check_sequence, and every result is the golden's."""
+    monkeypatch.setattr(solver, "_verify", lambda *args: False)
+    golden = _golden()
+    assert len(golden) == 390
+    for entry in golden:
+        assert result_obj(run_case(entry["case"])) == entry["result"], entry["case"]
+
+
+def _assembled(monkeypatch, template, tables, unknown, pins):
+    """The arguments solve_unknown passes to solver._verify."""
+    seen = []
+    verify = solver._verify
+    monkeypatch.setattr(solver, "_verify", lambda *args: seen.append(args) or verify(*args))
+    assert solve_unknown(template, tables, unknown, pins).determined
+    (args,) = seen
+    return args
+
+
+@pytest.mark.parametrize("spec, name, tag", [
+    ("k3-typeII:r=2", "cs", "Xlim"),
+    # Z:1 is loc1's last term: a +1 on a cell at a lane's end leaves the
+    # rank at 1 without going negative, and only the closing test sees it
+    ("k3-elliptic:r=2", "loc1", "Z:1"),
+])
+def test_verification_fails_on_a_changed_cell(monkeypatch, spec, name, tag):
+    tables = family_tables(parse_family(spec))
+    known = {t: tab for t, tab in tables.items() if t != tag}
+    system, pins, intervals = _assembled(
+        monkeypatch, builtin_templates()[name], known, tag, [])
+    assert solver._verify(system, pins, intervals)
+    for quad, (value, _hi) in intervals.items():
+        bumped = {**intervals, quad: (value + 1, value + 1)}
+        assert not solver._verify(system, pins, bumped), quad
+
+
+def test_verification_fails_on_a_pin_off_by_one(monkeypatch):
+    tables = family_tables(parse_family("k3-typeII:r=2"))
+    known = {t: tab for t, tab in tables.items() if t != "Xlim"}
+    system, pins, intervals = _assembled(
+        monkeypatch, builtin_templates()["cs"], known, "Xlim", [RankPin(1, 2, 2)])
+    assert solver._verify(system, pins, intervals)
+    for rank in (1, 3):
+        assert not solver._verify(system, [RankPin(1, rank, 2)], intervals)

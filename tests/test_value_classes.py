@@ -23,8 +23,8 @@ Y = SpaceDescriptor("Y", 2, 1)
 XLIM = SpaceDescriptor("Xlim", 2)
 
 
-def _pair(n_deg=2):
-    fib = {"Y": TriFilteredTable(Y), "Uc": TriFilteredTable(SpaceDescriptor("Uc", 2, 1))}
+def _pair(n_deg=2, n_uc=2):
+    fib = {"Y": TriFilteredTable(Y), "Uc": TriFilteredTable(SpaceDescriptor("Uc", n_uc, 1))}
     deg = {"Xlim": TriFilteredTable(SpaceDescriptor("Xlim", n_deg)),
            "Total": TriFilteredTable(SpaceDescriptor("Total", 2))}
     return fib, deg
@@ -195,6 +195,14 @@ def test_defaults():
     (lambda: TriFilteredTable(XLIM, {(0, 0, 0): 1}), "bad index quadruple (0, 0, 0)"),
     (lambda: TriFilteredTable(XLIM, {(0, 0, 0, True): 1}),
      "bad index quadruple (0, 0, 0, True)"),
+    (lambda: TriFilteredTable(XLIM, {frozenset((3, 0, 1, 2)): 1}),
+     "bad index quadruple frozenset({0, 1, 2, 3})"),
+    (lambda: TriFilteredTable(XLIM, {5: 1}), "bad index quadruple 5"),
+    (lambda: TriFilteredTable(XLIM, {(0, 0, 0, 0, 0): 1}),
+     "bad index quadruple (0, 0, 0, 0, 0)"),
+    (lambda: TriFilteredTable(XLIM, {"abcd": 1}), "bad index quadruple 'abcd'"),
+    (lambda: TriFilteredTable(XLIM, {(0, 0, 0, 1.0): 1}),
+     "bad index quadruple (0, 0, 0, 1.0)"),
     (lambda: TriFilteredTable(XLIM, {(0, 0, 0, 0): 1.0}),
      "dimension at (0, 0, 0, 0) is not an integer: 1.0"),
     (lambda: TriFilteredTable(XLIM, {(0, 0, 0, 0): -1}),
@@ -210,6 +218,7 @@ def test_defaults():
     (lambda: MirrorPair(_pair()[0], {"Xlim": _pair()[1]["Xlim"]}),
      "degeneration side lacks Total"),
     (lambda: MirrorPair(*_pair(n_deg=3)), "sides disagree on n: 2 vs 3"),
+    (lambda: MirrorPair(*_pair(n_uc=3)), "Uc has n=3, Y and Xlim have n=2"),
     (lambda: SequenceTerm(1), "template term 'space' must be a string, got 1"),
     (lambda: SequenceTerm("Y", 0, True),
      "template term 'shift' must be an integer, got True"),
@@ -227,6 +236,15 @@ def test_defaults():
 def test_validation_on_construction(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+def test_table_keys_are_stored_as_plain_tuples():
+    class Key(tuple):
+        pass
+
+    table = TriFilteredTable(XLIM, {Key((0, 0, 0, 0)): 1})
+    (key,) = table.entries
+    assert type(key) is tuple and key == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("name", CASES)
