@@ -19,38 +19,45 @@ def validate_table(table: TriFilteredTable) -> VerificationReport:
     Covered: the degree window of the space, and in each degree the windows
     of SpaceDescriptor.lane_range, weight_range (purity for Y and Z) and
     hodge_range, the same windows support_box enumerates.  Nonnegativity of
-    dimensions needs no check; construction enforces it.
+    dimensions needs no check; construction enforces it.  Violations come
+    in the order of their entries, and for one entry in the order above.
     """
-    rep = VerificationReport()
     sp = table.space
     k_lo, k_hi = sp.degree_range()
-    for (k, l, q, p), _dim in table.sorted_entries():
-        where = dict(space=sp.tag, entry=(k, l, q, p))
-        if not k_lo <= k <= k_hi:
-            rep.add(Violation(
-                f"degree window: k={k} outside [{k_lo}, {k_hi}] for {sp.tag}",
-                **where))
-            continue
-        l_lo, l_hi = sp.lane_range(k)
-        if not l_lo <= l <= l_hi:
-            rep.add(Violation(
-                f"lane window: l={l} outside [{l_lo}, {l_hi}] in degree {k} for {sp.tag}",
-                **where))
-        q_lo, q_hi = sp.weight_range(k)
-        if not q_lo <= q <= q_hi:
-            if sp.kind in ("Y", "Z"):
-                relation = f"purity: weight q={q} != k={k} on smooth projective {sp.tag}"
-            else:
-                on = {"U": f" on open {sp.tag}",
-                      "Uc": f" on compactly supported {sp.tag}"}.get(sp.kind, "")
-                relation = f"weight window: q={q} outside [{q_lo}, {q_hi}]{on}"
-            rep.add(Violation(relation, **where))
-        p_lo, p_hi = sp.hodge_range(k, q)
-        if not p_lo <= p <= p_hi:
-            rep.add(Violation(
-                f"Hodge window: p={p} outside [{p_lo}, {p_hi}] for weight {q} in degree {k}",
-                **where))
-    return rep
+    failing = []
+    for quad in table.entries:
+        relations = _window_failures(sp, k_lo, k_hi, *quad)
+        if relations:
+            failing.append((quad, relations))
+    failing.sort()
+    return VerificationReport([Violation(relation, space=sp.tag, entry=quad)
+                               for quad, relations in failing for relation in relations])
+
+
+def _window_failures(sp, k_lo: int, k_hi: int, k: int, l: int, q: int, p: int) -> tuple:
+    """The relations an entry at (k, l, q, p) of a table of ``sp`` breaks,
+    empty when it lies inside every window.  An entry outside the degree
+    window is checked no further."""
+    if not k_lo <= k <= k_hi:
+        return (f"degree window: k={k} outside [{k_lo}, {k_hi}] for {sp.tag}",)
+    relations = ()
+    l_lo, l_hi = sp.lane_range(k)
+    if not l_lo <= l <= l_hi:
+        relations += (
+            f"lane window: l={l} outside [{l_lo}, {l_hi}] in degree {k} for {sp.tag}",)
+    q_lo, q_hi = sp.weight_range(k)
+    if not q_lo <= q <= q_hi:
+        if sp.kind in ("Y", "Z"):
+            relations += (f"purity: weight q={q} != k={k} on smooth projective {sp.tag}",)
+        else:
+            on = {"U": f" on open {sp.tag}",
+                  "Uc": f" on compactly supported {sp.tag}"}.get(sp.kind, "")
+            relations += (f"weight window: q={q} outside [{q_lo}, {q_hi}]{on}",)
+    p_lo, p_hi = sp.hodge_range(k, q)
+    if not p_lo <= p <= p_hi:
+        relations += (
+            f"Hodge window: p={p} outside [{p_lo}, {p_hi}] for weight {q} in degree {k}",)
+    return relations
 
 
 def poincare_verdier_dual(table: TriFilteredTable) -> TriFilteredTable:
@@ -91,18 +98,21 @@ def hard_lefschetz_check(table: TriFilteredTable) -> VerificationReport:
     """Check the dimension symmetry dim(e) == dim(partner(e)) for all entries.
 
     Scanning entries suffices for both directions: a nonzero partner of a
-    zero entry is itself an entry whose partner mismatches.
+    zero entry is itself an entry whose partner mismatches.  Violations come
+    in the order of their entries.
     """
-    rep = VerificationReport()
     d = table.space.complex_dim
-    for quad, v in table.sorted_entries():
+    entries = table.entries
+    dim = entries.get
+    failing = sorted([quad for quad, v in entries.items()
+                      if dim(lefschetz_partner(quad, d), 0) != v])
+    violations = []
+    for quad in failing:
         partner = lefschetz_partner(quad, d)
-        w = table.dim(*partner)
-        if w != v:
-            rep.add(Violation(
-                f"hard Lefschetz pairing: dim{quad} = {v} but partner dim{partner} = {w}",
-                space=table.space.tag, entry=quad))
-    return rep
+        violations.append(Violation(
+            f"hard Lefschetz pairing: dim{quad} = {entries[quad]} but partner "
+            f"dim{partner} = {dim(partner, 0)}", space=table.space.tag, entry=quad))
+    return VerificationReport(violations)
 
 
 def _section_map(sections) -> dict[int, TriFilteredTable]:
@@ -135,32 +145,46 @@ def check_subvariety_constraints(
     A needed depth with no section table supplied is an input error naming
     the depth.
     """
-    rep = VerificationReport()
     by_depth = _section_map(sections)
-    for (k, l, q, p), v in table_y.sorted_entries():
-        if l == k:
-            continue
+    failing = []
+    for quad, v in table_y.entries.items():
+        failures = _section_failures(quad, v, by_depth)
+        if failures:
+            failing.append((quad, v, failures))
+    failing.sort()
+    rep = VerificationReport()
+    for (k, l, q, p), v, failures in failing:
         gap = abs(l - k)
-        for r in range(1, gap + 1):
-            if r not in by_depth:
+        for r, zq, zv in failures:
+            if zv is None:
                 raise ValueError(
                     f"subvariety constraints need a depth-{r} section table "
                     f"(entry at {(k, l, q, p)} sits {gap} lanes off center)")
-            z = by_depth[r]
-            if l < k:
-                zq = (k - 2 * r, l - r, q - 2 * r, p - r)
-            else:
-                zq = (k, l - r, q, p)
-            zv = z.dim(*zq)
-            where = dict(space=table_y.space.tag, entry=(k, l, q, p))
             if r < gap:
-                if zv != v:
-                    rep.add(Violation(
-                        f"section restriction (depth {r}) is an isomorphism here: "
-                        f"Y{(k, l, q, p)} = {v} but Z:{r}{zq} = {zv}", **where))
-            elif v > zv:
+                relation = (f"section restriction (depth {r}) is an isomorphism here: "
+                            f"Y{(k, l, q, p)} = {v} but Z:{r}{zq} = {zv}")
+            else:
                 how = "onto" if l < k else "injective"
-                rep.add(Violation(
-                    f"section restriction (depth {r}) is {how} here: "
-                    f"Y{(k, l, q, p)} = {v} exceeds Z:{r}{zq} = {zv}", **where))
+                relation = (f"section restriction (depth {r}) is {how} here: "
+                            f"Y{(k, l, q, p)} = {v} exceeds Z:{r}{zq} = {zv}")
+            rep.add(Violation(relation, space=table_y.space.tag, entry=(k, l, q, p)))
     return rep
+
+
+def _section_failures(quad: Quad, v: int, by_depth: dict[int, TriFilteredTable]):
+    """The depths r at which the entry ``v`` of Y at ``quad`` breaks the
+    comparison with the depth-r section, as (r, section quad, section dim)
+    in order of r, empty when every comparison holds.  The section dim is
+    None, and the failures end, at a depth with no section table."""
+    k, l, q, p = quad
+    gap = abs(l - k)
+    failures = ()
+    for r in range(1, gap + 1):
+        zq = (k - 2 * r, l - r, q - 2 * r, p - r) if l < k else (k, l - r, q, p)
+        z = by_depth.get(r)
+        if z is None:
+            return failures + ((r, zq, None),)
+        zv = z.entries.get(zq, 0)
+        if (zv != v) if r < gap else (v > zv):
+            failures += ((r, zq, zv),)
+    return failures

@@ -71,14 +71,14 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("# table "):
+        toks = line.split()
+        if line.startswith("# table ") or line == "# table":
             flush()
-            parts = line[len("# table "):].split()
-            if not parts:
+            if len(toks) == 2:
                 raise ValueError(f"line {lineno}: empty table header")
-            tag = parts[0]
+            tag = toks[2]
             fields = {}
-            for part in parts[1:]:
+            for part in toks[3:]:
                 key, _, val = part.partition("=")
                 if key not in ("n", "m") or not val:
                     raise ValueError(f"line {lineno}: bad header field {part!r}")
@@ -97,19 +97,17 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
         elif line.startswith("## "):
             if desc is None:
                 raise ValueError(f"line {lineno}: block before any table header")
-            parts = line[3:].split()
-            if len(parts) != 2 or parts[0][:2] != "k=" or parts[1][:2] != "l=":
+            if len(toks) != 3 or toks[1][:2] != "k=" or toks[2][:2] != "l=":
                 raise ValueError(f"line {lineno}: bad block header {line!r}")
-            k, l = _int(parts[0][2:], lineno), _int(parts[1][2:], lineno)
+            k, l = _int(toks[1][2:], lineno), _int(toks[2][2:], lineno)
             qs = []
-        elif line.split()[0] == "p\\q":
+        elif toks[0] == "p\\q":
             if k is None:
                 raise ValueError(f"line {lineno}: column header outside a block")
-            qs = [_int(tok, lineno) for tok in line.split()[1:]]
+            qs = [_int(tok, lineno) for tok in toks[1:]]
         else:
             if k is None or not qs:
                 raise ValueError(f"line {lineno}: unexpected row {line!r}")
-            toks = line.split()
             if len(toks) != len(qs) + 1:
                 raise ValueError(
                     f"line {lineno}: expected {len(qs)} cells, got {len(toks) - 1}")

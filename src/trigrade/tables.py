@@ -16,11 +16,18 @@ bases derive ==, hash, repr, copying and (Frozen) the refusal to assign or
 delete from __slots__, as @dataclass did; each __init__ validates and sets.
 Violation and VerificationReport, what every check and solve reports, live
 here too, so that reporting loads none of the single-table checks.
+
+Every JSON output is canonical_json's text, byte for byte
+``json.dumps(obj, indent=2, sort_keys=True) + "\n"``.  A small formatter
+writes it: with an indent, json.dumps (on Python 3.11, for one) skips its
+C encoder for the pure-Python one, which took most of a table set's
+serialization time.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -29,6 +36,7 @@ if TYPE_CHECKING:
 Quad = tuple[int, int, int, int]
 
 _set = object.__setattr__  # how a Frozen __init__ sets its fields
+_int = int.__repr__  # how json writes an int
 
 
 class Record:
@@ -204,8 +212,34 @@ class TriFilteredTable(Frozen):
 
 
 def canonical_json(obj) -> str:
-    """The one serialized form used everywhere, so files are comparable."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The one serialized form used everywhere, so files are comparable:
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, byte for byte.
+    A list or dict that contains itself raises RecursionError, where
+    json.dumps reports a circular reference; no payload here holds one."""
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(o, nl: str) -> str:
+    """json.dumps(o, indent=2, sort_keys=True) at the depth whose line break
+    and indent is ``nl``.  Exact str and int, non-empty lists and non-empty
+    dicts with only str keys are written here, as json writes them; anything
+    else (floats, bools, None, tuples, subclasses, empty containers, other
+    keys) goes to json.dumps, whose standalone text is the nested text with
+    every later line shifted by the depth."""
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is int:
+        return _int(o)
+    inner = nl + "  "
+    if t is list and o:
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in o]) + nl + "]"
+    if t is dict and o and all([type(key) is str for key in o]):
+        # an int value inline: most values are the indices of an entry
+        return "{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + (_int(v) if type(v) is int else _dumps(v, inner))
+             for key, v in sorted(o.items())]) + nl + "}"
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def tables_to_json_obj(tables: dict[str, TriFilteredTable], family: str | None = None) -> dict:

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trigrade import (SpaceDescriptor, TriFilteredTable,
-                      check_subvariety_constraints, dualize_in_dimension,
+from trigrade import (EllipticCurveBase, FiniteSurfaceBase, SpaceDescriptor,
+                      TriFilteredTable, TypeII, TypeIII, VerificationReport,
+                      Violation, check_subvariety_constraints, dualize_in_dimension,
                       family_tables, hard_lefschetz_check, lefschetz_partner,
                       parse_family, poincare_verdier_dual, validate_table)
 
@@ -150,3 +151,153 @@ def test_subvariety_onto_and_injective_bounds():
     entries[(2, 3, 2, 1)] = 2
     rep = check_subvariety_constraints(TriFilteredTable(y.space, entries), tables)
     assert any("injective" in v.relation for v in rep.violations)
+
+
+# -- full reports against the sorted-scan implementations ----------------------
+# The checks scan entries unsorted and sort only the failing ones.  These are
+# the straightforward sorted scans they replaced, kept as oracles: every
+# report must match one in full, violation order and text included.
+
+def validate_oracle(table):
+    rep = VerificationReport()
+    sp = table.space
+    k_lo, k_hi = sp.degree_range()
+    for (k, l, q, p), _dim in table.sorted_entries():
+        where = dict(space=sp.tag, entry=(k, l, q, p))
+        if not k_lo <= k <= k_hi:
+            rep.add(Violation(
+                f"degree window: k={k} outside [{k_lo}, {k_hi}] for {sp.tag}",
+                **where))
+            continue
+        l_lo, l_hi = sp.lane_range(k)
+        if not l_lo <= l <= l_hi:
+            rep.add(Violation(
+                f"lane window: l={l} outside [{l_lo}, {l_hi}] in degree {k} for {sp.tag}",
+                **where))
+        q_lo, q_hi = sp.weight_range(k)
+        if not q_lo <= q <= q_hi:
+            if sp.kind in ("Y", "Z"):
+                relation = f"purity: weight q={q} != k={k} on smooth projective {sp.tag}"
+            else:
+                on = {"U": f" on open {sp.tag}",
+                      "Uc": f" on compactly supported {sp.tag}"}.get(sp.kind, "")
+                relation = f"weight window: q={q} outside [{q_lo}, {q_hi}]{on}"
+            rep.add(Violation(relation, **where))
+        p_lo, p_hi = sp.hodge_range(k, q)
+        if not p_lo <= p <= p_hi:
+            rep.add(Violation(
+                f"Hodge window: p={p} outside [{p_lo}, {p_hi}] for weight {q} in degree {k}",
+                **where))
+    return rep
+
+
+def lefschetz_oracle(table):
+    rep = VerificationReport()
+    d = table.space.complex_dim
+    for quad, v in table.sorted_entries():
+        partner = lefschetz_partner(quad, d)
+        w = table.dim(*partner)
+        if w != v:
+            rep.add(Violation(
+                f"hard Lefschetz pairing: dim{quad} = {v} but partner dim{partner} = {w}",
+                space=table.space.tag, entry=quad))
+    return rep
+
+
+def sections_oracle(table_y, sections):
+    rep = VerificationReport()
+    by_depth = {t.space.depth: t for t in sections.values() if t.space.kind == "Z"}
+    for (k, l, q, p), v in table_y.sorted_entries():
+        if l == k:
+            continue
+        gap = abs(l - k)
+        for r in range(1, gap + 1):
+            if r not in by_depth:
+                raise ValueError(
+                    f"subvariety constraints need a depth-{r} section table "
+                    f"(entry at {(k, l, q, p)} sits {gap} lanes off center)")
+            z = by_depth[r]
+            if l < k:
+                zq = (k - 2 * r, l - r, q - 2 * r, p - r)
+            else:
+                zq = (k, l - r, q, p)
+            zv = z.dim(*zq)
+            where = dict(space=table_y.space.tag, entry=(k, l, q, p))
+            if r < gap:
+                if zv != v:
+                    rep.add(Violation(
+                        f"section restriction (depth {r}) is an isomorphism here: "
+                        f"Y{(k, l, q, p)} = {v} but Z:{r}{zq} = {zv}", **where))
+            elif v > zv:
+                how = "onto" if l < k else "injective"
+                rep.add(Violation(
+                    f"section restriction (depth {r}) is {how} here: "
+                    f"Y{(k, l, q, p)} = {v} exceeds Z:{r}{zq} = {zv}", **where))
+    return rep
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args).to_json_obj()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _outside_windows(sp):
+    """Entries outside each window of ``sp``, one at a time and several at
+    once, in a degree of the middle of its window."""
+    k_lo, k_hi = sp.degree_range()
+    k = (k_lo + k_hi) // 2
+    l_lo, l_hi = sp.lane_range(k)
+    q_lo, q_hi = sp.weight_range(k)
+    p_lo, p_hi = sp.hodge_range(k, q_lo)
+    return [
+        (k_hi + 1, k_hi + 1, k_hi + 1, 0), (k_lo - 1, l_lo, q_lo, p_lo),  # degree
+        (k, l_hi + 1, q_lo, p_lo), (k, l_lo - 1, q_lo, p_lo),            # lane
+        (k, l_lo, q_hi + 1, p_lo), (k, l_lo, q_lo - 1, p_lo),            # weight
+        (k, l_lo, q_lo, p_hi + 1), (k, l_lo, q_lo, p_lo - 1),            # Hodge
+        (k, l_hi + 2, q_hi + 2, p_hi + 3), (k, l_lo - 1, q_lo - 1, -1),  # several
+    ]
+
+
+def _mutations(table):
+    """Every +1 and -1 on an entry, each entry outside a window, and all of
+    those outside entries together; each table's entries inserted in
+    reverse order, so that a scan in insertion order meets them unsorted."""
+    def table_of(entries):
+        return TriFilteredTable(table.space, dict(reversed(entries.items())))
+    for quad in table.entries:
+        for delta in (1, -1):
+            entries = dict(table.entries)
+            entries[quad] += delta
+            yield table_of(entries)
+    outside = _outside_windows(table.space)
+    for quad in outside:
+        yield table_of({**table.entries, quad: 1})
+    yield table_of({**table.entries, **dict.fromkeys(outside, 2)})
+
+
+def test_reports_match_sorted_scans_on_sweep_mutations():
+    families = ([EllipticCurveBase(r) for r in range(1, 21)]
+                + [FiniteSurfaceBase(g) for g in range(2, 21)]
+                + [TypeII(r) for r in range(1, 21)]
+                + [TypeIII(k) for k in range(1, 21)])
+    assert len(families) == 79
+    several = {}  # check -> reports with two or more violations; or the input error
+    for fam in families:
+        tables = family_tables(fam)
+        for tag, table in tables.items():
+            for mutated in [table, *_mutations(table)]:
+                pairs = {"validate": (validate_table, validate_oracle, mutated),
+                         "lefschetz": (hard_lefschetz_check, lefschetz_oracle, mutated)}
+                if tag == "Y" or tag.startswith("Z:"):
+                    at = {**tables, tag: mutated}
+                    pairs["sections"] = (check_subvariety_constraints, sections_oracle,
+                                         at["Y"], at)
+                for name, (check, oracle, *args) in pairs.items():
+                    got = _outcome(check, *args)
+                    assert got == _outcome(oracle, *args), (fam, tag, mutated.entries)
+                    if isinstance(got, str) or len(got["violations"]) > 1:
+                        several[name] = several.get(name, 0) + 1
+    # the comparisons reach reports where the violation order matters
+    assert set(several) == {"validate", "lefschetz", "sections"}, several

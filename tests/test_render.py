@@ -71,6 +71,11 @@ def test_parse_empty_table():
     ("# table Y n=99 m=1\n", "line 1: dimension n=99"),
     ("# table Y n=2 m=1\n## k=2 l=2\np\\qX  2\n1  5\n", "line 3: unexpected row"),
     ("# table Y n=2 m=1\n\n# table U n=2 m=1\n# table Y n=2 m=1\n", "line 4: duplicate table Y"),
+    # a header with no tag, bare or with trailing spaces, first or after a block
+    ("# table\n", "line 1: empty table header"),
+    ("# table   \n", "line 1: empty table header"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n2  5\n# table\n", "line 5: empty table header"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n2  5\n# table \n", "line 5: empty table header"),
 ])
 def test_parse_errors(text, match):
     with pytest.raises(ValueError, match=match):

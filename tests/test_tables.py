@@ -1,9 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle_tables
 from trigrade import (SpaceDescriptor, TriFilteredTable, canonical_json,
                       tables_from_json_obj, tables_to_json_obj)
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 Y2 = SpaceDescriptor("Y", 2, 1)
 
@@ -81,6 +87,60 @@ def test_zero_dim_accepted_on_read():
 def test_canonical_json_form():
     text = canonical_json({"b": 1, "a": [2]})
     assert text == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+
+
+def json_oracle(obj) -> str:
+    """What canonical_json promises to write, from the standard library."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _Str(str):
+    pass
+
+
+# keys and strings with quotes, backslashes, control characters and non-ASCII
+_text = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), max_size=5)
+_scalars = st.one_of(
+    st.integers(), st.integers(min_value=2**64), st.integers(max_value=-2**64),
+    st.booleans(), st.none(), st.floats(allow_nan=True, allow_infinity=True),
+    _text, st.builds(_Int, st.integers()), st.builds(_Str, _text))
+_values = st.recursive(_scalars, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=3).map(tuple),
+    st.dictionaries(_text, children, max_size=4),
+    # keys json converts: ints and bools sort together, None alone
+    st.dictionaries(st.one_of(st.integers(), st.booleans()), children, max_size=3),
+    st.dictionaries(st.none(), children, max_size=1),
+    st.dictionaries(st.builds(_Str, _text), children, max_size=2),
+), max_leaves=24)
+
+
+@settings(max_examples=400)
+@given(_values)
+def test_canonical_json_is_json_dumps(value):
+    assert canonical_json(value) == json_oracle(value)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"a": {}}, {"a": []}, [[], [[{}]]], (), {"a": ()},
+    float("nan"), -float("inf"), True, None, 2**70, -2**70, "\u00e9\n\"",
+    {1: 2, True: 3}, {None: [1]}, {"b": [1.5, False], "a": {"c": None}},
+])
+def test_canonical_json_edge_cases(value):
+    assert canonical_json(value) == json_oracle(value)
+
+
+def test_canonical_json_of_golden_table_sets():
+    assert len(oracle_tables.GOLDEN) == 10
+    for _spec, filename, _tables in oracle_tables.GOLDEN:
+        path = GOLDEN_DIR / filename
+        text = path.read_text()
+        assert canonical_json(json.loads(text)) == json_oracle(json.loads(text)) == text, path
 
 
 def test_table_set_round_trip_and_order():
