@@ -171,7 +171,7 @@ def check_subvariety_constraints(
     return rep
 
 
-def _section_failures(quad: Quad, v: int, by_depth: dict[int, TriFilteredTable]):
+def _section_failures(quad: Quad, v: int, by_depth: dict[int, TriFilteredTable]) -> tuple:
     """The depths r at which the entry ``v`` of Y at ``quad`` breaks the
     comparison with the depth-r section, as (r, section quad, section dim)
     in order of r, empty when every comparison holds.  The section dim is

@@ -129,7 +129,7 @@ def test_canonical_json_is_json_dumps(value):
 @pytest.mark.parametrize("value", [
     [], {}, [[]], [{}], {"a": {}}, {"a": []}, [[], [[{}]]], (), {"a": ()},
     float("nan"), -float("inf"), True, None, 2**70, -2**70, "\u00e9\n\"",
-    {1: 2, True: 3}, {None: [1]}, {"b": [1.5, False], "a": {"c": None}},
+    {2: 1, False: 0}, {None: [1]}, {"b": [1.5, False], "a": {"c": None}},
 ])
 def test_canonical_json_edge_cases(value):
     assert canonical_json(value) == json_oracle(value)
@@ -138,9 +138,9 @@ def test_canonical_json_edge_cases(value):
 def test_canonical_json_of_golden_table_sets():
     assert len(oracle_tables.GOLDEN) == 10
     for _spec, filename, _tables in oracle_tables.GOLDEN:
-        path = GOLDEN_DIR / filename
-        text = path.read_text()
-        assert canonical_json(json.loads(text)) == json_oracle(json.loads(text)) == text, path
+        text = (GOLDEN_DIR / filename).read_text()
+        obj = json.loads(text)
+        assert canonical_json(obj) == json_oracle(obj) == text, filename
 
 
 def test_table_set_round_trip_and_order():
