@@ -60,8 +60,13 @@ class SequenceTemplate(Frozen):
     __slots__ = ("name", "period", "terms")
 
     def __init__(self, name: str, period: int, terms: tuple[SequenceTerm, ...]):
+        if not isinstance(name, str):
+            raise ValueError(f"template 'name' must be a string, got {name!r}")
         if type(period) is not int:
             raise ValueError(f"template 'period' must be an integer, got {period!r}")
+        # a tuple keeps the template hashable; a term is read by its fields
+        if not (isinstance(terms, tuple) and all(isinstance(t, SequenceTerm) for t in terms)):
+            raise ValueError(f"template 'terms' must be a tuple of SequenceTerm, got {terms!r}")
         if period < 1 or not terms:
             raise ValueError("template needs a positive period and at least one term")
         _set(self, "name", name)

@@ -83,8 +83,10 @@ from .sequences import (RankPin, SequenceTemplate, _check_instance, _check_term_
 from .spaces import FIBRATION_KINDS, SpaceDescriptor
 from .tables import Quad, Record, TriFilteredTable, VerificationReport, Violation
 
-# interval [lo, hi]; hi None means unbounded above
-Interval = tuple[int, int | None]
+# interval [lo, hi]; hi is INF when unbounded above, so that comparisons
+# and sums need no special case
+INF = float("inf")
+Interval = tuple[int, int | float]
 
 
 def support_box(space: SpaceDescriptor, degree: int | None = None) -> set[Quad]:
@@ -114,10 +116,10 @@ class SolveResult(Record):
 
     ``table`` holds every determined cell (None after a contradiction);
     ``underdetermined`` lists cells whose interval stayed wider than a point,
-    with the interval bounds; ``report`` carries the contradiction, or the
-    final verification of the completed instance when fully determined: a
-    pass is read off the assembled lanes, and only a failure runs
-    check_sequence for the violations;
+    with the interval bounds, hi None when unbounded above; ``report``
+    carries the contradiction, or the final verification of the completed
+    instance when fully determined: a pass is read off the assembled lanes,
+    and only a failure runs check_sequence for the violations;
     ``iterations`` counts the propagation rounds, the last of which only
     confirms the fixpoint.
     """
@@ -191,8 +193,9 @@ def _assemble(template: SequenceTemplate, sources: dict, tag: str, box: set[Quad
 def _propagate(system: tuple, pins: list[RankPin],
                intervals: dict[Quad, Interval]) -> tuple[int, tuple | None]:
     """Run the worklist of the module docstring over _assemble's system,
-    tightening ``intervals`` in place: (rounds, None), or (rounds, (lane key,
-    position, detail)) for a contradiction."""
+    tightening ``intervals`` (hi INF when unbounded above) in place:
+    (rounds, None), or (rounds, (lane key, position, detail)) for a
+    contradiction."""
     lanes, readers, repeats, single, pin_occ = system
     caps: list[dict[int, Interval]] = [{} for _ in lanes]
     # boundary[li] = (lo, hi) lists of the lane's connecting ranks at its
@@ -231,7 +234,7 @@ def _propagate(system: tuple, pins: list[RankPin],
                     ranks[i] = s
                 # a lane reading no unknown closes: r + s is forced to 0
                 lo, hi = intervals[cells[pos]] if pos >= 0 else (0, 0)
-                if r >= 0 and s >= 0 and lo <= r + s and (hi is None or r + s <= hi):
+                if r >= 0 and s >= 0 and lo <= r + s <= hi:
                     boundary[li] = (ranks, ranks)
                     moved = [] if lo == hi else [cells[pos]]
                     if moved:
@@ -239,8 +242,8 @@ def _propagate(system: tuple, pins: list[RankPin],
             if moved is None:
                 moved = []
                 lane_caps = caps[li]
-                # Interval arithmetic on local lo/hi ints; hi None is unbounded.
-                # Forward: F[i+1] = (d_i - F[i]) clamped to [0, inf), then capped.
+                # Interval arithmetic on local lo/hi; INF - int stays INF.
+                # Forward: F[i+1] = (d_i - F[i]) clamped to [0, INF], then capped.
                 d_lo = [0] * n_pos
                 d_hi: list = [0] * n_pos
                 F_lo = [0] * (n_pos + 1)
@@ -254,20 +257,16 @@ def _propagate(system: tuple, pins: list[RankPin],
                         lo = hi = cell
                     d_lo[i] = lo
                     d_hi[i] = hi
-                    if f_hi is not None:
-                        lo = lo - f_hi if lo > f_hi else 0
-                    else:
-                        lo = 0
-                    if hi is not None:
-                        hi -= f_lo
+                    lo = lo - f_hi if lo > f_hi else 0
+                    hi -= f_lo
                     if lane_caps:
                         cap = lane_caps.get(i + 1)
                         if cap is not None:
                             if cap[0] > lo:
                                 lo = cap[0]
-                            if cap[1] is not None and (hi is None or cap[1] < hi):
+                            if cap[1] < hi:
                                 hi = cap[1]
-                    if hi is not None and lo > hi:
+                    if lo > hi:
                         return rounds, (key, i, "rank forced negative or above its pin")
                     F_lo[i + 1] = f_lo = lo
                     F_hi[i + 1] = f_hi = hi
@@ -281,18 +280,13 @@ def _propagate(system: tuple, pins: list[RankPin],
                 r_lo = r_hi = 0
                 for i in range(n_pos - 1, -1, -1):
                     lo, hi = d_lo[i], d_hi[i]
-                    if r_hi is not None:
-                        lo = lo - r_hi if lo > r_hi else 0
-                    else:
-                        lo = 0
-                    if hi is not None:
-                        hi -= r_lo
+                    lo = lo - r_hi if lo > r_hi else 0
+                    hi -= r_lo
                     if F_lo[i] > lo:
                         lo = F_lo[i]
-                    f_hi = F_hi[i]
-                    if f_hi is not None and (hi is None or f_hi < hi):
-                        hi = f_hi
-                    if hi is not None and lo > hi:
+                    if F_hi[i] < hi:
+                        hi = F_hi[i]
+                    if lo > hi:
                         return rounds, (key, i, "forward and backward ranks incompatible")
                     R_lo[i] = r_lo = lo
                     R_hi[i] = r_hi = hi
@@ -306,12 +300,10 @@ def _propagate(system: tuple, pins: list[RankPin],
                     lo = R_lo[i] + R_lo[i + 1]
                     if cur[0] > lo:
                         lo = cur[0]
-                    hi = R_hi[i]
-                    if hi is not None:
-                        hi = None if R_hi[i + 1] is None else hi + R_hi[i + 1]
-                    if cur[1] is not None and (hi is None or cur[1] < hi):
+                    hi = R_hi[i] + R_hi[i + 1]
+                    if cur[1] < hi:
                         hi = cur[1]
-                    if hi is not None and lo > hi:
+                    if lo > hi:
                         return rounds, (key, i, f"cell {cell} has no feasible dimension")
                     if lo != cur[0] or hi != cur[1]:
                         intervals[cell] = (lo, hi)
@@ -331,20 +323,21 @@ def _propagate(system: tuple, pins: list[RankPin],
         for pin, occ in zip(pins, pin_occ):
             ivs = [(boundary[li][0][j], boundary[li][1][j]) for li, j in occ]
             lo_sum = sum(lo for lo, _hi in ivs)
-            his = [hi for _lo, hi in ivs if hi is not None]
+            # The upper ends are summed apart from a count of the unbounded
+            # ones: taking one INF back out of an INF sum would give nan.
+            his = [hi for _lo, hi in ivs if hi != INF]
             bounded_hi, unbounded = sum(his), len(ivs) - len(his)
-            hi_sum = None if unbounded else bounded_hi
-            if pin.rank < lo_sum or (hi_sum is not None and pin.rank > hi_sum):
+            if pin.rank < lo_sum or (not unbounded and pin.rank > bounded_hi):
                 return rounds, (("*",) * 4 if not occ else lanes[occ[0][0]][0], None,
                                 f"pinned rank {pin.rank} outside reachable "
-                                f"[{lo_sum}, {hi_sum}]")
+                                f"[{lo_sum}, {None if unbounded else bounded_hi}]")
             # Cap each occurrence by the pin less the other occurrences: their
             # sums are the pin's sums less this occurrence's own bounds.
             for (li, j), (lo, hi) in zip(occ, ivs):
                 others_lo = lo_sum - lo
-                if unbounded == (hi is None):  # the others are all bounded above
-                    lo = max(lo, pin.rank - (bounded_hi - (hi or 0)))
-                hi = pin.rank - others_lo if hi is None else min(hi, pin.rank - others_lo)
+                if unbounded == (hi == INF):  # the others are all bounded above
+                    lo = max(lo, pin.rank - (bounded_hi - (0 if unbounded else hi)))
+                hi = min(hi, pin.rank - others_lo)
                 prev = caps[li].get(j)
                 if prev is not None:
                     lo, hi = max(prev[0], lo), min(prev[1], hi)
@@ -414,7 +407,7 @@ def solve_unknown(template: SequenceTemplate,
         quad: d for quad, d in stored.entries.items() if quad[0] != degree}
     sources = {s: known[s].entries for s in template.spaces() if s != tag}
     sources[tag] = {**other_degrees, **{quad: quad for quad in box}}
-    intervals: dict[Quad, Interval] = {quad: (0, None) for quad in box}
+    intervals: dict[Quad, Interval] = {quad: (0, INF) for quad in box}
     system = _assemble(template, sources, tag, box, pins)
     iterations, failure = _propagate(system, pins, intervals)
     if failure is not None:
@@ -428,11 +421,11 @@ def solve_unknown(template: SequenceTemplate,
     under: list[tuple[Quad, int, int | None]] = []
     for quad in sorted(box):
         lo, hi = intervals[quad]
-        if hi is not None and lo == hi:
+        if lo == hi:
             if lo > 0:
                 solved[quad] = lo
         else:
-            under.append((quad, lo, hi))
+            under.append((quad, lo, None if hi == INF else hi))
 
     if degree is not None:
         solved = {**other_degrees, **solved}

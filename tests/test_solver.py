@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 import random
 from pathlib import Path
 
@@ -34,6 +33,13 @@ def _golden():
     return json.loads((Path(__file__).parent / "golden" / "solver_results.json").read_text())
 
 
+def _assert_exact_bounds(res):
+    """An open cell's bounds leave the solver as exact ints, hi None when
+    unbounded above: a float 3.0 would pass an == comparison with 3."""
+    for quad, lo, hi in res.underdetermined:
+        assert type(lo) is int and (hi is None or type(hi) is int), (quad, lo, hi)
+
+
 def test_solver_reproduces_golden():
     """Every case of the regression golden gives the recorded SolveResult:
     tables, open intervals, reports and iteration counts."""
@@ -41,27 +47,25 @@ def test_solver_reproduces_golden():
     assert len(golden) > 200
     assert max(e["result"]["iterations"] for e in golden) > 2
     for entry in golden:
-        assert result_obj(run_case(entry["case"])) == entry["result"], entry["case"]
+        res = run_case(entry["case"])
+        _assert_exact_bounds(res)
+        assert result_obj(res) == entry["result"], entry["case"]
 
 
-INF = math.inf
-
-
-def _bounds(interval):
-    lo, hi = interval
-    return lo, INF if hi is None else hi
+INF = solver.INF
 
 
 def _full_sweep(lanes, pin_occ, pins, intervals):
     """Reference propagation: every lane every round through the interval
-    passes alone (no closed form), then the pin caps; unbounded is INF.
-    Tightens ``intervals`` and returns what solver._propagate returns."""
+    passes alone (no closed form), then the pin caps; unbounded is the
+    solver's INF.  Tightens ``intervals`` and returns what solver._propagate
+    returns."""
     caps = {}  # (lane, boundary rank) -> (lo, hi)
     for rounds in range(1, 10001):
         changed = False
         ranks = []  # each lane's boundary rank intervals, this round
         for li, (key, _c_lo, cells) in enumerate(lanes):
-            d = [_bounds(intervals[c]) if isinstance(c, tuple) else (c, c) for c in cells]
+            d = [intervals[c] if isinstance(c, tuple) else (c, c) for c in cells]
             n = len(d)
             fwd = [(0, 0)]
             for i, (d_lo, d_hi) in enumerate(d):
@@ -84,13 +88,13 @@ def _full_sweep(lanes, pin_occ, pins, intervals):
             for i, cell in enumerate(cells):
                 if not isinstance(cell, tuple):
                     continue
-                cur = _bounds(intervals[cell])
+                cur = intervals[cell]
                 lo = max(cur[0], back[i][0] + back[i + 1][0])
                 hi = min(cur[1], back[i][1] + back[i + 1][1])
                 if lo > hi:
                     return rounds, (key, i, f"cell {cell} has no feasible dimension")
                 if (lo, hi) != cur:
-                    intervals[cell] = (lo, None if hi == INF else hi)
+                    intervals[cell] = (lo, hi)
                     changed = True
         for pin, occ in zip(pins, pin_occ):
             ivs = [ranks[li][j] for li, j in occ]
@@ -141,7 +145,7 @@ def test_worklist_and_closed_form_match_a_full_sweep(monkeypatch):
         assert {quad: sorted(lis) for quad, lis in readers.items()} == \
             {quad: sorted(lis) for quad, lis in scan.items()}, entry["case"]
 
-        worklist = {quad: (0, None) for quad in box}
+        worklist = {quad: (0, INF) for quad in box}
         sweep = dict(worklist)
         got = solver._propagate(system, pins, worklist)
         assert got == _full_sweep(lanes, pin_occ, pins, sweep), entry["case"]
@@ -210,6 +214,7 @@ def test_solver_agrees_with_brute_force():
     for tmpl, tables, tag, k, pins in _oracle_instances():
         counts["instances"] += 1
         res = solve_unknown(tmpl, tables, (tag, k), pins)
+        _assert_exact_bounds(res)
         space = tables[tag].space
         box = sorted(support_box(space, k))
         kept = {q: d for q, d in tables[tag].entries.items() if q[0] != k}
@@ -429,6 +434,41 @@ def test_tables_given_must_agree_on_n(order, bump):
         solve_unknown(builtin_templates()["cs"], _cs_with_extra_y(order, bump), "Xlim")
 
 
+def test_pin_on_a_rank_unbounded_above(monkeypatch):
+    """Template (U, Y, Y), degree 1 of Y unknown: each lane reads its Y cell
+    twice, which leaves the cells unbounded above, and a pin on the ranks out
+    of the first Y sums such a rank with a known rank 3.  A pin of 0 is out
+    of the reach [3, None]; a pin of 4 caps the unbounded rank at 1 and so
+    bounds every cell.  The worklist matches the full sweep on each."""
+    tmpl = SequenceTemplate("twice", 1, (SequenceTerm("U"), SequenceTerm("Y"), SequenceTerm("Y")))
+    tables = {"U": TriFilteredTable(SpaceDescriptor("U", 2, 1),
+                                    {(0, 1, 1, 0): 2, (1, 1, 1, 0): 3, (2, 1, 1, 0): 1}),
+              "Y": TriFilteredTable(SpaceDescriptor("Y", 2, 1), {(0, 1, 1, 0): 5})}
+    assemble, calls = solver._assemble, []
+    monkeypatch.setattr(solver, "_assemble", lambda *args: calls.append(args) or assemble(*args))
+    cells = [(1, 1, 1, 0), (1, 1, 1, 1), (1, 2, 1, 0), (1, 2, 1, 1)]
+    for rank, under in [(None, [(1, None), (0, None), (0, None), (0, None)]),
+                        (0, None),
+                        (4, [(1, 2), (0, 1), (0, 1), (0, 1)])]:
+        calls.clear()
+        pins = [] if rank is None else [RankPin(1, rank)]
+        res = solve_unknown(tmpl, tables, ("Y", 1), pins)
+        if under is None:
+            assert [v.relation for v in res.report.violations] == [
+                "solve contradiction: pinned rank 0 outside reachable [3, None] "
+                "(lane (l=1, q=1, p=0) residue 0)"]
+        else:
+            assert res.underdetermined == [(q, *iv) for q, iv in zip(cells, under)]
+        _assert_exact_bounds(res)
+        (args,) = calls
+        lanes, _readers, _repeats, _single, pin_occ = system = assemble(*args)
+        worklist = {quad: (0, INF) for quad in args[3]}
+        sweep = dict(worklist)
+        assert solver._propagate(system, pins, worklist) == \
+            _full_sweep(lanes, pin_occ, pins, sweep), rank
+        assert worklist == sweep, rank
+
+
 def test_descriptor_inference_needs_a_table():
     tmpl = SequenceTemplate("solo", 1, (SequenceTerm("Y"),))
     with pytest.raises(ValueError, match="infer"):
@@ -454,6 +494,18 @@ def test_uncoupled_reads_stay_unbounded():
     res = solve_unknown(tmpl, tables, "Y")
     assert not res.determined
     assert any(hi is None for _q, _lo, hi in res.underdetermined)
+
+
+def test_round_cap_ends_a_solve_that_does_not_converge():
+    """loc1 with a second read of Z:1: the lower bounds of two cells creep
+    up against an unbounded upper end, and the round cap stops them."""
+    loc1 = builtin_templates()["loc1"].to_json_obj()
+    loc1["terms"].append(loc1["terms"][2])
+    tmpl = SequenceTemplate.from_json_obj(loc1)
+    tables = family_tables(parse_family("k3-elliptic:r=2"))
+    with pytest.raises(ValueError, match="^interval propagation did not converge "
+                                         "within 10000 rounds$"):
+        solve_unknown(tmpl, tables, "Z:1")
 
 
 @pytest.mark.parametrize("u, y, position, detail", [

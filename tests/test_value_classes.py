@@ -225,6 +225,15 @@ def test_defaults():
     (lambda: SequenceTerm("Y", 35), "template term 'k_offset' must lie in [-34, 34], got 35"),
     (lambda: SequenceTemplate("t", 1.0, (SequenceTerm("Y"),)),
      "template 'period' must be an integer, got 1.0"),
+    (lambda: SequenceTemplate([1], 1, (SequenceTerm("Y"),)),
+     "template 'name' must be a string, got [1]"),
+    (lambda: SequenceTemplate(None, 1, (SequenceTerm("Y"),)),
+     "template 'name' must be a string, got None"),
+    (lambda: SequenceTemplate("t", 1, [SequenceTerm("Y")]),
+     "template 'terms' must be a tuple of SequenceTerm, got [SequenceTerm(space='Y', "
+     "k_offset=0, shift=0, twist=0)]"),
+    (lambda: SequenceTemplate("t", 1, ("Y",)),
+     "template 'terms' must be a tuple of SequenceTerm, got ('Y',)"),
     (lambda: SequenceTemplate("t", 0, (SequenceTerm("Y"),)),
      "template needs a positive period and at least one term"),
     (lambda: SequenceTemplate("t", 1, ()),
