@@ -15,9 +15,13 @@ each class is its own exact sequence.  A Lane is one such chain: a triple
 Exactness of a chain of finite dimensional pieces is a pure dimension
 condition: ranks r_i of the connecting maps must satisfy d_i = r_{i-1} + r_i
 with zero rank entering the first position and leaving the last.  That
-recursion is check_exactness.  check_sequence and infer_rank run it inline
-on every lane in one pass, and call check_exactness only on a lane that
-fails, for its reason and position.
+recursion is check_exactness for one chain.  _lane_pass runs it once over
+lanes given as key and (first cycle, cells), in any order, and returns each
+failing lane with its failing index and reason, and each pin's total rank.
+check_sequence and infer_rank run it over every lane of a known instance and
+build each violation from the failing cell alone, with no Lane built; the
+solver runs it over the lanes that read no unknown cell, and over the
+others to verify a determined solve.
 """
 
 from __future__ import annotations
@@ -160,7 +164,12 @@ class Lane(Frozen):
         return [e.dim for e in self.entries]
 
     def describe(self) -> str:
-        return f"lane (l={self.l}, q={self.q}, p={self.p}) residue {self.residue}"
+        return _describe_lane((self.residue, self.l, self.q, self.p))
+
+
+def _describe_lane(key: tuple[int, int, int, int]) -> str:
+    res, l, q, p = key
+    return f"lane (l={l}, q={q}, p={p}) residue {res}"
 
 
 class FeasibilityResult(Frozen):
@@ -227,8 +236,8 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
     ``sources`` maps each space tag to a mapping quad -> value.  Every quad a
     term reads opens its lane, which runs from the first such cycle to the
     last; cells holds each term's read at each cycle, 0 where a quad is absent.
-    The dict is unsorted: extract_lanes and the solver sort it, and
-    _lane_pass needs no order.
+    The dict is unsorted: extract_lanes sorts it, the solver sorts only the
+    read lanes, and _lane_pass needs no order.
 
     The cells are built by scatter, not by probing every (cycle, term) cell:
     each lane gets a zero-filled list, and a second pass over the sources
@@ -385,30 +394,49 @@ class RankPin(Frozen):
         return obj
 
 
-def _lane_pass(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
-               pins: list[tuple[int, int | None]]):
-    """The failing lanes of a fully known instance in checking order, as
-    (Lane, check_exactness result) pairs, and the total rank over all lanes
-    of each (term index, degree) pin, meaningful only when none fails."""
-    for term_index, _degree in pins:
-        _check_term_index(template, term_index)
-    _check_instance(template, tables, None)
-    sources = {s: tables[s].entries for s in template.spaces()}
-    failures, totals = [], [0] * len(pins)
-    for key, (c_lo, cells) in _lanes(template, sources).items():
-        ranks, r = [], 0
+def _lane_pass(template: SequenceTemplate, lanes, pins: list[tuple[int, int | None]]):
+    """Run check_exactness's recursion once over ``lanes``, (key, (first
+    cycle, cells)) pairs in any order, as _lanes(...).items() gives them.
+
+    Returns the failing lanes as (key, first cycle, cells, failing index,
+    reason), sorted by (l, q, p, residue); and for each (term index, degree)
+    pin its total rank over the passing lanes and the smallest key of a
+    passing lane holding an occurrence of it, None if none.  The totals
+    mean something only when no lane fails.  The recursion keeps no ranks:
+    check_exactness reruns it on a failing lane for its index and reason,
+    and on each passing lane when there are pins, for its ranks.
+    """
+    failures, totals, firsts = [], [0] * len(pins), [None] * len(pins)
+    for key, (c_lo, cells) in lanes:
+        r = 0
         for d in cells:
             r = d - r
             if r < 0:
                 break
-            ranks.append(r)
         if r:
-            failures.append((_as_lane(template, key, c_lo, cells), check_exactness(cells)))
-            continue
-        for n, pin in enumerate(pins):
-            totals[n] += sum(ranks[i] for i in _pin_positions(template, *pin, c_lo, len(cells)))
-    failures.sort(key=lambda failure: (failure[0].key, failure[0].residue))
-    return failures, totals
+            res = check_exactness(cells)
+            failures.append((key, c_lo, cells, res.failure_index, res.reason))
+        elif pins:
+            ranks = check_exactness(cells).ranks
+            for n, pin in enumerate(pins):
+                at = _pin_positions(template, *pin, c_lo, len(cells))
+                if at:
+                    totals[n] += sum(ranks[i] for i in at)
+                    if firsts[n] is None or key < firsts[n]:
+                        firsts[n] = key
+    failures.sort(key=lambda failure: (failure[0][1:], failure[0][0]))
+    return failures, totals, firsts
+
+
+def _instance_pass(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
+                   pins: list[tuple[int, int | None]]):
+    """_lane_pass over every lane of a fully known instance, once each pin's
+    term index and the instance are checked."""
+    for term_index, _degree in pins:
+        _check_term_index(template, term_index)
+    _check_instance(template, tables, None)
+    sources = {s: tables[s].entries for s in template.spaces()}
+    return _lane_pass(template, _lanes(template, sources).items(), pins)
 
 
 def check_sequence(template: SequenceTemplate,
@@ -421,14 +449,17 @@ def check_sequence(template: SequenceTemplate,
     once all lanes are feasible, since ranks are not defined otherwise.
     """
     rep = VerificationReport()
-    failures, totals = _lane_pass(template, tables, [(p.term_index, p.degree) for p in pins])
-    for lane, res in failures:
-        entry = lane.entries[res.failure_index]
-        term = template.terms[entry.term_index]
+    failures, totals, _firsts = _instance_pass(
+        template, tables, [(p.term_index, p.degree) for p in pins])
+    T = len(template.terms)
+    for key, c_lo, _cells, i, reason in failures:
+        # cell i is term i % T at cycle c_lo + (i // T) * P, as in _as_lane
+        term = template.terms[i % T]
+        degree = c_lo + (i // T) * template.period + term.k_offset
         rep.add(Violation(
-            f"exactness: {res.reason} ({lane.describe()}, "
-            f"term {entry.term_index} [{term.space}] in degree {entry.degree})",
-            space=term.space, lane=lane.key, position=res.failure_index))
+            f"exactness: {reason} ({_describe_lane(key)}, "
+            f"term {i % T} [{term.space}] in degree {degree})",
+            space=term.space, lane=key[1:], position=i))
     if not rep.passed:
         return rep
     for pin, total in zip(pins, totals):
@@ -449,9 +480,8 @@ def infer_rank(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
     Only meaningful on a fully known, exact instance; raises if any lane is
     infeasible.
     """
-    failures, (total,) = _lane_pass(template, tables, [(term_index, degree)])
+    failures, (total,), _firsts = _instance_pass(template, tables, [(term_index, degree)])
     if failures:
-        lane, res = failures[0]
-        raise ValueError(
-            f"cannot infer ranks: {lane.describe()} is not exact ({res.reason})")
+        key, _c_lo, _cells, _i, reason = failures[0]
+        raise ValueError(f"cannot infer ranks: {_describe_lane(key)} is not exact ({reason})")
     return total

@@ -20,12 +20,18 @@ guessed, and an empty interval means the known tables admit no exact
 completion at all (contradiction, reported with the offending lane).
 
 A solve runs in two steps.  _assemble builds the lane system once: the
-lanes of the instance with the unknown table read through an overlay, the
-lanes reading each cell, the lanes reading a cell twice, each lane's one
-unknown position and the lanes' ranks each pin sums.  _propagate owns all
-that follows, the worklist, the closed form, the interval passes and the
-pin step; it tightens the intervals in place and returns the round count
-and the contradiction, if any, from which solve_unknown builds the report.
+lanes of the instance with the unknown table read through an overlay, split
+into read lanes, which read a cell of the unknown's box, and known lanes,
+which read none.  A known lane is a chain of known dimensions, so
+propagation has nothing to tighten in it: _assemble checks the known lanes
+once with _lane_pass, the lane pass of check_sequence, and keeps only the
+first that fails, in key order, and each pin's total rank over them.  For
+the read lanes alone it keeps the lanes reading each cell, the lanes reading
+a cell twice, each lane's one unknown position and the ranks each pin sums.
+_propagate owns all that follows, the worklist, the closed form, the
+interval passes and the pin step; it tightens the intervals in place and
+returns the round count and the contradiction, if any, from which
+solve_unknown builds the report.
 
 Within one lane each unknown cell usually sits at one position, and then
 the lane's relations form a path: one forward/backward pass already gives
@@ -42,44 +48,59 @@ boundary ranks, and a lane whose rank cap a pin changes is queued for the
 next round.  This is the order of sweeping every lane every round, minus
 the sweeps that cannot change anything: the intervals, the contradiction
 reported and the round count are those of the full sweep.  A test runs
-such a full sweep, with the interval passes alone, beside _propagate on
-every case of the solver golden, and checks this and the closed form below.
+such a full sweep, with the interval passes alone, over every lane _lanes
+builds, beside _assemble and _propagate on every case of the solver golden,
+and checks this and the closed form below.
 
-Most lanes of a solve read at most one unknown cell, and such a lane takes
-a closed form: the rank recursion r = d_i - r of check_exactness runs from
-the front up to the cell (over the whole lane if it reads none) and from the
-back down to just after it, the cell is forced to r_in + r_out, the ranks
-are stored as both ends of the boundary and the cell is tightened to that
-point.  This is what the interval passes give.  Any solution of the lane
-carries these ranks, so there is at most one.  If no rank goes negative, the
-chain closes and the forced value lies in the cell's interval, it is that,
-and the interval passes, seeing points on both sides of the cell and being
-sound, return exactly it.  Otherwise there is none, and the lane falls
-through to the interval passes, the only code that reports a contradiction.
-A pin cap changes nothing: the closed form succeeds on a visit only if it
-did on every earlier one (its ranks read known cells, intervals only
-shrink), so the lane's boundary always held these point ranks, and the pin
-step, having checked lo_sum <= pin <= hi_sum, caps a point rank r to
-max(r, pin - others_hi) = r and min(r, pin - others_lo) = r.
+The known lanes fit that order as follows.  A full sweep visits a known
+lane in round 1 and finds it exact or reports it: the interval passes, on
+a chain of points, fail where check_exactness does, "rank forced negative"
+where it reports a negative rank and "chain cannot close" where a rank is
+left over.  So if a known lane fails, the contradiction is the first failing
+lane in key order of round 1: a read lane before it, or else the first
+failing known lane.  Otherwise a known lane's ranks are points, fixed from
+round 1 on, and a pin adds them to both of its sums.  The pin step caps
+each of them at its own point, which changes nothing in the lane, but the
+first cap is a change: a pin that sums a known lane makes round 1 count as
+changed.  A pin's contradiction names the smallest key among the read and
+known lanes it sums.
 
-A determined solve is verified on the lanes _assemble built, by _verify:
-check_exactness's recursion r = d - r runs over every lane, each unknown
-cell read at its point value, and must never go negative and must close at
-0; then each pin's boundary ranks over pin_occ must total its rank.  No lane
-or pin is skipped on the strength of the propagation argument.  This is
-check_sequence of the completed instance: an assembled lane is its lane,
-padded with zero cells (the box cells solved to 0, and whole lanes opened
-only by such cells, every cell 0).  Leading zeros keep the rank at 0, and
-trailing zeros keep a rank of 0 at 0 and drive any other rank negative, so
-padding changes neither whether a lane is exact nor any rank a pin sums.
-If the check fails, which by this argument it never does, the report comes
-from check_sequence of the completed instance.
+Most read lanes read one unknown cell, and such a lane takes a closed form:
+the rank recursion r = d_i - r of check_exactness runs from the front up to
+the cell and from the back down to just after it, the cell is forced to
+r_in + r_out, the ranks are stored as both ends of the boundary and the cell
+is tightened to that point.  This is what the interval passes give.  Any
+solution of the lane carries these ranks, so there is at most one.  If no
+rank goes negative, the chain closes and the forced value lies in the cell's
+interval, it is that, and the interval passes, seeing points on both sides
+of the cell and being sound, return exactly it.  Otherwise there is none,
+and the lane falls through to the interval passes, the only code that
+reports a contradiction on a read lane.  A pin cap changes nothing: the
+closed form succeeds on a visit only if it did on every earlier one (its
+ranks read known cells, intervals only shrink), so the lane's boundary
+always held these point ranks, and the pin step, having checked
+lo_sum <= pin <= hi_sum, caps a point rank r to max(r, pin - others_hi) = r
+and min(r, pin - others_lo) = r.
+
+A determined solve is verified by _verify: _lane_pass runs over the read
+lanes, each unknown cell read at its point value, and each pin's total over
+the read lanes and the known lanes must be its rank.  Every lane is still
+checked once, the known lanes by _assemble's lane pass and the read lanes
+here; no lane or pin is skipped on the strength of the propagation
+argument.  This is check_sequence of the completed instance: an assembled
+lane is its lane, padded with zero cells (the box cells solved to 0, and
+whole lanes opened only by such cells, every cell 0).  Leading zeros keep
+the rank at 0, and trailing zeros keep a rank of 0 at 0 and drive any other
+rank negative, so padding changes neither whether a lane is exact nor any
+rank a pin sums.  If the check fails, which by this argument it never does,
+the report comes from check_sequence of the completed instance.
 """
 
 from __future__ import annotations
 
 from .sequences import (RankPin, SequenceTemplate, _check_instance, _check_term_index,
-                        _lanes, _pin_positions, _read_positions, check_sequence)
+                        _describe_lane, _lane_pass, _lanes, _pin_positions,
+                        _read_positions, check_sequence)
 from .spaces import FIBRATION_KINDS, SpaceDescriptor
 from .tables import Quad, Record, TriFilteredTable, VerificationReport, Violation
 
@@ -87,6 +108,11 @@ from .tables import Quad, Record, TriFilteredTable, VerificationReport, Violatio
 # and sums need no special case
 INF = float("inf")
 Interval = tuple[int, int | float]
+
+# what the interval passes report where a rank goes negative (or leaves its
+# pin's cap) and where a lane cannot close
+NEGATIVE = "rank forced negative or above its pin"
+UNCLOSED = "chain cannot close"
 
 
 def support_box(space: SpaceDescriptor, degree: int | None = None) -> set[Quad]:
@@ -161,19 +187,26 @@ def _infer_descriptor(tag: str, known: dict[str, TriFilteredTable]) -> SpaceDesc
 
 def _assemble(template: SequenceTemplate, sources: dict, tag: str, box: set[Quad],
               pins: list[RankPin]) -> tuple:
-    """The lane system: lanes[i] = (key, first cycle, cells) in key order, a
-    cell being a known dimension or an unknown's quadruple; readers (each
-    cell's lanes), repeats (lanes reading a cell twice), single[i] (lane i's
-    one unknown position: -1 if none, None if more) and pin_occ (for each
-    pin, the (lane, boundary rank) pairs it sums)."""
+    """The lane system.  lanes[i] = (key, first cycle, cells) are the read
+    lanes, those reading a cell of the box, in key order, a cell being a
+    known dimension or an unknown's quadruple; readers (each cell's lanes),
+    repeats (lanes reading a cell twice), single[i] (lane i's one unknown
+    position, None if more), pin_occ (for each pin, the (lane, boundary
+    rank) pairs it sums over the read lanes, the total rank over the known
+    lanes and the smallest key of a known lane it sums, None if none) and
+    failure (the first known lane in key order that is not exact, as
+    (key, position, detail), or None).  The known lanes, reading no cell of
+    the box, are checked here by _lane_pass and take no further part."""
     lane_map = _lanes(template, sources)
-    keys = sorted(lane_map)
-    lanes = [(key, *lane_map[key]) for key in keys]
+    found = list(_read_positions(template, lane_map, tag, box))
+    keys = sorted({key for _quad, key, _pos in found})
     index = {key: li for li, key in enumerate(keys)}
+    # popping the read lanes leaves the known lanes in lane_map
+    lanes = [(key, *lane_map.pop(key)) for key in keys]
     readers: dict[Quad, list[int]] = {quad: [] for quad in box}
     repeats = [False] * len(lanes)
-    single: list[int | None] = [-1] * len(lanes)
-    for quad, key, pos in _read_positions(template, lane_map, tag, box):
+    single: list[int | None] = [-1] * len(lanes)  # -1 until a first read
+    for quad, key, pos in found:
         li = index[key]
         if li in readers[quad]:
             repeats[li] = True
@@ -181,13 +214,21 @@ def _assemble(template: SequenceTemplate, sources: dict, tag: str, box: set[Quad
             readers[quad].append(li)
         single[li] = pos if single[li] == -1 else None
 
+    failures, totals, firsts = _lane_pass(
+        template, lane_map.items(), [(pin.term_index, pin.degree) for pin in pins])
+    failure = None
+    if failures:
+        # the interval passes, run on a lane of points, fail where
+        # check_exactness does, and say which way by their own words
+        key, _c_lo, _cells, i, reason = min(failures)
+        failure = (key, i, UNCLOSED if reason.startswith("chain does not close") else NEGATIVE)
     # Chain positions whose outgoing rank each pin sums: the rank out of
     # position j is the lane's boundary rank j + 1.
-    pin_occ = [[(li, j + 1) for li, (_key, c_lo, cells) in enumerate(lanes)
-                for j in _pin_positions(template, pin.term_index, pin.degree,
-                                        c_lo, len(cells))]
-               for pin in pins]
-    return lanes, readers, repeats, single, pin_occ
+    pin_occ = [([(li, j + 1) for li, (_key, c_lo, cells) in enumerate(lanes)
+                 for j in _pin_positions(template, pin.term_index, pin.degree,
+                                         c_lo, len(cells))], total, first)
+               for pin, total, first in zip(pins, totals, firsts)]
+    return lanes, readers, repeats, single, pin_occ, failure
 
 
 def _propagate(system: tuple, pins: list[RankPin],
@@ -196,7 +237,12 @@ def _propagate(system: tuple, pins: list[RankPin],
     tightening ``intervals`` (hi INF when unbounded above) in place:
     (rounds, None), or (rounds, (lane key, position, detail)) for a
     contradiction."""
-    lanes, readers, repeats, single, pin_occ = system
+    lanes, readers, repeats, single, pin_occ, failure = system
+    visit = lanes
+    if failure is not None:
+        # round 1 reaches the failing known lane after the read lanes
+        # before it in key order, and ends there
+        visit = lanes[:sum(lane[0] < failure[0] for lane in lanes)]
     caps: list[dict[int, Interval]] = [{} for _ in lanes]
     # boundary[li] = (lo, hi) lists of the lane's connecting ranks at its
     # last visit; the pin step reads them.
@@ -210,7 +256,7 @@ def _propagate(system: tuple, pins: list[RankPin],
         changed = False
         requeue: set[int] = set()  # lanes to visit next round
 
-        for li, (key, _c_lo, cells) in enumerate(lanes):
+        for li, (key, _c_lo, cells) in enumerate(visit):
             if not dirty[li]:
                 continue
             dirty[li] = False
@@ -221,19 +267,17 @@ def _propagate(system: tuple, pins: list[RankPin],
                 # the closed form (module docstring), else the interval passes
                 ranks = [0] * (n_pos + 1)
                 r = s = 0
-                end = n_pos if pos < 0 else pos
-                for i in range(end):
+                for i in range(pos):
                     r = cells[i] - r
                     if r < 0:
                         break
                     ranks[i + 1] = r
-                for i in range(n_pos - 1, end, -1):
+                for i in range(n_pos - 1, pos, -1):
                     s = cells[i] - s
                     if s < 0:
                         break
                     ranks[i] = s
-                # a lane reading no unknown closes: r + s is forced to 0
-                lo, hi = intervals[cells[pos]] if pos >= 0 else (0, 0)
+                lo, hi = intervals[cells[pos]]
                 if r >= 0 and s >= 0 and lo <= r + s <= hi:
                     boundary[li] = (ranks, ranks)
                     moved = [] if lo == hi else [cells[pos]]
@@ -267,14 +311,14 @@ def _propagate(system: tuple, pins: list[RankPin],
                             if cap[1] < hi:
                                 hi = cap[1]
                     if lo > hi:
-                        return rounds, (key, i, "rank forced negative or above its pin")
+                        return rounds, (key, i, NEGATIVE)
                     F_lo[i + 1] = f_lo = lo
                     F_hi[i + 1] = f_hi = hi
                 # Backward: the chain closes with rank 0, which F[n] allows iff
                 # its lower end is 0 (ranks are never negative); then
                 # R[i] = F[i] meet (d_i - R[i+1]).
                 if f_lo > 0:
-                    return rounds, (key, n_pos - 1, "chain cannot close")
+                    return rounds, (key, n_pos - 1, UNCLOSED)
                 R_lo = [0] * (n_pos + 1)
                 R_hi: list = [0] * (n_pos + 1)
                 r_lo = r_hi = 0
@@ -320,17 +364,27 @@ def _propagate(system: tuple, pins: list[RankPin],
                         elif lj < li:
                             requeue.add(lj)
 
-        for pin, occ in zip(pins, pin_occ):
+        if failure is not None:
+            return rounds, failure
+        for pin, (occ, known, known_key) in zip(pins, pin_occ):
+            # the known lanes' ranks add to both sums as point ranks
             ivs = [(boundary[li][0][j], boundary[li][1][j]) for li, j in occ]
-            lo_sum = sum(lo for lo, _hi in ivs)
+            lo_sum = known + sum(lo for lo, _hi in ivs)
             # The upper ends are summed apart from a count of the unbounded
             # ones: taking one INF back out of an INF sum would give nan.
             his = [hi for _lo, hi in ivs if hi != INF]
-            bounded_hi, unbounded = sum(his), len(ivs) - len(his)
+            bounded_hi, unbounded = known + sum(his), len(ivs) - len(his)
             if pin.rank < lo_sum or (not unbounded and pin.rank > bounded_hi):
-                return rounds, (("*",) * 4 if not occ else lanes[occ[0][0]][0], None,
+                # the smallest key among the pin's read and known lanes
+                firsts = [lanes[occ[0][0]][0]] if occ else []
+                if known_key is not None:
+                    firsts.append(known_key)
+                return rounds, (min(firsts, default=("*",) * 4), None,
                                 f"pinned rank {pin.rank} outside reachable "
                                 f"[{lo_sum}, {None if unbounded else bounded_hi}]")
+            # A known lane's first cap, the point of its rank, changed round 1.
+            if rounds == 1 and known_key is not None:
+                changed = True
             # Cap each occurrence by the pin less the other occurrences: their
             # sums are the pin's sums less this occurrence's own bounds.
             for (li, j), (lo, hi) in zip(occ, ivs):
@@ -352,26 +406,31 @@ def _propagate(system: tuple, pins: list[RankPin],
             dirty[li] = True
 
 
-def _verify(system: tuple, pins: list[RankPin], intervals: dict[Quad, Interval]) -> bool:
+def _verify(template: SequenceTemplate, system: tuple, pins: list[RankPin],
+            intervals: dict[Quad, Interval]) -> bool:
     """Whether check_sequence passes the completed instance, read off the
-    assembled system (module docstring): every lane closes under
-    check_exactness's recursion with each unknown cell at its point value,
-    and each pin's ranks over pin_occ total its rank."""
-    lanes, _readers, _repeats, _single, pin_occ = system
-    ranks = []  # ranks[li][j]: lane li's boundary rank j
-    for _key, _c_lo, cells in lanes:
-        r = 0
-        lane_ranks = [0]
-        for d in cells:
-            r = (intervals[d][0] if d.__class__ is tuple else d) - r
-            if r < 0:
-                return False
-            lane_ranks.append(r)
-        if r:
-            return False
-        ranks.append(lane_ranks)
-    return all(sum(ranks[li][j] for li, j in occ) == pin.rank
-               for pin, occ in zip(pins, pin_occ))
+    assembled system (module docstring): _lane_pass finds every read lane
+    exact with each unknown cell at its point value, and each pin's total
+    over the read lanes and the known lanes is its rank."""
+    lanes, _readers, _repeats, single, pin_occ, _failure = system
+    failures, totals, _firsts = _lane_pass(
+        template, _completed(lanes, single, intervals),
+        [(pin.term_index, pin.degree) for pin in pins])
+    return not failures and all(known + total == pin.rank for pin, (_occ, known, _key), total
+                                in zip(pins, pin_occ, totals))
+
+
+def _completed(lanes: list, single: list, intervals: dict[Quad, Interval]):
+    """The read lanes as _lane_pass takes them, each unknown cell read at the
+    lower end of its interval: a copy of the cells with the one unknown
+    position replaced, or every unknown cell where a lane reads more."""
+    for (key, c_lo, cells), pos in zip(lanes, single):
+        if pos is None:
+            cells = [intervals[d][0] if d.__class__ is tuple else d for d in cells]
+        else:
+            cells = cells[:]
+            cells[pos] = intervals[cells[pos]][0]
+        yield key, (c_lo, cells)
 
 
 def solve_unknown(template: SequenceTemplate,
@@ -411,10 +470,10 @@ def solve_unknown(template: SequenceTemplate,
     system = _assemble(template, sources, tag, box, pins)
     iterations, failure = _propagate(system, pins, intervals)
     if failure is not None:
-        (res, l, q, p), position, detail = failure
+        key, position, detail = failure
         rep = VerificationReport([Violation(
-            f"solve contradiction: {detail} (lane (l={l}, q={q}, p={p}) residue {res})",
-            lane=(l, q, p), position=position)])
+            f"solve contradiction: {detail} ({_describe_lane(key)})",
+            lane=key[1:], position=position)])
         return SolveResult(None, False, [], rep, iterations)
 
     solved: dict[Quad, int] = {}
@@ -432,7 +491,7 @@ def solve_unknown(template: SequenceTemplate,
     table = TriFilteredTable(space, solved)
     determined = not under
     report = VerificationReport()
-    if determined and not _verify(system, pins, intervals):
+    if determined and not _verify(template, system, pins, intervals):
         completed = dict(known)
         completed[tag] = table
         report = check_sequence(template, completed, pins=list(pins))

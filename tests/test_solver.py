@@ -9,8 +9,9 @@ import trigrade.solver as solver
 from solver_cases import result_obj, run_case
 from trigrade import (RankPin, SequenceTemplate, SequenceTerm,
                       SpaceDescriptor, TriFilteredTable, builtin_templates,
-                      check_sequence, family_tables, infer_rank, parse_family,
-                      solve_unknown, support_box)
+                      check_exactness, check_sequence, family_tables, infer_rank,
+                      parse_family, solve_unknown, support_box)
+from trigrade.sequences import _lanes, _pin_positions
 
 
 def test_support_box_contains_all_fixture_entries(fixture_sets):
@@ -117,22 +118,41 @@ def _full_sweep(lanes, pin_occ, pins, intervals):
     raise AssertionError("the full sweep did not converge")
 
 
+def _unsplit(template, sources, pins):
+    """The whole lane system, by its definition: every lane _lanes builds,
+    known lanes included, in key order, and each pin's (lane, boundary rank)
+    pairs over them."""
+    lanes = sorted((key, *lane) for key, lane in _lanes(template, sources).items())
+    pin_occ = [[(li, j + 1) for li, (_key, c_lo, cells) in enumerate(lanes)
+                for j in _pin_positions(template, pin.term_index, pin.degree, c_lo, len(cells))]
+               for pin in pins]
+    return lanes, pin_occ
+
+
 def test_worklist_and_closed_form_match_a_full_sweep(monkeypatch):
-    """The solver module docstring's two claims, on every golden case: the
-    worklist gives the full sweep's intervals, contradiction and round count,
-    and the closed form gives what the interval passes give.  The lane
-    system's readers, repeats and one-unknown positions are those of a scan
-    of its cells."""
+    """The solver module docstring's claims, on every golden case: checking
+    the known lanes once and propagating the read lanes with the worklist
+    gives a full sweep of every lane's intervals, contradiction and round
+    count, and the closed form gives what the interval passes give.  The
+    read lanes are the lanes holding an unknown cell, in key order, and
+    their readers, repeats and one-unknown positions are those of a scan of
+    their cells.  The golden holds contradictions on a known lane, and
+    contradictions on a read lane that comes before a failing known lane."""
     golden = _golden()
     assemble, calls = solver._assemble, []
     monkeypatch.setattr(solver, "_assemble", lambda *args: calls.append(args) or assemble(*args))
-    outcomes = {"contradiction": 0, "pinned": 0}
+    outcomes = {"contradiction": 0, "pinned": 0, "known lane reported": 0,
+                "read lane before a failing known lane": 0}
     for entry in golden:
         calls.clear()
         run_case(entry["case"])
         (args,) = calls
-        box, pins = args[3], args[4]
-        lanes, readers, repeats, single, pin_occ = system = assemble(*args)
+        template, sources, _tag, box, pins = args
+        lanes, readers, repeats, single, _pin_occ, _failure = system = assemble(*args)
+        every_lane, pin_occ = _unsplit(template, sources, pins)
+        known = [lane for lane in every_lane
+                 if not any(isinstance(c, tuple) for c in lane[2])]
+        assert lanes == [lane for lane in every_lane if lane not in known], entry["case"]
 
         scan: dict = {quad: set() for quad in box}
         for li, (_key, _c_lo, cells) in enumerate(lanes):
@@ -140,21 +160,26 @@ def test_worklist_and_closed_form_match_a_full_sweep(monkeypatch):
             for i in unknown:
                 scan[cells[i]].add(li)
             assert repeats[li] == (len({cells[i] for i in unknown}) < len(unknown))
-            assert single[li] == (-1 if not unknown else unknown[0] if len(unknown) == 1
-                                  else None)
+            assert single[li] == (unknown[0] if len(unknown) == 1 else None)
         assert {quad: sorted(lis) for quad, lis in readers.items()} == \
             {quad: sorted(lis) for quad, lis in scan.items()}, entry["case"]
 
         worklist = {quad: (0, INF) for quad in box}
         sweep = dict(worklist)
         got = solver._propagate(system, pins, worklist)
-        assert got == _full_sweep(lanes, pin_occ, pins, sweep), entry["case"]
+        assert got == _full_sweep(every_lane, pin_occ, pins, sweep), entry["case"]
         assert worklist == sweep, entry["case"]
         assert got[0] == entry["result"]["iterations"]
         outcomes["contradiction"] += got[1] is not None
         outcomes["pinned"] += bool(pins)
+        failing = [key for key, _c_lo, cells in known if not check_exactness(cells).feasible]
+        if failing:
+            reported = "known lane reported" if got[1][0] == failing[0] else \
+                "read lane before a failing known lane"
+            outcomes[reported] += 1
     assert len(golden) == 390
-    assert outcomes == {"contradiction": 175, "pinned": 189}
+    assert outcomes == {"contradiction": 175, "pinned": 189, "known lane reported": 17,
+                        "read lane before a failing known lane": 2}
 
 
 ORACLE_FAMILIES = ("k3-elliptic:r=1", "k3-finite:g=2", "k3-typeII:r=1", "k3-typeIII:k=1")
@@ -461,12 +486,43 @@ def test_pin_on_a_rank_unbounded_above(monkeypatch):
             assert res.underdetermined == [(q, *iv) for q, iv in zip(cells, under)]
         _assert_exact_bounds(res)
         (args,) = calls
-        lanes, _readers, _repeats, _single, pin_occ = system = assemble(*args)
-        worklist = {quad: (0, INF) for quad in args[3]}
+        template, sources, _tag, box, _pins = args
+        worklist = {quad: (0, INF) for quad in box}
         sweep = dict(worklist)
-        assert solver._propagate(system, pins, worklist) == \
-            _full_sweep(lanes, pin_occ, pins, sweep), rank
+        assert solver._propagate(assemble(*args), pins, worklist) == \
+            _full_sweep(*_unsplit(template, sources, pins), pins, sweep), rank
         assert worklist == sweep, rank
+
+
+@pytest.mark.parametrize("pin, rounds, contradiction", [
+    (None, 1, None),
+    (RankPin(1, 3, 0), 2, None),
+    (RankPin(1, 4, 0), 1, "solve contradiction: pinned rank 4 outside reachable [3, 3] "
+                          "(lane (l=1, q=0, p=0) residue 0)"),
+], ids=["no-pin", "pin-met", "pin-missed"])
+def test_a_pin_on_known_lanes_alone(monkeypatch, pin, rounds, contradiction):
+    """Template (U, Y, Y) with degree 1 of Y unknown: each read lane reads
+    its Y cell twice, so round 1 tightens nothing.  A pin in degree 0 sums
+    only the lane of Y(0, 1, 0, 0) = 3, which reads no unknown cell.  As in
+    the full sweep, its first cap makes round 1 count as changed, and a pin
+    it cannot meet names that lane."""
+    tmpl = SequenceTemplate("twice", 1, (SequenceTerm("U"), SequenceTerm("Y"), SequenceTerm("Y")))
+    tables = {"U": TriFilteredTable(SpaceDescriptor("U", 2, 1), {}),
+              "Y": TriFilteredTable(SpaceDescriptor("Y", 2, 1), {(0, 1, 0, 0): 3})}
+    assemble, calls = solver._assemble, []
+    monkeypatch.setattr(solver, "_assemble", lambda *args: calls.append(args) or assemble(*args))
+    pins = [] if pin is None else [pin]
+    res = solve_unknown(tmpl, tables, ("Y", 1), pins)
+    assert res.iterations == rounds
+    assert [v.relation for v in res.report.violations] == ([contradiction] if contradiction else [])
+    assert contradiction or all(hi is None for _quad, _lo, hi in res.underdetermined)
+    (args,) = calls
+    template, sources, _tag, box, _pins = args
+    worklist = {quad: (0, INF) for quad in box}
+    sweep = dict(worklist)
+    assert solver._propagate(assemble(*args), pins, worklist) == \
+        _full_sweep(*_unsplit(template, sources, pins), pins, sweep)
+    assert worklist == sweep
 
 
 def test_descriptor_inference_needs_a_table():
@@ -603,19 +659,19 @@ def _assembled(monkeypatch, template, tables, unknown, pins):
 def test_verification_fails_on_a_changed_cell(monkeypatch, spec, name, tag):
     tables = family_tables(parse_family(spec))
     known = {t: tab for t, tab in tables.items() if t != tag}
-    system, pins, intervals = _assembled(
+    template, system, pins, intervals = _assembled(
         monkeypatch, builtin_templates()[name], known, tag, [])
-    assert solver._verify(system, pins, intervals)
+    assert solver._verify(template, system, pins, intervals)
     for quad, (value, _hi) in intervals.items():
         bumped = {**intervals, quad: (value + 1, value + 1)}
-        assert not solver._verify(system, pins, bumped), quad
+        assert not solver._verify(template, system, pins, bumped), quad
 
 
 def test_verification_fails_on_a_pin_off_by_one(monkeypatch):
     tables = family_tables(parse_family("k3-typeII:r=2"))
     known = {t: tab for t, tab in tables.items() if t != "Xlim"}
-    system, pins, intervals = _assembled(
+    template, system, pins, intervals = _assembled(
         monkeypatch, builtin_templates()["cs"], known, "Xlim", [RankPin(1, 2, 2)])
-    assert solver._verify(system, pins, intervals)
+    assert solver._verify(template, system, pins, intervals)
     for rank in (1, 3):
-        assert not solver._verify(system, [RankPin(1, rank, 2)], intervals)
+        assert not solver._verify(template, system, [RankPin(1, rank, 2)], intervals)
