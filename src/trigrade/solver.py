@@ -218,8 +218,8 @@ def _assemble(template: SequenceTemplate, sources: dict, tag: str, box: set[Quad
         template, lane_map.items(), [(pin.term_index, pin.degree) for pin in pins])
     failure = None
     if failures:
-        # the interval passes, run on a lane of points, fail where
-        # check_exactness does, and say which way by their own words
+        # on a lane of points the interval passes fail where
+        # check_exactness does, in their own words for the two ways
         key, _c_lo, _cells, i, reason = min(failures)
         failure = (key, i, UNCLOSED if reason.startswith("chain does not close") else NEGATIVE)
     # Chain positions whose outgoing rank each pin sums: the rank out of
@@ -382,7 +382,8 @@ def _propagate(system: tuple, pins: list[RankPin],
                 return rounds, (min(firsts, default=("*",) * 4), None,
                                 f"pinned rank {pin.rank} outside reachable "
                                 f"[{lo_sum}, {None if unbounded else bounded_hi}]")
-            # A known lane's first cap, the point of its rank, changed round 1.
+            # Capping a known lane's point rank changes nothing in it, but
+            # the first cap, in round 1, counts as a change.
             if rounds == 1 and known_key is not None:
                 changed = True
             # Cap each occurrence by the pin less the other occurrences: their
