@@ -33,6 +33,15 @@ from .tables import Frozen, TriFilteredTable, VerificationReport, Violation, _se
 # complex dimension MAX_N + 1.  Template k_offsets lie within this bound, and _lanes refuses an
 # instance whose table degrees stray far enough to widen a lane beyond it.
 MAX_DEGREE = 2 * (MAX_N + 1)
+# A lane holds one cell per term per cycle, so the work of an instance grows
+# with the template's length: the builtin templates have at most 4 terms.
+# SequenceTemplate refuses more than MAX_TERMS terms, and _lanes an instance
+# whose lanes would hold more than MAX_LANE_CELLS cells in all, about 8 MB of
+# cell references; the largest product instance up to n = MAX_N, cs or
+# mirror-cs with one table unknown, holds about 63,000.
+MAX_TERMS = 1000
+MAX_LANE_CELLS = 1_000_000
+OVER_BUDGET = f"the lanes of this instance would hold more than {MAX_LANE_CELLS} cells"
 
 
 class SequenceTerm(Frozen):
@@ -73,6 +82,8 @@ class SequenceTemplate(Frozen):
             raise ValueError(f"template 'terms' must be a tuple of SequenceTerm, got {terms!r}")
         if period < 1 or not terms:
             raise ValueError("template needs a positive period and at least one term")
+        if len(terms) > MAX_TERMS:
+            raise ValueError(f"template has {len(terms)} terms, more than {MAX_TERMS}")
         _set(self, "name", name)
         _set(self, "period", period)
         _set(self, "terms", terms)
@@ -250,8 +261,13 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
     Between the passes each lane's cycle window must lie in [-2B, 2B], with
     B = MAX_DEGREE; else a ValueError names a table entry whose degree lies
     outside [-B, B], since c = k - k_offset and |k_offset| <= B.  A few KB of
-    input can otherwise ask for lanes of millions of cells.  Checking the
-    windows costs one step per lane, not one per entry.
+    input can otherwise ask for lanes of millions of cells.  The same loop
+    sums the lanes' cells, which must stay within MAX_LANE_CELLS.  Checking
+    the windows costs one step per lane, not one per entry.  The first pass
+    already refuses an instance, after each term, once it has opened more
+    than MAX_LANE_CELLS / T lanes, since each holds at least T cells: terms
+    that each open lanes of their own would otherwise fill the windows with
+    one lane per entry and term before the budget is checked.
     """
     P = template.period
     T = len(template.terms)
@@ -269,12 +285,20 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
                 windows[key] = (c, w[1])
             elif c > w[1]:
                 windows[key] = (w[0], c)
+        if len(windows) * T > MAX_LANE_CELLS:  # a lane holds T cells or more
+            raise ValueError(OVER_BUDGET)
+    span = 0
     for c_lo, c_hi in windows.values():
         if c_lo < -2 * MAX_DEGREE or c_hi > 2 * MAX_DEGREE:
             tag, k = next((term.space, quad[0]) for term in template.terms
                           for quad in sources[term.space] if abs(quad[0]) > MAX_DEGREE)
             raise ValueError(f"table {tag} has an entry in degree {k}, "
                              f"outside [-{MAX_DEGREE}, {MAX_DEGREE}]")
+        span += c_hi - c_lo
+    # a window's two ends share a residue mod P, so each lane holds
+    # ((c_hi - c_lo) // P + 1) * T cells
+    if (span // P + len(windows)) * T > MAX_LANE_CELLS:
+        raise ValueError(OVER_BUDGET)
 
     lanes = {key: (c_lo, [0] * (((c_hi - c_lo) // P + 1) * T))
              for key, (c_lo, c_hi) in windows.items()}
@@ -287,19 +311,19 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
     return lanes
 
 
-def _read_positions(template: SequenceTemplate, lanes: dict, space: str, quads):
-    """Yield (quad, lane key, cell position) of each read of one of ``quads``
-    by a term on ``space``, in lanes _lanes built from sources holding them:
+def _read_positions(template: SequenceTemplate, lanes: dict, space: str, quads: list):
+    """Yield (slot, lane key, cell position) of each read of quads[slot] by a
+    term on ``space``, in lanes _lanes built from sources holding them:
     SequenceTerm.read_quad inverted as in _lanes."""
     P, T = template.period, len(template.terms)
     for j, term in enumerate(template.terms):
         if term.space != space:
             continue
         ko, s, tw = term.k_offset, term.shift, term.twist
-        for quad in quads:
-            c = quad[0] - ko
-            key = (c % P, quad[1] - s, quad[2] - 2 * tw, quad[3] - tw)
-            yield quad, key, (c - lanes[key][0]) // P * T + j
+        for slot, (k, l, q, p) in enumerate(quads):
+            c = k - ko
+            key = (c % P, l - s, q - 2 * tw, p - tw)
+            yield slot, key, (c - lanes[key][0]) // P * T + j
 
 
 def _as_lane(template: SequenceTemplate, key: tuple[int, int, int, int], c_lo: int,

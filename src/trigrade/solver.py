@@ -19,19 +19,30 @@ interval, so a cell whose interval collapses to a point is genuinely forced
 guessed, and an empty interval means the known tables admit no exact
 completion at all (contradiction, reported with the offending lane).
 
+Inside the solver an unknown cell is its slot, its index in the box listed
+in ascending (k, l, q, p) order.  The unknown table is read through an
+overlay that holds ~slot, a negative int, at each cell of the box, so a
+lane's cells are plain ints, a cell is unknown exactly when it is negative
+(known dimensions are never negative), and the intervals and each cell's
+readers are lists indexed by slot.  The results are read off in slot
+order, which is the sorted order of the cells; only a contradiction's
+"cell ... has no feasible dimension" turns a slot back into its quadruple.
+
 A solve runs in two steps.  _assemble builds the lane system once: the
-lanes of the instance with the unknown table read through an overlay, split
-into read lanes, which read a cell of the unknown's box, and known lanes,
-which read none.  A known lane is a chain of known dimensions, so
-propagation has nothing to tighten in it: _assemble checks the known lanes
-once with _lane_pass, the lane pass of check_sequence, and keeps only the
-first that fails, in key order, and each pin's total rank over them.  For
-the read lanes alone it keeps the lanes reading each cell, the lanes reading
-a cell twice, each lane's one unknown position and the ranks each pin sums.
-_propagate owns all that follows, the worklist, the closed form, the
-interval passes and the pin step; it tightens the intervals in place and
-returns the round count and the contradiction, if any, from which
-solve_unknown builds the report.
+lanes of the instance read through the overlay, split into read lanes,
+which read a cell of the unknown's box, and known lanes, which read none.
+A known lane is a chain of known dimensions, so propagation has nothing to
+tighten in it: _assemble checks the known lanes once with _lane_pass, the
+lane pass of check_sequence, and keeps only the first that fails, in key
+order, and each pin's total rank over them.  For the read lanes alone it
+keeps the lanes reading each cell, the lanes reading a cell twice, each
+lane's one unknown position and the ranks each pin sums.  _propagate owns
+all that follows, the worklist, the closed form, the interval passes and
+the pin step; it tightens the intervals in place and returns the round
+count and the contradiction, if any, from which solve_unknown builds the
+report.  Only the pin step reads a lane's boundary ranks and caps, so
+_propagate keeps them only when there are pins, and caps only for the
+lanes a pin caps.
 
 Within one lane each unknown cell usually sits at one position, and then
 the lane's relations form a path: one forward/backward pass already gives
@@ -68,13 +79,14 @@ known lanes it sums.
 Most read lanes read one unknown cell, and such a lane takes a closed form:
 the rank recursion r = d_i - r of check_exactness runs from the front up to
 the cell and from the back down to just after it, the cell is forced to
-r_in + r_out, the ranks are stored as both ends of the boundary and the cell
-is tightened to that point.  This is what the interval passes give.  Any
+r_in + r_out and tightened to that point, and when there are pins the
+lane's ranks, check_exactness's with the cell at that value, are stored as
+both ends of the boundary.  This is what the interval passes give.  Any
 solution of the lane carries these ranks, so there is at most one.  If no
-rank goes negative, the chain closes and the forced value lies in the cell's
-interval, it is that, and the interval passes, seeing points on both sides
-of the cell and being sound, return exactly it.  Otherwise there is none,
-and the lane falls through to the interval passes, the only code that
+rank goes negative, the chain closes and the forced value lies in the
+cell's interval, it is that, and the interval passes, seeing points on both
+sides of the cell and being sound, return exactly it.  Otherwise there is
+none, and the lane falls through to the interval passes, the only code that
 reports a contradiction on a read lane.  A pin cap changes nothing: the
 closed form succeeds on a visit only if it did on every earlier one (its
 ranks read known cells, intervals only shrink), so the lane's boundary
@@ -100,7 +112,7 @@ from __future__ import annotations
 
 from .sequences import (RankPin, SequenceTemplate, _check_instance, _check_term_index,
                         _describe_lane, _lane_pass, _lanes, _pin_positions,
-                        _read_positions, check_sequence)
+                        _read_positions, check_exactness, check_sequence)
 from .spaces import FIBRATION_KINDS, SpaceDescriptor
 from .tables import Quad, Record, TriFilteredTable, VerificationReport, Violation
 
@@ -122,10 +134,17 @@ def support_box(space: SpaceDescriptor, degree: int | None = None) -> set[Quad]:
     the same windows validate_table checks, so any valid table lives inside
     its box.
     """
+    return set(_sorted_box(space, degree))
+
+
+def _sorted_box(space: SpaceDescriptor, degree: int | None = None) -> list[Quad]:
+    """support_box in ascending (k, l, q, p) order, the order its loops
+    enumerate it in.  The solver marks each cell by its slot, its index
+    here."""
     k_lo, k_hi = space.degree_range()
     if degree is not None:
         k_lo, k_hi = max(k_lo, degree), min(k_hi, degree)
-    box: set[Quad] = set()
+    box: list[Quad] = []
     for k in range(k_lo, k_hi + 1):
         l_lo, l_hi = space.lane_range(k)
         q_lo, q_hi = space.weight_range(k)
@@ -133,7 +152,7 @@ def support_box(space: SpaceDescriptor, degree: int | None = None) -> set[Quad]:
             for q in range(q_lo, q_hi + 1):
                 p_lo, p_hi = space.hodge_range(k, q)
                 for p in range(p_lo, p_hi + 1):
-                    box.add((k, l, q, p))
+                    box.append((k, l, q, p))
     return box
 
 
@@ -185,33 +204,36 @@ def _infer_descriptor(tag: str, known: dict[str, TriFilteredTable]) -> SpaceDesc
     return SpaceDescriptor.parse_tag(tag, n, m)
 
 
-def _assemble(template: SequenceTemplate, sources: dict, tag: str, box: set[Quad],
+def _assemble(template: SequenceTemplate, sources: dict, tag: str, box: list[Quad],
               pins: list[RankPin]) -> tuple:
-    """The lane system.  lanes[i] = (key, first cycle, cells) are the read
-    lanes, those reading a cell of the box, in key order, a cell being a
-    known dimension or an unknown's quadruple; readers (each cell's lanes),
-    repeats (lanes reading a cell twice), single[i] (lane i's one unknown
-    position, None if more), pin_occ (for each pin, the (lane, boundary
-    rank) pairs it sums over the read lanes, the total rank over the known
-    lanes and the smallest key of a known lane it sums, None if none) and
-    failure (the first known lane in key order that is not exact, as
-    (key, position, detail), or None).  The known lanes, reading no cell of
-    the box, are checked here by _lane_pass and take no further part."""
+    """The lane system over the unknowns of ``box``, whose cell at slot i
+    the overlay in ``sources`` writes as ~i: (box, lanes, readers, repeats,
+    single, pin_occ, failure).  lanes[i] = (key, first cycle, cells) are the
+    read lanes, those reading a cell of the box, in key order, a cell being
+    a known dimension or an unknown's ~slot, the only negative ints there;
+    readers[slot] lists the lanes reading that cell, repeats the lanes
+    reading a cell twice, single[i] lane i's one unknown position (None if
+    more), pin_occ for each pin the (lane, boundary rank) pairs it sums over
+    the read lanes, the total rank over the known lanes and the smallest key
+    of a known lane it sums (None if none), and failure the first known lane
+    in key order that is not exact, as (key, position, detail), or None.
+    The known lanes, reading no cell of the box, are checked here by
+    _lane_pass and take no further part."""
     lane_map = _lanes(template, sources)
     found = list(_read_positions(template, lane_map, tag, box))
-    keys = sorted({key for _quad, key, _pos in found})
+    keys = sorted({key for _slot, key, _pos in found})
     index = {key: li for li, key in enumerate(keys)}
     # popping the read lanes leaves the known lanes in lane_map
     lanes = [(key, *lane_map.pop(key)) for key in keys]
-    readers: dict[Quad, list[int]] = {quad: [] for quad in box}
+    readers: list[list[int]] = [[] for _ in box]
     repeats = [False] * len(lanes)
     single: list[int | None] = [-1] * len(lanes)  # -1 until a first read
-    for quad, key, pos in found:
+    for slot, key, pos in found:
         li = index[key]
-        if li in readers[quad]:
+        if li in readers[slot]:
             repeats[li] = True
         else:
-            readers[quad].append(li)
+            readers[slot].append(li)
         single[li] = pos if single[li] == -1 else None
 
     failures, totals, firsts = _lane_pass(
@@ -228,25 +250,27 @@ def _assemble(template: SequenceTemplate, sources: dict, tag: str, box: set[Quad
                  for j in _pin_positions(template, pin.term_index, pin.degree,
                                          c_lo, len(cells))], total, first)
                for pin, total, first in zip(pins, totals, firsts)]
-    return lanes, readers, repeats, single, pin_occ, failure
+    return box, lanes, readers, repeats, single, pin_occ, failure
 
 
 def _propagate(system: tuple, pins: list[RankPin],
-               intervals: dict[Quad, Interval]) -> tuple[int, tuple | None]:
+               intervals: list[Interval]) -> tuple[int, tuple | None]:
     """Run the worklist of the module docstring over _assemble's system,
-    tightening ``intervals`` (hi INF when unbounded above) in place:
-    (rounds, None), or (rounds, (lane key, position, detail)) for a
-    contradiction."""
-    lanes, readers, repeats, single, pin_occ, failure = system
+    tightening ``intervals``, the interval of each slot of the box (hi INF
+    when unbounded above), in place: (rounds, None), or (rounds, (lane key,
+    position, detail)) for a contradiction.  The lanes' boundary ranks and
+    their caps are kept only when there are pins, for the pin step."""
+    box, lanes, readers, repeats, single, pin_occ, failure = system
     visit = lanes
     if failure is not None:
         # round 1 reaches the failing known lane after the read lanes
         # before it in key order, and ends there
         visit = lanes[:sum(lane[0] < failure[0] for lane in lanes)]
-    caps: list[dict[int, Interval]] = [{} for _ in lanes]
-    # boundary[li] = (lo, hi) lists of the lane's connecting ranks at its
-    # last visit; the pin step reads them.
-    boundary: list[tuple[list, list] | None] = [None] * len(lanes)
+    # Only the pin step reads these: boundary[li] = (lo, hi) lists of lane
+    # li's boundary ranks at its last visit, and caps[li][j] a pin's cap on
+    # its boundary rank j, held only for the lanes a pin caps.
+    boundary: list | None = [None] * len(lanes) if pins else None
+    caps: dict[int, dict[int, Interval]] = {}
     dirty = [True] * len(lanes)
     rounds = 0
     while True:
@@ -261,31 +285,33 @@ def _propagate(system: tuple, pins: list[RankPin],
                 continue
             dirty[li] = False
             n_pos = len(cells)
-            moved = None  # the cells this visit tightened, once a step has run
+            moved = None  # the slots this visit tightened, once a step has run
             pos = single[li]
             if pos is not None:
                 # the closed form (module docstring), else the interval passes
-                ranks = [0] * (n_pos + 1)
                 r = s = 0
                 for i in range(pos):
                     r = cells[i] - r
                     if r < 0:
                         break
-                    ranks[i + 1] = r
                 for i in range(n_pos - 1, pos, -1):
                     s = cells[i] - s
                     if s < 0:
                         break
-                    ranks[i] = s
-                lo, hi = intervals[cells[pos]]
+                slot = ~cells[pos]
+                lo, hi = intervals[slot]
                 if r >= 0 and s >= 0 and lo <= r + s <= hi:
-                    boundary[li] = (ranks, ranks)
-                    moved = [] if lo == hi else [cells[pos]]
+                    if boundary is not None:
+                        point = cells[:]
+                        point[pos] = r + s
+                        ranks = [0, *check_exactness(point).ranks]
+                        boundary[li] = (ranks, ranks)
+                    moved = [] if lo == hi else [slot]
                     if moved:
-                        intervals[cells[pos]] = (r + s, r + s)
+                        intervals[slot] = (r + s, r + s)
             if moved is None:
                 moved = []
-                lane_caps = caps[li]
+                lane_caps = caps.get(li)
                 # Interval arithmetic on local lo/hi; INF - int stays INF.
                 # Forward: F[i+1] = (d_i - F[i]) clamped to [0, INF], then capped.
                 d_lo = [0] * n_pos
@@ -295,8 +321,8 @@ def _propagate(system: tuple, pins: list[RankPin],
                 f_lo = f_hi = 0
                 for i in range(n_pos):
                     cell = cells[i]
-                    if cell.__class__ is tuple:
-                        lo, hi = intervals[cell]
+                    if cell < 0:
+                        lo, hi = intervals[~cell]
                     else:
                         lo = hi = cell
                     d_lo[i] = lo
@@ -334,13 +360,14 @@ def _propagate(system: tuple, pins: list[RankPin],
                         return rounds, (key, i, "forward and backward ranks incompatible")
                     R_lo[i] = r_lo = lo
                     R_hi[i] = r_hi = hi
-                boundary[li] = (R_lo, R_hi)
+                if boundary is not None:
+                    boundary[li] = (R_lo, R_hi)
                 # Each cell meets R[i] + R[i+1].
                 for i in range(n_pos):
-                    cell = cells[i]
-                    if cell.__class__ is not tuple:
+                    slot = ~cells[i]
+                    if slot < 0:
                         continue
-                    cur = intervals[cell]
+                    cur = intervals[slot]
                     lo = R_lo[i] + R_lo[i + 1]
                     if cur[0] > lo:
                         lo = cur[0]
@@ -348,17 +375,17 @@ def _propagate(system: tuple, pins: list[RankPin],
                     if cur[1] < hi:
                         hi = cur[1]
                     if lo > hi:
-                        return rounds, (key, i, f"cell {cell} has no feasible dimension")
+                        return rounds, (key, i, f"cell {box[slot]} has no feasible dimension")
                     if lo != cur[0] or hi != cur[1]:
-                        intervals[cell] = (lo, hi)
-                        moved.append(cell)
+                        intervals[slot] = (lo, hi)
+                        moved.append(slot)
             if moved:
                 changed = True
                 if repeats[li]:
                     requeue.add(li)
                 # queue the other readers: later ones this round, earlier ones next
-                for cell in moved:
-                    for lj in readers[cell]:
+                for slot in moved:
+                    for lj in readers[slot]:
                         if lj > li:
                             dirty[lj] = True
                         elif lj < li:
@@ -393,11 +420,12 @@ def _propagate(system: tuple, pins: list[RankPin],
                 if unbounded == (hi == INF):  # the others are all bounded above
                     lo = max(lo, pin.rank - (bounded_hi - (0 if unbounded else hi)))
                 hi = min(hi, pin.rank - others_lo)
-                prev = caps[li].get(j)
+                lane_caps = caps.setdefault(li, {})
+                prev = lane_caps.get(j)
                 if prev is not None:
                     lo, hi = max(prev[0], lo), min(prev[1], hi)
                 if (lo, hi) != prev:
-                    caps[li][j] = (lo, hi)
+                    lane_caps[j] = (lo, hi)
                     requeue.add(li)
                     changed = True
 
@@ -408,12 +436,12 @@ def _propagate(system: tuple, pins: list[RankPin],
 
 
 def _verify(template: SequenceTemplate, system: tuple, pins: list[RankPin],
-            intervals: dict[Quad, Interval]) -> bool:
+            intervals: list[Interval]) -> bool:
     """Whether check_sequence passes the completed instance, read off the
     assembled system (module docstring): _lane_pass finds every read lane
     exact with each unknown cell at its point value, and each pin's total
     over the read lanes and the known lanes is its rank."""
-    lanes, _readers, _repeats, single, pin_occ, _failure = system
+    _box, lanes, _readers, _repeats, single, pin_occ, _failure = system
     failures, totals, _firsts = _lane_pass(
         template, _completed(lanes, single, intervals),
         [(pin.term_index, pin.degree) for pin in pins])
@@ -421,16 +449,17 @@ def _verify(template: SequenceTemplate, system: tuple, pins: list[RankPin],
                                 in zip(pins, pin_occ, totals))
 
 
-def _completed(lanes: list, single: list, intervals: dict[Quad, Interval]):
+def _completed(lanes: list, single: list, intervals: list[Interval]):
     """The read lanes as _lane_pass takes them, each unknown cell read at the
-    lower end of its interval: a copy of the cells with the one unknown
-    position replaced, or every unknown cell where a lane reads more."""
+    lower end of its slot's interval: a copy of the cells with the one
+    unknown position replaced, or every unknown cell where a lane reads
+    more."""
     for (key, c_lo, cells), pos in zip(lanes, single):
         if pos is None:
-            cells = [intervals[d][0] if d.__class__ is tuple else d for d in cells]
+            cells = [intervals[~d][0] if d < 0 else d for d in cells]
         else:
             cells = cells[:]
-            cells[pos] = intervals[cells[pos]][0]
+            cells[pos] = intervals[~cells[pos]][0]
         yield key, (c_lo, cells)
 
 
@@ -441,9 +470,11 @@ def solve_unknown(template: SequenceTemplate,
     """Solve for the one table marked unknown.
 
     ``unknown`` is a space tag, or (tag, degree) to solve only that
-    cohomological degree while trusting the table's other degrees.  If the
-    tables set still contains the unknown tag in a full solve, its stored
-    entries are ignored; everything is rebuilt from the other tables.
+    cohomological degree while trusting the table's other degrees; the
+    degree must lie in the space's degree window, outside which the table
+    has no cell to solve.  If the tables set still contains the unknown tag
+    in a full solve, its stored entries are ignored; everything is rebuilt
+    from the other tables.
     """
     tag, degree = _parse_unknown(unknown)
     if tag not in {t.space for t in template.terms}:
@@ -458,16 +489,22 @@ def solve_unknown(template: SequenceTemplate,
     for pin in pins:
         _check_term_index(template, pin.term_index)
     space = stored.space if stored is not None else _infer_descriptor(tag, known)
-    box = support_box(space, degree)
+    if degree is not None:
+        k_lo, k_hi = space.degree_range()
+        if not k_lo <= degree <= k_hi:
+            raise ValueError(f"degree {degree} lies outside the degree window "
+                             f"[{k_lo}, {k_hi}] of {tag}")
+    box = _sorted_box(space, degree)
 
     # The lanes are those of the instance with the unknown table read
-    # through an overlay: a cell of the box reads as its own quadruple, and
-    # for a degree solve the table's other degrees are known data.
+    # through an overlay: the cell at slot i of the box reads as ~i, and for
+    # a degree solve the table's other degrees are known data.
     other_degrees = {} if degree is None else {
         quad: d for quad, d in stored.entries.items() if quad[0] != degree}
     sources = {s: known[s].entries for s in template.spaces() if s != tag}
-    sources[tag] = {**other_degrees, **{quad: quad for quad in box}}
-    intervals: dict[Quad, Interval] = {quad: (0, INF) for quad in box}
+    sources[tag] = overlay = dict(other_degrees)
+    overlay.update(zip(box, range(-1, ~len(box), -1)))
+    intervals: list[Interval] = [(0, INF)] * len(box)
     system = _assemble(template, sources, tag, box, pins)
     iterations, failure = _propagate(system, pins, intervals)
     if failure is not None:
@@ -477,18 +514,15 @@ def solve_unknown(template: SequenceTemplate,
             lane=key[1:], position=position)])
         return SolveResult(None, False, [], rep, iterations)
 
-    solved: dict[Quad, int] = {}
+    solved = other_degrees  # the box's determined cells join the degrees kept
     under: list[tuple[Quad, int, int | None]] = []
-    for quad in sorted(box):
-        lo, hi = intervals[quad]
+    for quad, (lo, hi) in zip(box, intervals):
         if lo == hi:
             if lo > 0:
                 solved[quad] = lo
         else:
             under.append((quad, lo, None if hi == INF else hi))
 
-    if degree is not None:
-        solved = {**other_degrees, **solved}
     table = TriFilteredTable(space, solved)
     determined = not under
     report = VerificationReport()

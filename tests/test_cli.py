@@ -229,6 +229,32 @@ def test_template_k_offset_is_bounded(tmp_path, command, offset, accepted):
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("terms, shifts", [(1000, 1), (1001, 1), (5000, 1), (1000, 3)],
+                         ids=["at-the-cap", "over-the-cap", "5000-terms", "over-the-budget"])
+def test_template_length_is_bounded(tmp_path, command, terms, shifts):
+    """A lane holds one cell per term per cycle: a template longer than
+    MAX_TERMS is refused when it is read, and an instance whose lanes would
+    hold more than MAX_LANE_CELLS cells before a lane is built.  Terms read
+    Y with k_offsets cycling through -34..34, and with shifts cycling
+    through 0..shifts-1, each of which opens lanes of its own."""
+    template = {"period": 1, "terms": [{"space": "Y", "k_offset": -34 + i % 69, "shift": i % shifts}
+                                       for i in range(terms)]}
+    obj = {"template": template, "tables": ["k3-elliptic:r=2"]}
+    if command == "solve":
+        obj["unknown"] = {"space": "Y", "k": 2}
+    res, peak = _invoke_traced([command, _write(tmp_path, "in.json", obj)])
+    if terms == 1000 and shifts == 1:
+        assert res.exit_code == 1, res.stderr
+        return
+    if terms > 1000:
+        error = f"template has {terms} terms, more than 1000"
+    else:
+        error = "the lanes of this instance would hold more than 1000000 cells"
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {error}\n")
+    assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
 @pytest.mark.parametrize("degree, accepted", [(34, True), (10**5, False)])
 def test_table_degree_is_bounded(tmp_path, command, degree, accepted):
     """A lane spans the cycle degrees it reads, so a table entry far beyond
@@ -516,6 +542,16 @@ def test_solve_nonconvergence_is_an_input_error(tmp_path):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr == "error: interval propagation did not converge within 10000 rounds\n"
+
+
+def test_solve_degree_outside_the_window_is_an_input_error(tmp_path):
+    # U of a K3 surface has degrees 0..4: degree 30 has no cell to solve
+    path = _write(tmp_path, "in.json", {
+        "template": "loc1", "tables": ["k3-elliptic:r=2"], "unknown": {"space": "U", "k": 30}})
+    res = invoke(["solve", path])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: degree 30 lies outside the degree window [0, 4] of U\n"
 
 
 def test_solve_rejects_huge_n_before_allocating(tmp_path):

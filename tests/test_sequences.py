@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trigrade import (RankPin, SequenceTemplate, SequenceTerm,
+from trigrade import (RankPin, SequenceTemplate, SequenceTerm, SpaceDescriptor,
                       TriFilteredTable, builtin_templates, check_exactness,
                       check_sequence, extract_lanes, family_tables,
                       infer_rank, parse_family)
@@ -205,8 +205,8 @@ def _template_and_sources(draw):
         terms[-1] = SequenceTerm(terms[0].space, terms[-1].k_offset,
                                  terms[-1].shift, terms[-1].twist)
     template = SequenceTemplate("random", draw(st.integers(1, 3)), tuple(terms))
-    # values are dimensions or, as in the solver's overlay, quadruples
-    value = st.one_of(st.integers(0, 9), _quad)
+    # values are dimensions or, as in the solver's overlay, ~slot, negative
+    value = st.integers(-9, 9)
     sources = {s: draw(st.dictionaries(_quad, value, max_size=10))
                for s in template.spaces()}
     return template, sources
@@ -221,15 +221,18 @@ def test_lanes_match_naive_reads(case):
 
 @given(_template_and_sources())
 def test_read_positions_invert_read_quad(case):
-    """_read_positions finds each quad of a space at the cell where a term on
-    that space reads it through SequenceTerm.read_quad, once per such term."""
+    """_read_positions finds each quad of a space, by its slot in the list
+    given, at the cell where a term on that space reads it through
+    SequenceTerm.read_quad, once per such term."""
     template, sources = case
     lanes = _lanes(template, sources)
     P, T = template.period, len(template.terms)
     for space, values in sources.items():
-        found = list(_read_positions(template, lanes, space, values))
+        quads = list(values)
+        found = list(_read_positions(template, lanes, space, quads))
         assert len(found) == len(values) * sum(t.space == space for t in template.terms)
-        for quad, key, pos in found:
+        for slot, key, pos in found:
+            quad = quads[slot]
             c_lo, cells = lanes[key]
             term = template.terms[pos % T]
             assert term.space == space
@@ -449,3 +452,24 @@ def test_a_failing_lane_is_reported_from_its_failing_cell():
     assert len(got["violations"]) == 7
     assert peak < 2 << 20, peak
     assert got == _reference_report(tmpl, tables, [])
+
+
+def test_lanes_opened_term_by_term_are_refused_early():
+    """100 terms read Y, each with a twist of its own, so each term opens a
+    lane for every entry: 200,000 lanes of 100 cells on a table of 2,000
+    entries.  The first pass of _lanes refuses the instance once the lanes
+    it has opened hold more than MAX_LANE_CELLS cells, before their windows
+    fill memory (46 MB under tracemalloc when only the sum between the
+    passes refused it)."""
+    entries = {(k, l, k, 0): 1 for k in range(20) for l in range(100)}
+    tables = {"Y": TriFilteredTable(SpaceDescriptor("Y", 16, 1), entries)}
+    tmpl = SequenceTemplate("twists", 1, tuple(SequenceTerm("Y", twist=i) for i in range(100)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^the lanes of this instance would hold more "
+                                             "than 1000000 cells$"):
+            check_sequence(tmpl, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak

@@ -1,17 +1,19 @@
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
+import oracle_tables
 import trigrade.solver as solver
 from solver_cases import result_obj, run_case
 from trigrade import (RankPin, SequenceTemplate, SequenceTerm,
                       SpaceDescriptor, TriFilteredTable, builtin_templates,
                       check_exactness, check_sequence, family_tables, infer_rank,
                       parse_family, solve_unknown, support_box)
-from trigrade.sequences import _lanes, _pin_positions
+from trigrade.sequences import MAX_LANE_CELLS, _lanes, _pin_positions
 
 
 def test_support_box_contains_all_fixture_entries(fixture_sets):
@@ -56,17 +58,18 @@ def test_solver_reproduces_golden():
 INF = solver.INF
 
 
-def _full_sweep(lanes, pin_occ, pins, intervals):
+def _full_sweep(box, lanes, pin_occ, pins, intervals):
     """Reference propagation: every lane every round through the interval
     passes alone (no closed form), then the pin caps; unbounded is the
-    solver's INF.  Tightens ``intervals`` and returns what solver._propagate
-    returns."""
+    solver's INF.  A cell ~slot < 0 is the unknown box[slot], with interval
+    intervals[slot].  Tightens ``intervals`` and returns what
+    solver._propagate returns."""
     caps = {}  # (lane, boundary rank) -> (lo, hi)
     for rounds in range(1, 10001):
         changed = False
         ranks = []  # each lane's boundary rank intervals, this round
         for li, (key, _c_lo, cells) in enumerate(lanes):
-            d = [intervals[c] if isinstance(c, tuple) else (c, c) for c in cells]
+            d = [intervals[~c] if c < 0 else (c, c) for c in cells]
             n = len(d)
             fwd = [(0, 0)]
             for i, (d_lo, d_hi) in enumerate(d):
@@ -87,15 +90,15 @@ def _full_sweep(lanes, pin_occ, pins, intervals):
                 back[i] = (lo, hi)
             ranks.append(back)
             for i, cell in enumerate(cells):
-                if not isinstance(cell, tuple):
+                if cell >= 0:
                     continue
-                cur = intervals[cell]
+                cur = intervals[~cell]
                 lo = max(cur[0], back[i][0] + back[i + 1][0])
                 hi = min(cur[1], back[i][1] + back[i + 1][1])
                 if lo > hi:
-                    return rounds, (key, i, f"cell {cell} has no feasible dimension")
+                    return rounds, (key, i, f"cell {box[~cell]} has no feasible dimension")
                 if (lo, hi) != cur:
-                    intervals[cell] = (lo, hi)
+                    intervals[~cell] = (lo, hi)
                     changed = True
         for pin, occ in zip(pins, pin_occ):
             ivs = [ranks[li][j] for li, j in occ]
@@ -148,26 +151,24 @@ def test_worklist_and_closed_form_match_a_full_sweep(monkeypatch):
         run_case(entry["case"])
         (args,) = calls
         template, sources, _tag, box, pins = args
-        lanes, readers, repeats, single, _pin_occ, _failure = system = assemble(*args)
+        _box, lanes, readers, repeats, single, _pin_occ, _failure = system = assemble(*args)
         every_lane, pin_occ = _unsplit(template, sources, pins)
-        known = [lane for lane in every_lane
-                 if not any(isinstance(c, tuple) for c in lane[2])]
+        known = [lane for lane in every_lane if not any(c < 0 for c in lane[2])]
         assert lanes == [lane for lane in every_lane if lane not in known], entry["case"]
 
-        scan: dict = {quad: set() for quad in box}
+        scan = [set() for _ in box]
         for li, (_key, _c_lo, cells) in enumerate(lanes):
-            unknown = [i for i, c in enumerate(cells) if isinstance(c, tuple)]
+            unknown = [i for i, c in enumerate(cells) if c < 0]
             for i in unknown:
-                scan[cells[i]].add(li)
+                scan[~cells[i]].add(li)
             assert repeats[li] == (len({cells[i] for i in unknown}) < len(unknown))
             assert single[li] == (unknown[0] if len(unknown) == 1 else None)
-        assert {quad: sorted(lis) for quad, lis in readers.items()} == \
-            {quad: sorted(lis) for quad, lis in scan.items()}, entry["case"]
+        assert [sorted(lis) for lis in readers] == [sorted(lis) for lis in scan], entry["case"]
 
-        worklist = {quad: (0, INF) for quad in box}
-        sweep = dict(worklist)
+        worklist = [(0, INF)] * len(box)
+        sweep = list(worklist)
         got = solver._propagate(system, pins, worklist)
-        assert got == _full_sweep(every_lane, pin_occ, pins, sweep), entry["case"]
+        assert got == _full_sweep(box, every_lane, pin_occ, pins, sweep), entry["case"]
         assert worklist == sweep, entry["case"]
         assert got[0] == entry["result"]["iterations"]
         outcomes["contradiction"] += got[1] is not None
@@ -487,10 +488,10 @@ def test_pin_on_a_rank_unbounded_above(monkeypatch):
         _assert_exact_bounds(res)
         (args,) = calls
         template, sources, _tag, box, _pins = args
-        worklist = {quad: (0, INF) for quad in box}
-        sweep = dict(worklist)
+        worklist = [(0, INF)] * len(box)
+        sweep = list(worklist)
         assert solver._propagate(assemble(*args), pins, worklist) == \
-            _full_sweep(*_unsplit(template, sources, pins), pins, sweep), rank
+            _full_sweep(box, *_unsplit(template, sources, pins), pins, sweep), rank
         assert worklist == sweep, rank
 
 
@@ -518,11 +519,70 @@ def test_a_pin_on_known_lanes_alone(monkeypatch, pin, rounds, contradiction):
     assert contradiction or all(hi is None for _quad, _lo, hi in res.underdetermined)
     (args,) = calls
     template, sources, _tag, box, _pins = args
-    worklist = {quad: (0, INF) for quad in box}
-    sweep = dict(worklist)
+    worklist = [(0, INF)] * len(box)
+    sweep = list(worklist)
     assert solver._propagate(assemble(*args), pins, worklist) == \
-        _full_sweep(*_unsplit(template, sources, pins), pins, sweep)
+        _full_sweep(box, *_unsplit(template, sources, pins), pins, sweep)
     assert worklist == sweep
+
+
+@pytest.mark.parametrize("unknown", [("Y", 1), "Y"], ids=["degree", "full"])
+def test_a_cell_read_twice_with_no_feasible_dimension(monkeypatch, unknown):
+    """Template (Y, U, Uc, Z:1, Y): the lane (l=1, q=1, p=0) reads
+    Y(1, 1, 1, 0) at both ends of the chain [x, 2, 0, 3, x].  Read at the
+    front, x is forced to 2, and read at the back, to 3, so the interval
+    passes leave the cell no value.  The report names the cell by its
+    quadruple, in a full solve too, where it is not the box's first cell."""
+    tmpl = SequenceTemplate("ends", 1, tuple(
+        SequenceTerm(tag) for tag in ("Y", "U", "Uc", "Z:1", "Y")))
+    tables = {"Y": TriFilteredTable(SpaceDescriptor("Y", 2, 1), {}),
+              "U": TriFilteredTable(SpaceDescriptor("U", 2, 1), {(1, 1, 1, 0): 2}),
+              "Uc": TriFilteredTable(SpaceDescriptor("Uc", 2, 1), {}),
+              "Z:1": TriFilteredTable(SpaceDescriptor("Z", 2, 1, depth=1), {(1, 1, 1, 0): 3})}
+    if isinstance(unknown, str):
+        del tables["Y"]
+    assemble, calls = solver._assemble, []
+    monkeypatch.setattr(solver, "_assemble", lambda *args: calls.append(args) or assemble(*args))
+    res = solve_unknown(tmpl, tables, unknown)
+    assert res.table is None and res.iterations == 1
+    (v,) = res.report.violations
+    assert v.relation == ("solve contradiction: cell (1, 1, 1, 0) has no feasible dimension "
+                          "(lane (l=1, q=1, p=0) residue 0)")
+    assert (v.lane, v.position) == ((1, 1, 0), 4)
+    (args,) = calls
+    template, sources, _tag, box, _pins = args
+    assert box.index((1, 1, 1, 0)) == (0 if isinstance(unknown, tuple) else 2)
+    worklist = [(0, INF)] * len(box)
+    sweep = list(worklist)
+    assert solver._propagate(assemble(*args), [], worklist) == \
+        _full_sweep(box, *_unsplit(template, sources, []), [], sweep)
+
+
+@pytest.mark.parametrize("tag, degree, window", [
+    ("U", 30, (0, 4)), ("U", -1, (0, 4)), ("U", 5, (0, 4)), ("Z:1", 3, (0, 2)),
+])
+def test_a_degree_outside_the_window_is_refused(tag, degree, window):
+    """A degree outside the unknown's degree window leaves its box empty: the
+    solve would have nothing to solve and pass, so it is refused."""
+    tables = family_tables(parse_family("k3-elliptic:r=2"))
+    message = f"degree {degree} lies outside the degree window [{window[0]}, {window[1]}] of {tag}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_unknown(builtin_templates()["loc1"], tables, (tag, degree))
+
+
+def test_every_degree_of_the_window_has_cells(fixture_sets):
+    """The degree window is exactly where a degree solve has cells: every
+    degree inside it has a nonempty box, the degrees just outside have
+    none, and the solver's slots follow the sorted box."""
+    for tables in fixture_sets.values():
+        for table in tables.values():
+            space = table.space
+            k_lo, k_hi = space.degree_range()
+            for k in range(k_lo - 1, k_hi + 2):
+                box = solver._sorted_box(space, k)
+                assert box == sorted(support_box(space, k)), (space, k)
+                assert bool(box) == (k_lo <= k <= k_hi), (space, k)
+            assert solver._sorted_box(space) == sorted(support_box(space))
 
 
 def test_descriptor_inference_needs_a_table():
@@ -662,9 +722,10 @@ def test_verification_fails_on_a_changed_cell(monkeypatch, spec, name, tag):
     template, system, pins, intervals = _assembled(
         monkeypatch, builtin_templates()[name], known, tag, [])
     assert solver._verify(template, system, pins, intervals)
-    for quad, (value, _hi) in intervals.items():
-        bumped = {**intervals, quad: (value + 1, value + 1)}
-        assert not solver._verify(template, system, pins, bumped), quad
+    for slot, (value, _hi) in enumerate(intervals):
+        bumped = intervals[:]
+        bumped[slot] = (value + 1, value + 1)
+        assert not solver._verify(template, system, pins, bumped), slot
 
 
 def test_verification_fails_on_a_pin_off_by_one(monkeypatch):
@@ -675,3 +736,96 @@ def test_verification_fails_on_a_pin_off_by_one(monkeypatch):
     assert solver._verify(template, system, pins, intervals)
     for rank in (1, 3):
         assert not solver._verify(template, system, [RankPin(1, rank, 2)], intervals)
+
+
+def _curve_product(builder_tables, g, t):
+    """The tables of an oracle builder's set times C^t, C a genus-g curve:
+    entries convolve with H*(C), every piece of which sits on its perverse
+    centre, and n goes up by t."""
+    curve = {(0, 0, 0, 0): 1, (1, 1, 1, 0): g, (1, 1, 1, 1): g, (2, 2, 2, 1): 1}
+    tables = {}
+    for tag, (n, m, entries) in builder_tables.items():
+        for _ in range(t):
+            product: dict = {}
+            for (k, l, q, p), a in entries.items():
+                for (k2, l2, q2, p2), b in curve.items():
+                    quad = (k + k2, l + l2, q + q2, p + p2)
+                    product[quad] = product.get(quad, 0) + a * b
+            entries = product
+        tables[tag] = TriFilteredTable(SpaceDescriptor.parse_tag(tag, n + t, m), entries)
+    return tables
+
+
+PRODUCT_SETS = [(oracle_tables.elliptic, 2), (oracle_tables.finite, 3),
+                (oracle_tables.type_ii, 2), (oracle_tables.type_iii, 2)]
+
+
+def test_worklist_matches_a_full_sweep_on_kunneth_products(monkeypatch):
+    """Each oracle family times C^t, C a genus-2 curve, t = 1 and 2 (n = 3
+    and 4): for every applicable template and table, a full solve and a
+    solve of each degree.  _propagate gives the full sweep's intervals,
+    contradiction and round count, and every determined cell is the
+    product's.  These lanes are longer than the golden's and some read two
+    or three unknown cells."""
+    assemble, calls = solver._assemble, []
+    monkeypatch.setattr(solver, "_assemble", lambda *args: calls.append(args) or assemble(*args))
+    solves, unknowns_in_a_lane = 0, set()
+    for builder, param in PRODUCT_SETS:
+        for t in (1, 2):
+            tables = _curve_product(builder(param), 2, t)
+            for tmpl in builtin_templates().values():
+                if not all(s in tables for s in tmpl.spaces()):
+                    continue
+                for tag in tmpl.spaces():
+                    k_lo, k_hi = tables[tag].space.degree_range()
+                    for degree in [None, *range(k_lo, k_hi + 1)]:
+                        calls.clear()
+                        if degree is None:
+                            given = {s: tab for s, tab in tables.items() if s != tag}
+                            res = solve_unknown(tmpl, given, tag)
+                        else:
+                            res = solve_unknown(tmpl, tables, (tag, degree))
+                        case = (builder.__name__, t, tmpl.name, tag, degree)
+                        assert res.table is not None, case
+                        under = {quad: (lo, hi) for quad, lo, hi in res.underdetermined}
+                        (args,) = calls
+                        template, sources, _tag, box, pins = args
+                        for quad in box:
+                            truth = tables[tag].dim(*quad)
+                            if quad in under:
+                                lo, hi = under[quad]
+                                assert lo <= truth and (hi is None or truth <= hi), (case, quad)
+                            else:
+                                assert res.table.dim(*quad) == truth, (case, quad)
+                        system = assemble(*args)
+                        worklist = [(0, INF)] * len(box)
+                        sweep = list(worklist)
+                        got = solver._propagate(system, pins, worklist)
+                        assert got == _full_sweep(box, *_unsplit(template, sources, pins),
+                                                  pins, sweep), case
+                        assert worklist == sweep, case
+                        assert got[0] == res.iterations, case
+                        unknowns_in_a_lane.update(
+                            sum(c < 0 for c in cells) for _key, _c_lo, cells in system[1])
+                        solves += 1
+    assert solves == 416
+    assert unknowns_in_a_lane == {1, 2, 3}
+
+
+def test_the_lane_cell_budget_admits_products_up_to_n_16():
+    """The largest instances the solver is asked about: each oracle family
+    times C^14 (n = 16) under every applicable template, checked and with
+    each table unknown, build their lanes within MAX_LANE_CELLS."""
+    largest = 0
+    for builder, param in PRODUCT_SETS:
+        tables = _curve_product(builder(param), 3, 14)
+        for tmpl in builtin_templates().values():
+            if not all(s in tables for s in tmpl.spaces()):
+                continue
+            sources = {s: tables[s].entries for s in tmpl.spaces()}
+            overlays = [{**sources, tag: dict.fromkeys(support_box(tables[tag].space), -1)}
+                        for tag in tmpl.spaces()]
+            for given in [sources, *overlays]:
+                largest = max(largest, sum(len(cells) for _c_lo, cells
+                                           in _lanes(tmpl, given).values()))
+    assert 60_000 < largest <= MAX_LANE_CELLS // 10
