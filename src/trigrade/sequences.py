@@ -16,12 +16,13 @@ Exactness of a chain of finite dimensional pieces is a pure dimension
 condition: ranks r_i of the connecting maps must satisfy d_i = r_{i-1} + r_i
 with zero rank entering the first position and leaving the last.  That
 recursion is check_exactness for one chain.  _lane_pass runs it once over
-lanes given as key and (first cycle, cells), in any order, and returns each
-failing lane with its failing index and reason, and each pin's total rank.
+lanes given as key and (first cycle, cells), in any order, and returns the
+lanes it cannot pass, as it took them, and each pin's total rank.
 check_sequence and infer_rank run it over every lane of a known instance and
-build each violation from the failing cell alone, with no Lane built; the
-solver runs it over the lanes that read no unknown cell, and over the
-others to verify a determined solve.
+rerun check_exactness on the failing lanes they report, with no Lane built.
+The solver runs it over every lane of an instance whose unknown cells read
+as negative ints, on which the recursion breaks, to find the lanes it must
+propagate, and over those lanes again to verify a determined solve.
 """
 
 from __future__ import annotations
@@ -248,15 +249,16 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
     term reads opens its lane, which runs from the first such cycle to the
     last; cells holds each term's read at each cycle, 0 where a quad is absent.
     The dict is unsorted: extract_lanes sorts it, the solver sorts only the
-    read lanes, and _lane_pass needs no order.
+    lanes it propagates, and _lane_pass needs no order.
 
     The cells are built by scatter, not by probing every (cycle, term) cell:
     each lane gets a zero-filled list, and a second pass over the sources
     writes each entry straight to its cell, (c - c_lo) // P * T + j for term
     j at cycle c.  The inverse of SequenceTerm.read_quad is written out in
-    both passes.  The second pass recomputes each entry's lane rather than
-    keeping a list of the first pass's reads: such a list was no faster and
-    held every read in memory at once.
+    both passes, and nowhere else: the solver finds its unknown cells in the
+    lanes, as negative cells.  The second pass recomputes each entry's lane
+    rather than keeping a list of the first pass's reads: such a list was no
+    faster and held every read in memory at once.
 
     Between the passes each lane's cycle window must lie in [-2B, 2B], with
     B = MAX_DEGREE; else a ValueError names a table entry whose degree lies
@@ -267,14 +269,15 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
     already refuses an instance, after each term, once it has opened more
     than MAX_LANE_CELLS / T lanes, since each holds at least T cells: terms
     that each open lanes of their own would otherwise fill the windows with
-    one lane per entry and term before the budget is checked.
+    one lane per entry and term before the budget is checked.  Equal terms
+    open equal windows, so the first pass runs over the distinct terms.
     """
     P = template.period
     T = len(template.terms)
     windows: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-    for term in template.terms:
-        ko, s, tw = term.k_offset, term.shift, term.twist
-        for k, l, q, p in sources[term.space]:
+    for space, ko, s, tw in dict.fromkeys([(term.space, term.k_offset, term.shift, term.twist)
+                                           for term in template.terms]):
+        for k, l, q, p in sources[space]:
             # the lane (and cycle c) under which this term reads the quad
             c = k - ko
             key = (c % P, l - s, q - 2 * tw, p - tw)
@@ -309,21 +312,6 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
             c_lo, cells = lanes[(c % P, l - s, q - 2 * tw, p - tw)]
             cells[(c - c_lo) // P * T + j] = value
     return lanes
-
-
-def _read_positions(template: SequenceTemplate, lanes: dict, space: str, quads: list):
-    """Yield (slot, lane key, cell position) of each read of quads[slot] by a
-    term on ``space``, in lanes _lanes built from sources holding them:
-    SequenceTerm.read_quad inverted as in _lanes."""
-    P, T = template.period, len(template.terms)
-    for j, term in enumerate(template.terms):
-        if term.space != space:
-            continue
-        ko, s, tw = term.k_offset, term.shift, term.twist
-        for slot, (k, l, q, p) in enumerate(quads):
-            c = k - ko
-            key = (c % P, l - s, q - 2 * tw, p - tw)
-            yield slot, key, (c - lanes[key][0]) // P * T + j
 
 
 def _as_lane(template: SequenceTemplate, key: tuple[int, int, int, int], c_lo: int,
@@ -422,45 +410,43 @@ def _lane_pass(template: SequenceTemplate, lanes, pins: list[tuple[int, int | No
     """Run check_exactness's recursion once over ``lanes``, (key, (first
     cycle, cells)) pairs in any order, as _lanes(...).items() gives them.
 
-    Returns the failing lanes as (key, first cycle, cells, failing index,
-    reason), sorted by (l, q, p, residue); and for each (term index, degree)
-    pin its total rank over the passing lanes and the smallest key of a
-    passing lane holding an occurrence of it, None if none.  The totals
-    mean something only when no lane fails.  The recursion keeps no ranks:
-    check_exactness reruns it on a failing lane for its index and reason,
-    and on each passing lane when there are pins, for its ranks.
+    Returns the lanes it cannot pass, as it took them and in their order, and
+    each (term index, degree) pin's total rank over the passing lanes, which
+    means something only when no lane fails.  A lane fails where a rank goes
+    negative, which a negative cell always makes it do, or where a rank is
+    left over.  The recursion keeps no ranks: check_exactness reruns it on
+    each passing lane when there are pins, for its ranks.
     """
-    failures, totals, firsts = [], [0] * len(pins), [None] * len(pins)
-    for key, (c_lo, cells) in lanes:
+    failures, totals = [], [0] * len(pins)
+    for lane in lanes:
+        c_lo, cells = lane[1]
         r = 0
         for d in cells:
             r = d - r
             if r < 0:
                 break
         if r:
-            res = check_exactness(cells)
-            failures.append((key, c_lo, cells, res.failure_index, res.reason))
+            failures.append(lane)
         elif pins:
             ranks = check_exactness(cells).ranks
             for n, pin in enumerate(pins):
                 at = _pin_positions(template, *pin, c_lo, len(cells))
-                if at:
-                    totals[n] += sum(ranks[i] for i in at)
-                    if firsts[n] is None or key < firsts[n]:
-                        firsts[n] = key
-    failures.sort(key=lambda failure: (failure[0][1:], failure[0][0]))
-    return failures, totals, firsts
+                totals[n] += sum(ranks[i] for i in at)
+    return failures, totals
 
 
 def _instance_pass(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
                    pins: list[tuple[int, int | None]]):
     """_lane_pass over every lane of a fully known instance, once each pin's
-    term index and the instance are checked."""
+    term index and the instance are checked, with the failing lanes in the
+    order of a report, by (l, q, p) and then residue."""
     for term_index, _degree in pins:
         _check_term_index(template, term_index)
     _check_instance(template, tables, None)
     sources = {s: tables[s].entries for s in template.spaces()}
-    return _lane_pass(template, _lanes(template, sources).items(), pins)
+    failures, totals = _lane_pass(template, _lanes(template, sources).items(), pins)
+    failures.sort(key=lambda lane: (lane[0][1:], lane[0][0]))
+    return failures, totals
 
 
 def check_sequence(template: SequenceTemplate,
@@ -473,10 +459,12 @@ def check_sequence(template: SequenceTemplate,
     once all lanes are feasible, since ranks are not defined otherwise.
     """
     rep = VerificationReport()
-    failures, totals, _firsts = _instance_pass(
+    failures, totals = _instance_pass(
         template, tables, [(p.term_index, p.degree) for p in pins])
     T = len(template.terms)
-    for key, c_lo, _cells, i, reason in failures:
+    for key, (c_lo, cells) in failures:
+        res = check_exactness(cells)
+        i, reason = res.failure_index, res.reason
         # cell i is term i % T at cycle c_lo + (i // T) * P, as in _as_lane
         term = template.terms[i % T]
         degree = c_lo + (i // T) * template.period + term.k_offset
@@ -504,8 +492,9 @@ def infer_rank(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
     Only meaningful on a fully known, exact instance; raises if any lane is
     infeasible.
     """
-    failures, (total,), _firsts = _instance_pass(template, tables, [(term_index, degree)])
+    failures, (total,) = _instance_pass(template, tables, [(term_index, degree)])
     if failures:
-        key, _c_lo, _cells, _i, reason = failures[0]
-        raise ValueError(f"cannot infer ranks: {_describe_lane(key)} is not exact ({reason})")
+        key, (_c_lo, cells) = failures[0]
+        raise ValueError(f"cannot infer ranks: {_describe_lane(key)} is not exact "
+                         f"({check_exactness(cells).reason})")
     return total

@@ -28,21 +28,20 @@ readers are lists indexed by slot.  The results are read off in slot
 order, which is the sorted order of the cells; only a contradiction's
 "cell ... has no feasible dimension" turns a slot back into its quadruple.
 
-A solve runs in two steps.  _assemble builds the lane system once: the
-lanes of the instance read through the overlay, split into read lanes,
-which read a cell of the unknown's box, and known lanes, which read none.
-A known lane is a chain of known dimensions, so propagation has nothing to
-tighten in it: _assemble checks the known lanes once with _lane_pass, the
-lane pass of check_sequence, and keeps only the first that fails, in key
-order, and each pin's total rank over them.  For the read lanes alone it
-keeps the lanes reading each cell, the lanes reading a cell twice, each
-lane's one unknown position and the ranks each pin sums.  _propagate owns
-all that follows, the worklist, the closed form, the interval passes and
-the pin step; it tightens the intervals in place and returns the round
-count and the contradiction, if any, from which solve_unknown builds the
-report.  Only the pin step reads a lane's boundary ranks and caps, so
-_propagate keeps them only when there are pins, and caps only for the
-lanes a pin caps.
+A solve runs in two steps.  _assemble builds the lane system once: it runs
+_lane_pass, the lane pass of check_sequence, over every lane of the
+instance read through the overlay.  The rank recursion breaks on a negative
+cell, so the pass cannot pass a lane reading a cell of the box, nor a lane
+of known dimensions that is not exact.  These lanes, and when there are
+pins every lane holding a pin occurrence, are the lanes propagated, in key
+order, and _assemble keeps the lanes reading each cell, the lanes reading a
+cell twice, each lane's one unknown position and the ranks each pin sums.
+_propagate owns all that follows, the worklist, the closed form, the
+interval passes and the pin step; it tightens the intervals in place and
+returns the round count and the contradiction, if any, from which
+solve_unknown builds the report.  Only the pin step reads a lane's boundary
+ranks and caps, so _propagate keeps them only when there are pins, and caps
+only for the lanes a pin caps.
 
 Within one lane each unknown cell usually sits at one position, and then
 the lane's relations form a path: one forward/backward pass already gives
@@ -63,20 +62,11 @@ such a full sweep, with the interval passes alone, over every lane _lanes
 builds, beside _assemble and _propagate on every case of the solver golden,
 and checks this and the closed form below.
 
-The known lanes fit that order as follows.  A full sweep visits a known
-lane in round 1 and finds it exact or reports it: the interval passes, on
-a chain of points, fail where check_exactness does, "rank forced negative"
-where it reports a negative rank and "chain cannot close" where a rank is
-left over.  So if a known lane fails, the contradiction is the first failing
-lane in key order of round 1: a read lane before it, or else the first
-failing known lane.  Otherwise a known lane's ranks are points, fixed from
-round 1 on, and a pin adds them to both of its sums.  The pin step caps
-each of them at its own point, which changes nothing in the lane, but the
-first cap is a change: a pin that sums a known lane makes round 1 count as
-changed.  A pin's contradiction names the smallest key among the read and
-known lanes it sums.
+A lane that the lane pass passes and that no pin reads is exact and takes
+no further part: it reads no unknown cell, so a full sweep finds nothing to
+tighten in it and no contradiction.
 
-Most read lanes read one unknown cell, and such a lane takes a closed form:
+Most lanes read one unknown cell, and such a lane takes a closed form:
 the rank recursion r = d_i - r of check_exactness runs from the front up to
 the cell and from the back down to just after it, the cell is forced to
 r_in + r_out and tightened to that point, and when there are pins the
@@ -87,32 +77,32 @@ rank goes negative, the chain closes and the forced value lies in the
 cell's interval, it is that, and the interval passes, seeing points on both
 sides of the cell and being sound, return exactly it.  Otherwise there is
 none, and the lane falls through to the interval passes, the only code that
-reports a contradiction on a read lane.  A pin cap changes nothing: the
+reports a contradiction on a lane.  A pin cap changes nothing: the
 closed form succeeds on a visit only if it did on every earlier one (its
 ranks read known cells, intervals only shrink), so the lane's boundary
 always held these point ranks, and the pin step, having checked
 lo_sum <= pin <= hi_sum, caps a point rank r to max(r, pin - others_hi) = r
 and min(r, pin - others_lo) = r.
 
-A determined solve is verified by _verify: _lane_pass runs over the read
-lanes, each unknown cell read at its point value, and each pin's total over
-the read lanes and the known lanes must be its rank.  Every lane is still
-checked once, the known lanes by _assemble's lane pass and the read lanes
-here; no lane or pin is skipped on the strength of the propagation
-argument.  This is check_sequence of the completed instance: an assembled
-lane is its lane, padded with zero cells (the box cells solved to 0, and
-whole lanes opened only by such cells, every cell 0).  Leading zeros keep
-the rank at 0, and trailing zeros keep a rank of 0 at 0 and drive any other
-rank negative, so padding changes neither whether a lane is exact nor any
-rank a pin sums.  If the check fails, which by this argument it never does,
-the report comes from check_sequence of the completed instance.
+A determined solve is verified by _verify: _lane_pass runs over the
+propagated lanes, each unknown cell read at its point value, and each pin's
+total over them must be its rank.  Every lane is still checked once, the
+others by _assemble's lane pass and these here; no lane or pin is skipped
+on the strength of the propagation argument.  This is check_sequence of the
+completed instance: an assembled lane is its lane, padded with zero cells
+(the box cells solved to 0, and whole lanes opened only by such cells,
+every cell 0).  Leading zeros keep the rank at 0, and trailing zeros keep a
+rank of 0 at 0 and drive any other rank negative, so padding changes
+neither whether a lane is exact nor any rank a pin sums.  If the check
+fails, which by this argument it never does, the report comes from
+check_sequence of the completed instance.
 """
 
 from __future__ import annotations
 
 from .sequences import (RankPin, SequenceTemplate, _check_instance, _check_term_index,
                         _describe_lane, _lane_pass, _lanes, _pin_positions,
-                        _read_positions, check_exactness, check_sequence)
+                        check_exactness, check_sequence)
 from .spaces import FIBRATION_KINDS, SpaceDescriptor
 from .tables import Quad, Record, TriFilteredTable, VerificationReport, Violation
 
@@ -120,11 +110,6 @@ from .tables import Quad, Record, TriFilteredTable, VerificationReport, Violatio
 # and sums need no special case
 INF = float("inf")
 Interval = tuple[int, int | float]
-
-# what the interval passes report where a rank goes negative (or leaves its
-# pin's cap) and where a lane cannot close
-NEGATIVE = "rank forced negative or above its pin"
-UNCLOSED = "chain cannot close"
 
 
 def support_box(space: SpaceDescriptor, degree: int | None = None) -> set[Quad]:
@@ -204,53 +189,46 @@ def _infer_descriptor(tag: str, known: dict[str, TriFilteredTable]) -> SpaceDesc
     return SpaceDescriptor.parse_tag(tag, n, m)
 
 
-def _assemble(template: SequenceTemplate, sources: dict, tag: str, box: list[Quad],
+def _assemble(template: SequenceTemplate, sources: dict, box: list[Quad],
               pins: list[RankPin]) -> tuple:
     """The lane system over the unknowns of ``box``, whose cell at slot i
     the overlay in ``sources`` writes as ~i: (box, lanes, readers, repeats,
-    single, pin_occ, failure).  lanes[i] = (key, first cycle, cells) are the
-    read lanes, those reading a cell of the box, in key order, a cell being
-    a known dimension or an unknown's ~slot, the only negative ints there;
-    readers[slot] lists the lanes reading that cell, repeats the lanes
-    reading a cell twice, single[i] lane i's one unknown position (None if
-    more), pin_occ for each pin the (lane, boundary rank) pairs it sums over
-    the read lanes, the total rank over the known lanes and the smallest key
-    of a known lane it sums (None if none), and failure the first known lane
-    in key order that is not exact, as (key, position, detail), or None.
-    The known lanes, reading no cell of the box, are checked here by
-    _lane_pass and take no further part."""
+    single, pin_occ).  lanes[i] = (key, first cycle, cells) are the lanes
+    _lane_pass cannot pass and, when there are pins, the lanes holding a pin
+    occurrence, in key order, a cell being a known dimension or an unknown's
+    ~slot, the only negative ints there; readers[slot] lists the lanes
+    reading that cell, repeats the lanes reading a cell twice, single[i]
+    lane i's one unknown position (None if none or more), and pin_occ for
+    each pin the (lane, boundary rank) pairs it sums.  The other lanes are
+    exact, and take no further part."""
     lane_map = _lanes(template, sources)
-    found = list(_read_positions(template, lane_map, tag, box))
-    keys = sorted({key for _slot, key, _pos in found})
-    index = {key: li for li, key in enumerate(keys)}
-    # popping the read lanes leaves the known lanes in lane_map
-    lanes = [(key, *lane_map.pop(key)) for key in keys]
+    failures, _totals = _lane_pass(template, lane_map.items(), [])
+    failing = {key for key, _lane in failures} if pins else ()
+    lanes, pin_occ = [], [[] for _ in pins]
+    for key, (c_lo, cells) in sorted(lane_map.items() if pins else failures):
+        if pins:
+            # the rank out of position j is the lane's boundary rank j + 1
+            at = [(occ, j + 1) for occ, pin in zip(pin_occ, pins)
+                  for j in _pin_positions(template, pin.term_index, pin.degree, c_lo, len(cells))]
+            if not at and key not in failing:
+                continue
+            for occ, j in at:
+                occ.append((len(lanes), j))
+        lanes.append((key, c_lo, cells))
     readers: list[list[int]] = [[] for _ in box]
-    repeats = [False] * len(lanes)
-    single: list[int | None] = [-1] * len(lanes)  # -1 until a first read
-    for slot, key, pos in found:
-        li = index[key]
-        if li in readers[slot]:
-            repeats[li] = True
-        else:
-            readers[slot].append(li)
-        single[li] = pos if single[li] == -1 else None
-
-    failures, totals, firsts = _lane_pass(
-        template, lane_map.items(), [(pin.term_index, pin.degree) for pin in pins])
-    failure = None
-    if failures:
-        # on a lane of points the interval passes fail where
-        # check_exactness does, in their own words for the two ways
-        key, _c_lo, _cells, i, reason = min(failures)
-        failure = (key, i, UNCLOSED if reason.startswith("chain does not close") else NEGATIVE)
-    # Chain positions whose outgoing rank each pin sums: the rank out of
-    # position j is the lane's boundary rank j + 1.
-    pin_occ = [([(li, j + 1) for li, (_key, c_lo, cells) in enumerate(lanes)
-                 for j in _pin_positions(template, pin.term_index, pin.degree,
-                                         c_lo, len(cells))], total, first)
-               for pin, total, first in zip(pins, totals, firsts)]
-    return box, lanes, readers, repeats, single, pin_occ, failure
+    repeats, single = [False] * len(lanes), [None] * len(lanes)
+    for li, (_key, _c_lo, cells) in enumerate(lanes):
+        unknown = [d for d in cells if d < 0]  # the ~slots of the cells it reads
+        if len(unknown) == 1:
+            single[li] = cells.index(unknown[0])
+        for d in unknown:
+            lis = readers[~d]
+            # lanes are scanned in order, so a repeat is the last reader
+            if lis and lis[-1] == li:
+                repeats[li] = True
+            else:
+                lis.append(li)
+    return box, lanes, readers, repeats, single, pin_occ
 
 
 def _propagate(system: tuple, pins: list[RankPin],
@@ -260,12 +238,7 @@ def _propagate(system: tuple, pins: list[RankPin],
     when unbounded above), in place: (rounds, None), or (rounds, (lane key,
     position, detail)) for a contradiction.  The lanes' boundary ranks and
     their caps are kept only when there are pins, for the pin step."""
-    box, lanes, readers, repeats, single, pin_occ, failure = system
-    visit = lanes
-    if failure is not None:
-        # round 1 reaches the failing known lane after the read lanes
-        # before it in key order, and ends there
-        visit = lanes[:sum(lane[0] < failure[0] for lane in lanes)]
+    box, lanes, readers, repeats, single, pin_occ = system
     # Only the pin step reads these: boundary[li] = (lo, hi) lists of lane
     # li's boundary ranks at its last visit, and caps[li][j] a pin's cap on
     # its boundary rank j, held only for the lanes a pin caps.
@@ -280,7 +253,7 @@ def _propagate(system: tuple, pins: list[RankPin],
         changed = False
         requeue: set[int] = set()  # lanes to visit next round
 
-        for li, (key, _c_lo, cells) in enumerate(visit):
+        for li, (key, _c_lo, cells) in enumerate(lanes):
             if not dirty[li]:
                 continue
             dirty[li] = False
@@ -337,14 +310,14 @@ def _propagate(system: tuple, pins: list[RankPin],
                             if cap[1] < hi:
                                 hi = cap[1]
                     if lo > hi:
-                        return rounds, (key, i, NEGATIVE)
+                        return rounds, (key, i, "rank forced negative or above its pin")
                     F_lo[i + 1] = f_lo = lo
                     F_hi[i + 1] = f_hi = hi
                 # Backward: the chain closes with rank 0, which F[n] allows iff
                 # its lower end is 0 (ranks are never negative); then
                 # R[i] = F[i] meet (d_i - R[i+1]).
                 if f_lo > 0:
-                    return rounds, (key, n_pos - 1, UNCLOSED)
+                    return rounds, (key, n_pos - 1, "chain cannot close")
                 R_lo = [0] * (n_pos + 1)
                 R_hi: list = [0] * (n_pos + 1)
                 r_lo = r_hi = 0
@@ -391,28 +364,18 @@ def _propagate(system: tuple, pins: list[RankPin],
                         elif lj < li:
                             requeue.add(lj)
 
-        if failure is not None:
-            return rounds, failure
-        for pin, (occ, known, known_key) in zip(pins, pin_occ):
-            # the known lanes' ranks add to both sums as point ranks
+        for pin, occ in zip(pins, pin_occ):
             ivs = [(boundary[li][0][j], boundary[li][1][j]) for li, j in occ]
-            lo_sum = known + sum(lo for lo, _hi in ivs)
+            lo_sum = sum(lo for lo, _hi in ivs)
             # The upper ends are summed apart from a count of the unbounded
             # ones: taking one INF back out of an INF sum would give nan.
             his = [hi for _lo, hi in ivs if hi != INF]
-            bounded_hi, unbounded = known + sum(his), len(ivs) - len(his)
+            bounded_hi, unbounded = sum(his), len(ivs) - len(his)
             if pin.rank < lo_sum or (not unbounded and pin.rank > bounded_hi):
-                # the smallest key among the pin's read and known lanes
-                firsts = [lanes[occ[0][0]][0]] if occ else []
-                if known_key is not None:
-                    firsts.append(known_key)
-                return rounds, (min(firsts, default=("*",) * 4), None,
+                # named by the first lane, in key order, that the pin sums
+                return rounds, (lanes[occ[0][0]][0] if occ else ("*",) * 4, None,
                                 f"pinned rank {pin.rank} outside reachable "
                                 f"[{lo_sum}, {None if unbounded else bounded_hi}]")
-            # Capping a known lane's point rank changes nothing in it, but
-            # the first cap, in round 1, counts as a change.
-            if rounds == 1 and known_key is not None:
-                changed = True
             # Cap each occurrence by the pin less the other occurrences: their
             # sums are the pin's sums less this occurrence's own bounds.
             for (li, j), (lo, hi) in zip(occ, ivs):
@@ -438,22 +401,20 @@ def _propagate(system: tuple, pins: list[RankPin],
 def _verify(template: SequenceTemplate, system: tuple, pins: list[RankPin],
             intervals: list[Interval]) -> bool:
     """Whether check_sequence passes the completed instance, read off the
-    assembled system (module docstring): _lane_pass finds every read lane
-    exact with each unknown cell at its point value, and each pin's total
-    over the read lanes and the known lanes is its rank."""
-    _box, lanes, _readers, _repeats, single, pin_occ, _failure = system
-    failures, totals, _firsts = _lane_pass(
-        template, _completed(lanes, single, intervals),
-        [(pin.term_index, pin.degree) for pin in pins])
-    return not failures and all(known + total == pin.rank for pin, (_occ, known, _key), total
-                                in zip(pins, pin_occ, totals))
+    assembled system (module docstring): _lane_pass finds every propagated
+    lane exact with each unknown cell at its point value, and each pin's
+    total over them is its rank."""
+    _box, lanes, _readers, _repeats, single, _pin_occ = system
+    failures, totals = _lane_pass(template, _completed(lanes, single, intervals),
+                                  [(pin.term_index, pin.degree) for pin in pins])
+    return not failures and all(total == pin.rank for pin, total in zip(pins, totals))
 
 
 def _completed(lanes: list, single: list, intervals: list[Interval]):
-    """The read lanes as _lane_pass takes them, each unknown cell read at the
-    lower end of its slot's interval: a copy of the cells with the one
+    """The propagated lanes as _lane_pass takes them, each unknown cell read
+    at the lower end of its slot's interval: a copy of the cells with the one
     unknown position replaced, or every unknown cell where a lane reads
-    more."""
+    none or more."""
     for (key, c_lo, cells), pos in zip(lanes, single):
         if pos is None:
             cells = [intervals[~d][0] if d < 0 else d for d in cells]
@@ -505,7 +466,7 @@ def solve_unknown(template: SequenceTemplate,
     sources[tag] = overlay = dict(other_degrees)
     overlay.update(zip(box, range(-1, ~len(box), -1)))
     intervals: list[Interval] = [(0, INF)] * len(box)
-    system = _assemble(template, sources, tag, box, pins)
+    system = _assemble(template, sources, box, pins)
     iterations, failure = _propagate(system, pins, intervals)
     if failure is not None:
         key, position, detail = failure
@@ -527,7 +488,5 @@ def solve_unknown(template: SequenceTemplate,
     determined = not under
     report = VerificationReport()
     if determined and not _verify(template, system, pins, intervals):
-        completed = dict(known)
-        completed[tag] = table
-        report = check_sequence(template, completed, pins=list(pins))
+        report = check_sequence(template, {**known, tag: table}, pins=list(pins))
     return SolveResult(table, determined, under, report, iterations)

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trigrade import (TriFilteredTable, builtin_templates,
+from trigrade import (SpaceDescriptor, TriFilteredTable, builtin_templates,
                       family_tables, parse_family, parse_grid,
                       tables_from_json_obj, tables_to_json_obj)
 from trigrade.cli import main
@@ -252,6 +253,26 @@ def test_template_length_is_bounded(tmp_path, command, terms, shifts):
         error = "the lanes of this instance would hold more than 1000000 cells"
     assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {error}\n")
     assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_equal_terms_are_refused_quickly(tmp_path, command):
+    """1,000 equal terms read a Y table of 10,000 entries in 500 lanes of 20
+    cycles: 10,000,000 cells, over the budget.  Equal terms open equal
+    lanes, so the refusal takes one pass over the table, not one per term."""
+    y = TriFilteredTable(SpaceDescriptor("Y", 16, 1),
+                         {(k, l, 0, 0): 1 for k in range(20) for l in range(500)})
+    obj = {"template": {"period": 1, "terms": [{"space": "Y"}] * 1000},
+           "tables": [tables_to_json_obj({"Y": y})]}
+    if command == "solve":
+        obj["unknown"] = {"space": "Y", "k": 2}
+    path = _write(tmp_path, "in.json", obj)
+    start = time.perf_counter()
+    res = invoke([command, path])
+    elapsed = time.perf_counter() - start
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", "error: the lanes of this instance would hold more than 1000000 cells\n")
+    assert elapsed < 1, elapsed
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])

@@ -9,7 +9,7 @@ from trigrade import (RankPin, SequenceTemplate, SequenceTerm, SpaceDescriptor,
                       TriFilteredTable, builtin_templates, check_exactness,
                       check_sequence, extract_lanes, family_tables,
                       infer_rank, parse_family)
-from trigrade.sequences import _lanes, _read_positions
+from trigrade.sequences import _lane_pass, _lanes
 
 
 def test_builtin_shapes():
@@ -220,24 +220,18 @@ def test_lanes_match_naive_reads(case):
 
 
 @given(_template_and_sources())
-def test_read_positions_invert_read_quad(case):
-    """_read_positions finds each quad of a space, by its slot in the list
-    given, at the cell where a term on that space reads it through
-    SequenceTerm.read_quad, once per such term."""
+def test_lane_pass_returns_the_lanes_it_cannot_pass(case):
+    """_lane_pass returns every lane holding a negative cell, as the
+    solver's overlay writes an unknown, and of the other lanes exactly those
+    that check_exactness rejects, each as it took it."""
     template, sources = case
     lanes = _lanes(template, sources)
-    P, T = template.period, len(template.terms)
-    for space, values in sources.items():
-        quads = list(values)
-        found = list(_read_positions(template, lanes, space, quads))
-        assert len(found) == len(values) * sum(t.space == space for t in template.terms)
-        for slot, key, pos in found:
-            quad = quads[slot]
-            c_lo, cells = lanes[key]
-            term = template.terms[pos % T]
-            assert term.space == space
-            assert term.read_quad(c_lo + pos // T * P, *key[1:]) == quad
-            assert cells[pos] == values[quad]
+    failures, totals = _lane_pass(template, lanes.items(), [])
+    assert totals == []
+    assert sorted(failures) == sorted(
+        (key, lane) for key, lane in lanes.items()
+        if min(lane[1]) < 0 or not check_exactness(lane[1]).feasible)
+    assert all(lane is lanes[key] for key, lane in failures)
 
 
 def test_check_sequence_passes_fixtures(fixture_sets):

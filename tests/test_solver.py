@@ -133,14 +133,17 @@ def _unsplit(template, sources, pins):
 
 
 def test_worklist_and_closed_form_match_a_full_sweep(monkeypatch):
-    """The solver module docstring's claims, on every golden case: checking
-    the known lanes once and propagating the read lanes with the worklist
-    gives a full sweep of every lane's intervals, contradiction and round
-    count, and the closed form gives what the interval passes give.  The
-    read lanes are the lanes holding an unknown cell, in key order, and
-    their readers, repeats and one-unknown positions are those of a scan of
-    their cells.  The golden holds contradictions on a known lane, and
-    contradictions on a read lane that comes before a failing known lane."""
+    """The solver module docstring's claims, on every golden case: passing
+    the exact lanes no pin reads once and propagating the others with the
+    worklist gives a full sweep of every lane's intervals, contradiction and
+    round count, and the closed form gives what the interval passes give.
+    The propagated lanes are the lanes holding an unknown cell, a pin
+    occurrence or a failing chain, in key order, each pin sums the same
+    ranks of the same lanes as over every lane, and the lanes' readers,
+    repeats and one-unknown positions are those of a scan of their cells.
+    The golden holds contradictions on a lane of known dimensions, and
+    contradictions on a lane reading an unknown cell that comes before a
+    failing lane of known dimensions."""
     golden = _golden()
     assemble, calls = solver._assemble, []
     monkeypatch.setattr(solver, "_assemble", lambda *args: calls.append(args) or assemble(*args))
@@ -150,11 +153,16 @@ def test_worklist_and_closed_form_match_a_full_sweep(monkeypatch):
         calls.clear()
         run_case(entry["case"])
         (args,) = calls
-        template, sources, _tag, box, pins = args
-        _box, lanes, readers, repeats, single, _pin_occ, _failure = system = assemble(*args)
+        template, sources, box, pins = args
+        _box, lanes, readers, repeats, single, occ_got = system = assemble(*args)
         every_lane, pin_occ = _unsplit(template, sources, pins)
         known = [lane for lane in every_lane if not any(c < 0 for c in lane[2])]
-        assert lanes == [lane for lane in every_lane if lane not in known], entry["case"]
+        pinned = {li for occ in pin_occ for li, _j in occ}
+        assert lanes == [lane for li, lane in enumerate(every_lane)
+                         if lane not in known or li in pinned
+                         or not check_exactness(lane[2]).feasible], entry["case"]
+        assert [[(lanes[li][0], j) for li, j in occ] for occ in occ_got] == \
+            [[(every_lane[li][0], j) for li, j in occ] for occ in pin_occ], entry["case"]
 
         scan = [set() for _ in box]
         for li, (_key, _c_lo, cells) in enumerate(lanes):
@@ -487,7 +495,7 @@ def test_pin_on_a_rank_unbounded_above(monkeypatch):
             assert res.underdetermined == [(q, *iv) for q, iv in zip(cells, under)]
         _assert_exact_bounds(res)
         (args,) = calls
-        template, sources, _tag, box, _pins = args
+        template, sources, box, _pins = args
         worklist = [(0, INF)] * len(box)
         sweep = list(worklist)
         assert solver._propagate(assemble(*args), pins, worklist) == \
@@ -518,7 +526,7 @@ def test_a_pin_on_known_lanes_alone(monkeypatch, pin, rounds, contradiction):
     assert [v.relation for v in res.report.violations] == ([contradiction] if contradiction else [])
     assert contradiction or all(hi is None for _quad, _lo, hi in res.underdetermined)
     (args,) = calls
-    template, sources, _tag, box, _pins = args
+    template, sources, box, _pins = args
     worklist = [(0, INF)] * len(box)
     sweep = list(worklist)
     assert solver._propagate(assemble(*args), pins, worklist) == \
@@ -550,7 +558,7 @@ def test_a_cell_read_twice_with_no_feasible_dimension(monkeypatch, unknown):
                           "(lane (l=1, q=1, p=0) residue 0)")
     assert (v.lane, v.position) == ((1, 1, 0), 4)
     (args,) = calls
-    template, sources, _tag, box, _pins = args
+    template, sources, box, _pins = args
     assert box.index((1, 1, 1, 0)) == (0 if isinstance(unknown, tuple) else 2)
     worklist = [(0, INF)] * len(box)
     sweep = list(worklist)
@@ -789,7 +797,7 @@ def test_worklist_matches_a_full_sweep_on_kunneth_products(monkeypatch):
                         assert res.table is not None, case
                         under = {quad: (lo, hi) for quad, lo, hi in res.underdetermined}
                         (args,) = calls
-                        template, sources, _tag, box, pins = args
+                        template, sources, box, pins = args
                         for quad in box:
                             truth = tables[tag].dim(*quad)
                             if quad in under:
