@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .checks import dualize_in_dimension, poincare_verdier_dual
 from .spaces import SpaceDescriptor
-from .tables import Frozen, TriFilteredTable, _set
+from .tables import Frozen, TriFilteredTable, _integer, _set
 
 
 class _Family(Frozen):
@@ -40,12 +40,7 @@ class _Family(Frozen):
 
     def _checked(self, value: int) -> int:
         (name,) = self.__slots__
-        # type(...) is int: bool is an int subclass and must not pass
-        if type(value) is not int:
-            raise ValueError(f"{self.LABEL or name} must be an integer, got {value!r}")
-        if value < self.LEAST:
-            raise ValueError(f"need {self.LABEL or name} >= {self.LEAST}, got {value}")
-        return value
+        return _integer(value, self.LABEL or name, self.LEAST)
 
 
 class EllipticCurveBase(_Family):
@@ -81,17 +76,10 @@ FibrationFamily = EllipticCurveBase | FiniteSurfaceBase
 DegenerationFamily = TypeII | TypeIII
 
 
-def _check_mu(mu: int):
-    if type(mu) is not int:
-        raise ValueError(f"mu must be an integer, got {mu!r}")
-    if mu < 1:
-        raise ValueError(f"need mu >= 1, got {mu}")
-
-
 def veronese(f: FibrationFamily, mu: int) -> FibrationFamily:
     """Re-embed the base so the linear section scales: r fibres become
     mu*r; a genus g = k+1 curve becomes genus mu^2*k + 1."""
-    _check_mu(mu)
+    _integer(mu, "mu", 1)
     if isinstance(f, EllipticCurveBase):
         return EllipticCurveBase(mu * f.r)
     if isinstance(f, FiniteSurfaceBase):
@@ -114,7 +102,7 @@ def dual_complex(d: DegenerationFamily):
 def base_changed_family(d: DegenerationFamily, mu: int) -> DegenerationFamily:
     """The degeneration family after a mu-fold base change, so that its
     dual complex matches base_change of the original's."""
-    _check_mu(mu)
+    _integer(mu, "mu", 1)
     if isinstance(d, TypeII):
         return TypeII(mu * d.r)
     if isinstance(d, TypeIII):
@@ -266,8 +254,7 @@ def family_tables(family) -> dict[str, TriFilteredTable]:
 def phantom_cohomology(family: DegenerationFamily, k: int) -> int:
     """dim of the weight-k perverse piece Gr^P_k H^k of the total space:
     the classes killed by restriction to a nearby fibre."""
-    if type(k) is not int:
-        raise ValueError(f"degree must be an integer, got {k!r}")
+    _integer(k, "degree")
     total = degeneration_tables(family)["Total"]
     k_lo, k_hi = total.space.degree_range()
     if not k_lo <= k <= k_hi:

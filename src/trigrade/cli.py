@@ -11,7 +11,9 @@ flag).
 
 Each subcommand imports the modules it uses in its own body, and only on
 the path that uses them (the catalog for a family spec, render for a grid),
-so a process loads only the code its subcommand runs.
+so a process loads only the code its subcommand runs.  A subcommand returns
+its output text and exit code; main alone writes the text, to standard
+output or --out, and exits.
 """
 
 from __future__ import annotations
@@ -27,14 +29,6 @@ if TYPE_CHECKING:
     from .tables import TriFilteredTable, VerificationReport
 
 PASS, VIOLATION, INPUT_ERROR = 0, 1, 2
-
-
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _load_json(path: str):
@@ -87,6 +81,23 @@ def _read_sequence(obj: dict) -> tuple[SequenceTemplate, dict[str, TriFilteredTa
     return template, tables, pins
 
 
+def _require_data(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
+                  unknown: str | tuple[str, int] | None = None):
+    """Refuse an instance whose known tables, those the template reads but the
+    unknown, are all empty: a check or solve of it would pass on nothing.  A
+    degree solve knows the unknown's other degrees; a template that reads
+    only the unknown has no known table, and is solved from its lanes."""
+    tag, degree = unknown if isinstance(unknown, tuple) else (unknown, None)
+    known = [tables[s].entries for s in template.spaces() if s != tag]
+    if degree is not None:
+        known.append([quad for quad in tables[tag].entries if quad[0] != degree])
+    if known and not any(known):
+        besides = "" if tag is None else f" besides the unknown {tag}"
+        besides += "" if degree is None else f" in degree {degree}"
+        raise ValueError(f"nothing checked: the tables {template.name!r} reads{besides} "
+                         "are all empty")
+
+
 def _check_table_set(tables: dict[str, TriFilteredTable]) -> VerificationReport:
     from .checks import check_subvariety_constraints, hard_lefschetz_check, validate_table
     from .tables import VerificationReport
@@ -101,7 +112,7 @@ def _check_table_set(tables: dict[str, TriFilteredTable]) -> VerificationReport:
     return rep
 
 
-def generate(family, fmt, out):
+def generate(family, fmt):
     """Emit the tables of a builtin family.
 
     FAMILY is a spec string: k3-elliptic:r=3, k3-finite:g=4, k3-typeII:r=3,
@@ -113,15 +124,13 @@ def generate(family, fmt, out):
     fam = parse_family(family)
     tables = family_tables(fam)
     if fmt == "json":
-        text = canonical_json(tables_to_json_obj(tables, family_spec(fam)))
-    else:
-        from .render import render_tables
+        return canonical_json(tables_to_json_obj(tables, family_spec(fam))), PASS
+    from .render import render_tables
 
-        text = render_tables(tables)
-    _emit(text, out)
+    return render_tables(tables), PASS
 
 
-def check(input, out):
+def check(input):
     """Check a JSON input; report violations.
 
     INPUT is a path (or - for standard input) holding one of: a sequence
@@ -131,40 +140,36 @@ def check(input, out):
     and its sections are present; a single table {"space", "n", "entries"}.
     A table set or table without an entry is an input error.
     """
-    from .sequences import check_sequence
-    from .tables import TriFilteredTable, canonical_json, tables_from_json_obj
+    from .tables import canonical_json
 
     obj = _load_json(input)
     if not isinstance(obj, dict):
         raise ValueError("input must be a JSON object")
     if "template" in obj:
+        from .sequences import check_sequence
+
         template, tables, pins = _read_sequence(obj)
         rep = check_sequence(template, tables, pins)
-        if not any(tables[s].entries for s in template.spaces()):
-            raise ValueError(f"nothing checked: the tables {template.name!r} reads are all empty")
+        _require_data(template, tables)
     elif "tables" in obj or "space" in obj:
-        if "tables" in obj:
-            tables = tables_from_json_obj(obj)
-        else:
-            t = TriFilteredTable.from_json_obj(obj)
-            tables = {t.space.tag: t}
+        tables = _resolve_tables([obj])
         if not any(table.entries for table in tables.values()):
             raise ValueError("nothing checked: no table has an entry")
         rep = _check_table_set(tables)
     else:
         raise ValueError('input needs a "template", "tables" or "space" key')
-    _emit(canonical_json(rep.to_json_obj()), out)
-    sys.exit(PASS if rep.passed else VIOLATION)
+    return canonical_json(rep.to_json_obj()), PASS if rep.passed else VIOLATION
 
 
-def solve(input, out):
+def solve(input):
     """Solve for a table marked unknown in a sequence object.
 
     INPUT is a sequence object as for check, plus an "unknown" key: a space
     tag, or {"space": tag, "k": degree} to solve a single degree.  The
     result reports the solved table, whether it is fully determined, any
     cells the lanes leave open, and a contradiction if the known tables
-    admit no exact completion.
+    admit no exact completion.  As for check, an instance whose known
+    tables are all empty is an input error.
     """
     from .solver import solve_unknown
     from .tables import canonical_json
@@ -182,7 +187,8 @@ def solve(input, out):
         raise ValueError('unknown must be a space tag or {"space": tag, "k": degree}, '
                          f"got {unknown!r}")
     result = solve_unknown(template, tables, unknown, pins)
-    out_obj = {
+    _require_data(template, tables, unknown)
+    return canonical_json({
         "table": None if result.table is None else result.table.to_json_obj(),
         "determined": result.determined,
         "underdetermined": [
@@ -190,12 +196,10 @@ def solve(input, out):
             for (k, l, q, p), lo, hi in result.underdetermined
         ],
         "report": result.report.to_json_obj(),
-    }
-    _emit(canonical_json(out_obj), out)
-    sys.exit(PASS if result.report.passed else VIOLATION)
+    }), PASS if result.report.passed else VIOLATION
 
 
-def mirror(fibration, degeneration, mu, out):
+def mirror(fibration, degeneration, mu):
     """Check the mirror correspondence between two builtin families."""
     from .catalog import DegenerationFamily, FibrationFamily, parse_family
     from .mirror import MirrorPair, mirror_check, stability_check
@@ -209,11 +213,10 @@ def mirror(fibration, degeneration, mu, out):
         raise ValueError(f"--degeneration needs a degeneration family, got {degeneration!r}")
     pair = MirrorPair.from_families(fib, deg)
     rep = mirror_check(pair) if mu is None else stability_check(pair, mu)
-    _emit(canonical_json(rep.to_json_obj()), out)
-    sys.exit(PASS if rep.passed else VIOLATION)
+    return canonical_json(rep.to_json_obj()), PASS if rep.passed else VIOLATION
 
 
-def basechange(topology, components, triple_points, mu, out):
+def basechange(topology, components, triple_points, mu):
     """Dual complex counts after a mu-fold base change."""
     from .dualcomplex import base_change, chain_counts, type_iii_counts
     from .tables import canonical_json
@@ -226,7 +229,7 @@ def basechange(topology, components, triple_points, mu, out):
         if triple_points is None or components is not None:
             raise ValueError("sphere topology takes --triple-points only")
         d = type_iii_counts(triple_points)
-    _emit(canonical_json(base_change(d, mu).to_json_obj()), out)
+    return canonical_json(base_change(d, mu).to_json_obj()), PASS
 
 
 def _out_path(path: str) -> str:
@@ -277,14 +280,20 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None):
     """Verify and solve trigraded cohomology dimension tables."""
     args = vars(_parser().parse_args(argv))
-    run = args.pop("run")
+    run, out = args.pop("run"), args.pop("out")
     del args["command"]
     try:
-        return run(**args)
+        text, code = run(**args)
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, KeyError, TypeError, OSError) as exc:
         # malformed input: one line on stderr, exit code 2
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(INPUT_ERROR)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ in the catalog.
 
 from __future__ import annotations
 
-from .tables import Frozen, _set
+from .tables import Frozen, _integer, _set
 
 CHAIN = "chain"
 SPHERE = "sphere"
@@ -74,10 +74,7 @@ def base_change(d: DualComplexData, mu: int) -> DualComplexData:
     from the shape identities (E = V-1 on a chain; Euler 2 and 3F = 2E on
     the sphere).
     """
-    if type(mu) is not int:
-        raise ValueError(f"mu must be an integer, got {mu!r}")
-    if mu < 1:
-        raise ValueError(f"need mu >= 1, got {mu}")
+    _integer(mu, "mu", 1)
     v = (d.components + (mu - 1) * d.double_curves
          + (mu - 1) * (mu - 2) // 2 * d.triple_points)
     if d.topology == CHAIN:

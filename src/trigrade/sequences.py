@@ -28,7 +28,7 @@ propagate, and over those lanes again to verify a determined solve.
 from __future__ import annotations
 
 from .spaces import MAX_N
-from .tables import Frozen, TriFilteredTable, VerificationReport, Violation, _set
+from .tables import Frozen, TriFilteredTable, VerificationReport, Violation, _integer, _set
 
 # No space has a degree above 2(MAX_N + 1), the top degree of a space of
 # complex dimension MAX_N + 1.  Template k_offsets lie within this bound, and _lanes refuses an
@@ -53,9 +53,7 @@ class SequenceTerm(Frozen):
         if not isinstance(space, str):
             raise ValueError(f"template term 'space' must be a string, got {space!r}")
         for field, value in (("k_offset", k_offset), ("shift", shift), ("twist", twist)):
-            # type(...) is int: bool is an int subclass and must not pass
-            if type(value) is not int:
-                raise ValueError(f"template term {field!r} must be an integer, got {value!r}")
+            _integer(value, f"template term {field!r}")
         # A lane's cells span the spread of the k_offsets, so an offset
         # beyond any table's degrees only costs memory.
         if not -MAX_DEGREE <= k_offset <= MAX_DEGREE:
@@ -76,8 +74,7 @@ class SequenceTemplate(Frozen):
     def __init__(self, name: str, period: int, terms: tuple[SequenceTerm, ...]):
         if not isinstance(name, str):
             raise ValueError(f"template 'name' must be a string, got {name!r}")
-        if type(period) is not int:
-            raise ValueError(f"template 'period' must be an integer, got {period!r}")
+        _integer(period, "template 'period'")
         # a tuple keeps the template hashable; a term is read by its fields
         if not (isinstance(terms, tuple) and all(isinstance(t, SequenceTerm) for t in terms)):
             raise ValueError(f"template 'terms' must be a tuple of SequenceTerm, got {terms!r}")
@@ -369,13 +366,10 @@ class RankPin(Frozen):
     __slots__ = ("term_index", "rank", "degree")
 
     def __init__(self, term_index: int, rank: int, degree: int | None = None):
-        fields = [("term index", term_index), ("rank", rank)]
+        _integer(term_index, "pin term index")
+        _integer(rank, "pin rank")
         if degree is not None:
-            fields.append(("degree", degree))
-        for field, value in fields:
-            # type(...) is int: bool is an int subclass and must not pass
-            if type(value) is not int:
-                raise ValueError(f"pin {field} must be an integer, got {value!r}")
+            _integer(degree, "pin degree")
         if rank < 0:
             raise ValueError(f"pin rank must be nonnegative, got {rank}")
         _set(self, "term_index", term_index)

@@ -13,9 +13,10 @@ This lowest module also holds Record and Frozen, the bases of the value
 classes.  Those are written by hand, since @dataclass compiles each class's
 methods with exec at every import, a cost every CLI process would pay.  The
 bases derive ==, hash, repr, copying and (Frozen) the refusal to assign or
-delete from __slots__, as @dataclass did; each __init__ validates and sets.
-Violation and VerificationReport, what every check and solve reports, live
-here too, so that reporting loads none of the single-table checks.
+delete from __slots__, as @dataclass did; each __init__ validates and sets,
+an integer argument through _integer.  Violation and VerificationReport,
+what every check and solve reports, live here too, so that reporting loads
+none of the single-table checks.
 
 Every JSON output is canonical_json's text, byte for byte
 ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``.  A small formatter
@@ -37,6 +38,16 @@ Quad = tuple[int, int, int, int]
 
 _set = object.__setattr__  # how a Frozen __init__ sets its fields
 _int = int.__repr__  # how json writes an int
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    """``value`` if it is an exact int, at least ``least`` when given; else
+    a ValueError naming ``name``.  A bool, an int subclass, is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+    return value
 
 
 class Record:

@@ -2,9 +2,9 @@ import pytest
 
 import oracle_tables
 from trigrade import (DegenerationFamily, EllipticCurveBase, FibrationFamily,
-                      FiniteSurfaceBase, TypeII, TypeIII, degeneration_tables,
-                      family_spec, family_tables, fibration_tables,
-                      parse_family, phantom_cohomology)
+                      FiniteSurfaceBase, TypeII, TypeIII, base_changed_family,
+                      degeneration_tables, family_spec, family_tables,
+                      fibration_tables, parse_family, phantom_cohomology)
 
 
 def test_spec_round_trip():
@@ -90,6 +90,11 @@ def test_family_tables_dispatch():
     assert deg == degeneration_tables(TypeII(2))
     with pytest.raises(ValueError):
         family_tables("k3-typeII:r=2")
+    with pytest.raises(ValueError, match="^not a fibration family: TypeII\\(r=2\\)$"):
+        fibration_tables(TypeII(2))
+    with pytest.raises(ValueError,
+                       match="^not a degeneration family: EllipticCurveBase\\(r=2\\)$"):
+        base_changed_family(EllipticCurveBase(2), 2)
 
 
 @pytest.mark.parametrize("r", [1, 2, 5, 11])

@@ -462,6 +462,14 @@ def test_check_empty_tables(tmp_path, obj):
     assert res.stderr.count("\n") == 1 and "error: nothing checked: " in res.stderr
 
 
+def test_check_tables_must_be_a_list(tmp_path):
+    path = _write(tmp_path, "in.json", {"template": "cs", "tables": "k3-typeII:r=2"})
+    res = invoke(["check", path])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == 'error: "tables" must be a list of family specs or table objects\n'
+
+
 def test_check_missing_file(tmp_path):
     res = invoke(["check", str(tmp_path / "absent.json")])
     assert res.exit_code == 2
@@ -608,6 +616,49 @@ def test_solve_takes_only_the_documented_unknowns(tmp_path, unknown):
     assert res.stderr.count("\n") == 1
 
 
+def test_solve_input_must_be_an_object(tmp_path):
+    res = invoke(["solve", _write(tmp_path, "in.json", [{"template": "cs"}])])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == 'error: solve input needs "template", "tables" and "unknown" keys\n'
+
+
+def _empty_loc1(unknown, extra: dict) -> dict:
+    """loc1 on k3-elliptic:r=2 with Y and Z:1 empty, and U holding its cells
+    in degree 2 and ``extra``."""
+    tables = family_tables(parse_family("k3-elliptic:r=2"))
+    u = tables["U"]
+    entries = {**{q: d for q, d in u.entries.items() if q[0] == 2}, **extra}
+    return {"template": "loc1", "unknown": unknown, "tables": [tables_to_json_obj(
+        {"Y": TriFilteredTable(tables["Y"].space, {}),
+         "Z:1": TriFilteredTable(tables["Z:1"].space, {}),
+         "U": TriFilteredTable(u.space, entries)})]}
+
+
+@pytest.mark.parametrize("unknown, message", [
+    ("U", "error: nothing checked: the tables 'loc1' reads besides the unknown U "
+          "are all empty\n"),
+    ({"space": "U", "k": 2}, "error: nothing checked: the tables 'loc1' reads besides "
+                             "the unknown U in degree 2 are all empty\n"),
+], ids=["full", "degree"])
+def test_solve_empty_instance(tmp_path, unknown, message):
+    """A solve whose known tables are all empty exits 2 with one line, as
+    check does, not a determined empty table."""
+    res = invoke(["solve", _write(tmp_path, "in.json", _empty_loc1(unknown, {}))])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == message
+
+
+def test_solve_degree_counts_other_degrees_as_known(tmp_path):
+    """One cell of U outside the solved degree is known data: the solve runs,
+    and finds that no completion makes that cell's lane exact."""
+    obj = _empty_loc1({"space": "U", "k": 2}, {(0, 0, 0, 0): 1})
+    res = invoke(["solve", _write(tmp_path, "in.json", obj)])
+    assert res.exit_code == 1
+    assert "solve contradiction" in res.stdout
+
+
 def test_solve_requires_unknown(tmp_path):
     path = _write(tmp_path, "in.json",
                   {"template": "cs", "tables": ["k3-typeII:r=2"]})
@@ -657,6 +708,11 @@ def test_mirror_sides_must_match_kinds():
                           "--degeneration", "k3-elliptic:r=2"])
     assert res.exit_code == 2
     assert "--fibration needs a fibration family" in res.stderr
+    res = invoke(["mirror", "--fibration", "k3-elliptic:r=2",
+                  "--degeneration", "k3-elliptic:r=2"])
+    assert res.exit_code == 2
+    assert res.stderr == ("error: --degeneration needs a degeneration family, "
+                          "got 'k3-elliptic:r=2'\n")
 
 
 # -- basechange -------------------------------------------------------------

@@ -47,14 +47,16 @@ def test_import_cli_loads_no_engine_and_no_third_party_module():
 
 
 def _inline_instances(tmp_path) -> dict[str, str]:
-    """Paths of a loc2 instance to check and a loc1 -U instance to solve,
-    both with their tables inline rather than named by family spec."""
+    """Paths of a loc2 instance to check, a table set to check and a loc1 -U
+    instance to solve, all with their tables inline rather than named by
+    family spec."""
     from trigrade import family_tables, parse_family, tables_to_json_obj
 
     tables = family_tables(parse_family("k3-finite:g=3"))
     known = tables_to_json_obj({t: tab for t, tab in tables.items() if t != "U"})
     paths = {}
     for name, obj in {"check": {"template": "loc2", "tables": [tables_to_json_obj(tables)]},
+                      "check_set": tables_to_json_obj(tables),
                       "solve": {"template": "loc1", "unknown": "U", "tables": [known]}}.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(obj))
@@ -71,13 +73,17 @@ def _inline_instances(tmp_path) -> dict[str, str]:
     (["check", "{check}"],
      {"trigrade.catalog", "trigrade.solver", "trigrade.mirror", "trigrade.dualcomplex",
       "trigrade.render", "trigrade.checks"}),
+    (["check", "{check_set}"],
+     {"trigrade.sequences", "trigrade.solver", "trigrade.catalog", "trigrade.mirror",
+      "trigrade.dualcomplex", "trigrade.render"}),
     (["solve", "{solve}"],
      {"trigrade.catalog", "trigrade.mirror", "trigrade.dualcomplex", "trigrade.render",
       "trigrade.checks"}),
     (["basechange", "--topology", "chain", "--components", "3", "--mu", "2"],
      {"trigrade.sequences", "trigrade.solver", "trigrade.mirror", "trigrade.render",
       "trigrade.spaces", "trigrade.catalog", "trigrade.checks", "dataclasses"}),
-], ids=["generate", "generate-grid", "check-inline", "solve-inline", "basechange"])
+], ids=["generate", "generate-grid", "check-inline", "check-table-set", "solve-inline",
+     "basechange"])
 def test_subcommand_loads_only_what_it_runs(args, absent, tmp_path):
     paths = _inline_instances(tmp_path)
     args = [a.format(**paths) for a in args]

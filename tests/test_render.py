@@ -56,6 +56,7 @@ def test_parse_empty_table():
     ("# table Z:01 n=2 m=1\n", "Z:01"),
     # only the integers render_table writes, and each field once
     ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  2_0\n", "line 4: bad integer '2_0'"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  x\n", "line 4: bad integer 'x'"),
     ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  01\n", "line 4: bad integer '01'"),
     ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  +0\n", "line 4: bad integer '\\+0'"),
     ("# table Y n=2 m=1\n## k=2 l=2\np\\q  +2\n", "line 3: bad integer '\\+2'"),
