@@ -22,7 +22,7 @@ GOLDEN = ROOT / "tests" / "golden"
 def test_script_report_matches_its_golden(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{script}.py")], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / f"{script}.txt").read_text()
 
