@@ -1,24 +1,10 @@
 """Built-in table families: K3 fibrations and K3 degenerations.
 
-Two fibration families (both with n = 2):
-
-* EllipticCurveBase(r): an elliptic K3 over a rational curve, with the
-  degree-1 linear section pulled back to a disjoint union of r smooth
-  fibres.
-* FiniteSurfaceBase(g): a K3 mapping finitely to a rational surface, the
-  degree-1 section a smooth connected curve of genus g, the degree-2
-  section a set of 2g-2 points.
-
-Two one-parameter degeneration families of K3 surfaces:
-
-* TypeII(r): central fibre a chain of r+1 surfaces glued along elliptic
-  curves (monodromy logarithm nilpotent of index 2).
-* TypeIII(k): central fibre a union of rational surfaces glued along
-  anticanonical cycles, dual complex a sphere with 2k triangles
-  (nilpotency index 3).
-
-Base change of the families lives here too (veronese, base_changed_family,
-dual_complex); dualcomplex.py holds only the counts.
+Each family is a class whose class data are its facts (see _Family): its
+spec, its parameter, its stored tables, affine in the parameter, and its
+base change.  The public functions below check a family's kind and look
+those facts up; only dual_complex, whose counts live in dualcomplex.py,
+branches on the family.
 
 The compact-support tables of U and the supported-on-the-central-fibre
 tables are not stored; they are forced by duality and derived here, which
@@ -27,64 +13,176 @@ the test suite cross-checks against independently transcribed values.
 
 from __future__ import annotations
 
-from .checks import dualize_in_dimension, poincare_verdier_dual
+from .checks import dualize_in_dimension
 from .spaces import SpaceDescriptor
 from .tables import Frozen, TriFilteredTable, _integer, _set
 
+N = 2  # the dimension n of every builtin family's members
+
 
 class _Family(Frozen):
-    """A builtin family: one integer parameter, at least LEAST."""
+    """A builtin family: its one field is an integer parameter t.  Its class
+    data: SPEC, the spec name; LEAST, the least t, and LABEL, t's name in
+    messages (the field's name when None); M, the base dimension m; TABLES,
+    each stored table as {quad: (c, s)}, the dimension c + s*t, zero ones
+    dropped; DUAL, (tag, d) of the stored table whose dual in dimension d is
+    derived; and the mu-fold base change t - SHIFT -> mu**POWER * (t - SHIFT)."""
 
     __slots__ = ()
-    LEAST, LABEL = 1, None
+    LEAST, LABEL, SHIFT, POWER = 1, None, 0, 1
 
     def _checked(self, value: int) -> int:
         (name,) = self.__slots__
         return _integer(value, self.LABEL or name, self.LEAST)
 
+    def _tables(self) -> dict[str, TriFilteredTable]:
+        (t,) = self._values()
+        tables = {tag: TriFilteredTable(SpaceDescriptor.parse_tag(tag, N, self.M),
+                                        {quad: c + s * t for quad, (c, s) in coeffs.items()})
+                  for tag, coeffs in self.TABLES.items()}
+        tag, d = self.DUAL
+        dual = dualize_in_dimension(tables[tag], d)
+        tables[dual.space.tag] = dual
+        return tables
 
-class EllipticCurveBase(_Family):
+    def _base_changed(self, mu: int) -> _Family:
+        (t,) = self._values()
+        return type(self)(self.SHIFT + mu ** self.POWER * (t - self.SHIFT))
+
+
+class FibrationFamily(_Family):
+    """A K3 fibration over a base of dimension m: the tables of Y, its linear
+    sections, and Uc, and U, the dual of Uc."""
+
+    __slots__ = ()
+    DUAL = "Uc", N
+
+
+class DegenerationFamily(_Family):
+    """A one-parameter degeneration of K3 surfaces: the tables of the limit
+    Xlim and of the total space, and Supported, the dual of Total in the
+    total space's own dimension n+1."""
+
+    __slots__ = ()
+    M, DUAL = None, ("Total", N + 1)
+
+
+class EllipticCurveBase(FibrationFamily):
+    """An elliptic K3 over a rational curve, the degree-1 linear section
+    pulled back to a disjoint union of r smooth fibres."""
+
     __slots__ = ("r",)
+    SPEC, M = "k3-elliptic", 1
+    TABLES = {
+        "Y": {(0, 1, 0, 0): (1, 0),
+              (2, 1, 2, 1): (1, 0),
+              (2, 2, 2, 0): (1, 0), (2, 2, 2, 1): (18, 0), (2, 2, 2, 2): (1, 0),
+              (2, 3, 2, 1): (1, 0),
+              (4, 3, 4, 2): (1, 0)},
+        # r disjoint elliptic curves
+        "Z:1": {(0, 0, 0, 0): (0, 1),
+                (1, 1, 1, 0): (0, 1), (1, 1, 1, 1): (0, 1),
+                (2, 2, 2, 1): (0, 1)},
+        "Uc": {(1, 1, 0, 0): (-1, 1),
+               (2, 1, 2, 1): (1, 0),
+               (2, 2, 1, 0): (0, 1), (2, 2, 1, 1): (0, 1),
+               (2, 2, 2, 0): (1, 0), (2, 2, 2, 1): (18, 0), (2, 2, 2, 2): (1, 0),
+               (3, 3, 2, 1): (-1, 1),
+               (4, 3, 4, 2): (1, 0)},
+    }
 
     def __init__(self, r: int):
         _set(self, "r", self._checked(r))
 
 
-class FiniteSurfaceBase(_Family):
+class FiniteSurfaceBase(FibrationFamily):
+    """A K3 mapping finitely to a rational surface, the degree-1 section a
+    smooth connected curve of genus g, the degree-2 section a set of 2g-2
+    points."""
+
     __slots__ = ("g",)
-    LEAST, LABEL = 2, "genus g"
+    SPEC, M = "k3-finite", 2
+    LEAST, LABEL, SHIFT, POWER = 2, "genus g", 1, 2
+    TABLES = {
+        "Y": {(0, 2, 0, 0): (1, 0),
+              (2, 2, 2, 0): (1, 0), (2, 2, 2, 1): (20, 0), (2, 2, 2, 2): (1, 0),
+              (4, 2, 4, 2): (1, 0)},
+        # one smooth connected curve of genus g
+        "Z:1": {(0, 1, 0, 0): (1, 0),
+                (1, 1, 1, 0): (0, 1), (1, 1, 1, 1): (0, 1),
+                (2, 1, 2, 1): (1, 0)},
+        # the degree-2 section: 2g-2 points
+        "Z:2": {(0, 0, 0, 0): (-2, 2)},
+        "Uc": {(2, 2, 1, 0): (0, 1), (2, 2, 1, 1): (0, 1),
+               (2, 2, 2, 0): (1, 0), (2, 2, 2, 1): (19, 0), (2, 2, 2, 2): (1, 0),
+               (4, 2, 4, 2): (1, 0)},
+    }
 
     def __init__(self, g: int):
         _set(self, "g", self._checked(g))
 
 
-class TypeII(_Family):
+class TypeII(DegenerationFamily):
+    """Central fibre a chain of r+1 surfaces glued along elliptic curves
+    (monodromy logarithm nilpotent of index 2)."""
+
     __slots__ = ("r",)
+    SPEC = "k3-typeII"
+    TABLES = {
+        "Xlim": {(0, 0, 0, 0): (1, 0),
+                 (2, 2, 1, 0): (1, 0), (2, 2, 1, 1): (1, 0),
+                 (2, 2, 2, 1): (18, 0),
+                 (2, 2, 3, 1): (1, 0), (2, 2, 3, 2): (1, 0),
+                 (4, 4, 4, 2): (1, 0)},
+        "Total": {(0, 1, 0, 0): (1, 0),
+                  (2, 2, 2, 1): (0, 1),
+                  (2, 3, 1, 0): (1, 0), (2, 3, 1, 1): (1, 0), (2, 3, 2, 1): (18, 0),
+                  (3, 3, 3, 1): (-1, 1), (3, 3, 3, 2): (-1, 1),
+                  (4, 4, 4, 2): (0, 1),
+                  (4, 5, 4, 2): (1, 0)},
+    }
 
     def __init__(self, r: int):
         _set(self, "r", self._checked(r))
 
 
-class TypeIII(_Family):
+class TypeIII(DegenerationFamily):
+    """Central fibre a union of rational surfaces glued along anticanonical
+    cycles, dual complex a sphere with 2k triangles (nilpotency index 3)."""
+
     __slots__ = ("k",)
+    SPEC, POWER = "k3-typeIII", 2
+    TABLES = {
+        "Xlim": {(0, 0, 0, 0): (1, 0),
+                 (2, 2, 0, 0): (1, 0), (2, 2, 2, 1): (20, 0), (2, 2, 4, 2): (1, 0),
+                 (4, 4, 4, 2): (1, 0)},
+        # g = k+1 in degrees 2 and 4
+        "Total": {(0, 1, 0, 0): (1, 0),
+                  (2, 2, 2, 1): (1, 1),
+                  (2, 3, 0, 0): (1, 0), (2, 3, 2, 1): (19, 0),
+                  (4, 4, 4, 2): (1, 1),
+                  (4, 5, 4, 2): (1, 0)},
+    }
 
     def __init__(self, k: int):
         _set(self, "k", self._checked(k))
 
 
-FibrationFamily = EllipticCurveBase | FiniteSurfaceBase
-DegenerationFamily = TypeII | TypeIII
+_SPEC_FORMS = {(c.SPEC, c.__slots__[0]): c
+               for c in (EllipticCurveBase, FiniteSurfaceBase, TypeII, TypeIII)}
+
+
+def _of_kind(family, kind: type, name: str):
+    if not isinstance(family, kind):
+        raise ValueError(f"not a {name} family: {family!r}")
+    return family
 
 
 def veronese(f: FibrationFamily, mu: int) -> FibrationFamily:
     """Re-embed the base so the linear section scales: r fibres become
     mu*r; a genus g = k+1 curve becomes genus mu^2*k + 1."""
     _integer(mu, "mu", 1)
-    if isinstance(f, EllipticCurveBase):
-        return EllipticCurveBase(mu * f.r)
-    if isinstance(f, FiniteSurfaceBase):
-        return FiniteSurfaceBase(mu * mu * (f.g - 1) + 1)
-    raise ValueError(f"not a fibration family: {f!r}")
+    return _of_kind(f, FibrationFamily, "fibration")._base_changed(mu)
 
 
 def dual_complex(d: DegenerationFamily):
@@ -103,19 +201,7 @@ def base_changed_family(d: DegenerationFamily, mu: int) -> DegenerationFamily:
     """The degeneration family after a mu-fold base change, so that its
     dual complex matches base_change of the original's."""
     _integer(mu, "mu", 1)
-    if isinstance(d, TypeII):
-        return TypeII(mu * d.r)
-    if isinstance(d, TypeIII):
-        return TypeIII(mu * mu * d.k)
-    raise ValueError(f"not a degeneration family: {d!r}")
-
-
-_SPEC_FORMS = {
-    ("k3-elliptic", "r"): EllipticCurveBase,
-    ("k3-finite", "g"): FiniteSurfaceBase,
-    ("k3-typeII", "r"): TypeII,
-    ("k3-typeIII", "k"): TypeIII,
-}
+    return _of_kind(d, DegenerationFamily, "degeneration")._base_changed(mu)
 
 
 def parse_family(spec: str):
@@ -139,114 +225,20 @@ def parse_family(spec: str):
 
 
 def family_spec(family) -> str:
-    for (name, key), ctor in _SPEC_FORMS.items():
-        if isinstance(family, ctor):
-            return f"{name}:{key}={getattr(family, key)}"
-    raise ValueError(f"not a catalog family: {family!r}")
-
-
-def _table(tag: str, n: int, m: int | None, entries: dict) -> TriFilteredTable:
-    return TriFilteredTable(SpaceDescriptor.parse_tag(tag, n, m), entries)
+    (key,) = _of_kind(family, _Family, "catalog").__slots__
+    return f"{family.SPEC}:{key}={getattr(family, key)}"
 
 
 def fibration_tables(family: FibrationFamily) -> dict[str, TriFilteredTable]:
-    """The filtration tables of a fibration family: Y, its linear sections,
-    Uc and U.  U is obtained from Uc by duality."""
-    if isinstance(family, EllipticCurveBase):
-        r = family.r
-        n, m = 2, 1
-        y = _table("Y", n, m, {
-            (0, 1, 0, 0): 1,
-            (2, 1, 2, 1): 1,
-            (2, 2, 2, 0): 1, (2, 2, 2, 1): 18, (2, 2, 2, 2): 1,
-            (2, 3, 2, 1): 1,
-            (4, 3, 4, 2): 1,
-        })
-        # r disjoint elliptic curves
-        z1 = _table("Z:1", n, m, {
-            (0, 0, 0, 0): r,
-            (1, 1, 1, 0): r, (1, 1, 1, 1): r,
-            (2, 2, 2, 1): r,
-        })
-        uc = _table("Uc", n, m, {
-            (1, 1, 0, 0): r - 1,
-            (2, 1, 2, 1): 1,
-            (2, 2, 1, 0): r, (2, 2, 1, 1): r,
-            (2, 2, 2, 0): 1, (2, 2, 2, 1): 18, (2, 2, 2, 2): 1,
-            (3, 3, 2, 1): r - 1,
-            (4, 3, 4, 2): 1,
-        })
-        return {"Y": y, "Z:1": z1, "Uc": uc, "U": poincare_verdier_dual(uc)}
-    if isinstance(family, FiniteSurfaceBase):
-        g = family.g
-        n, m = 2, 2
-        y = _table("Y", n, m, {
-            (0, 2, 0, 0): 1,
-            (2, 2, 2, 0): 1, (2, 2, 2, 1): 20, (2, 2, 2, 2): 1,
-            (4, 2, 4, 2): 1,
-        })
-        # one smooth connected curve of genus g
-        z1 = _table("Z:1", n, m, {
-            (0, 1, 0, 0): 1,
-            (1, 1, 1, 0): g, (1, 1, 1, 1): g,
-            (2, 1, 2, 1): 1,
-        })
-        # the degree-2 section: 2g-2 points
-        z2 = _table("Z:2", n, m, {(0, 0, 0, 0): 2 * g - 2})
-        uc = _table("Uc", n, m, {
-            (2, 2, 1, 0): g, (2, 2, 1, 1): g,
-            (2, 2, 2, 0): 1, (2, 2, 2, 1): 19, (2, 2, 2, 2): 1,
-            (4, 2, 4, 2): 1,
-        })
-        return {"Y": y, "Z:1": z1, "Z:2": z2, "Uc": uc,
-                "U": poincare_verdier_dual(uc)}
-    raise ValueError(f"not a fibration family: {family!r}")
+    return _of_kind(family, FibrationFamily, "fibration")._tables()
 
 
 def degeneration_tables(family: DegenerationFamily) -> dict[str, TriFilteredTable]:
-    """The filtration tables of a degeneration family: the limit, the total
-    space, and the supported cohomology.  The supported table is the
-    dual of the total space's in the total space's own dimension n+1."""
-    n = 2
-    if isinstance(family, TypeII):
-        r = family.r
-        xlim = _table("Xlim", n, None, {
-            (0, 0, 0, 0): 1,
-            (2, 2, 1, 0): 1, (2, 2, 1, 1): 1,
-            (2, 2, 2, 1): 18,
-            (2, 2, 3, 1): 1, (2, 2, 3, 2): 1,
-            (4, 4, 4, 2): 1,
-        })
-        total = _table("Total", n, None, {
-            (0, 1, 0, 0): 1,
-            (2, 2, 2, 1): r,
-            (2, 3, 1, 0): 1, (2, 3, 1, 1): 1, (2, 3, 2, 1): 18,
-            (3, 3, 3, 1): r - 1, (3, 3, 3, 2): r - 1,
-            (4, 4, 4, 2): r,
-            (4, 5, 4, 2): 1,
-        })
-    elif isinstance(family, TypeIII):
-        g = family.k + 1
-        xlim = _table("Xlim", n, None, {
-            (0, 0, 0, 0): 1,
-            (2, 2, 0, 0): 1, (2, 2, 2, 1): 20, (2, 2, 4, 2): 1,
-            (4, 4, 4, 2): 1,
-        })
-        total = _table("Total", n, None, {
-            (0, 1, 0, 0): 1,
-            (2, 2, 2, 1): g,
-            (2, 3, 0, 0): 1, (2, 3, 2, 1): 19,
-            (4, 4, 4, 2): g,
-            (4, 5, 4, 2): 1,
-        })
-    else:
-        raise ValueError(f"not a degeneration family: {family!r}")
-    supported = dualize_in_dimension(total, n + 1)
-    return {"Xlim": xlim, "Total": total, "Supported": supported}
+    return _of_kind(family, DegenerationFamily, "degeneration")._tables()
 
 
 def family_tables(family) -> dict[str, TriFilteredTable]:
-    if isinstance(family, (EllipticCurveBase, FiniteSurfaceBase)):
+    if isinstance(family, FibrationFamily):
         return fibration_tables(family)
     return degeneration_tables(family)
 

@@ -45,8 +45,9 @@ def _load_json(path: str):
 
 def _resolve_tables(refs) -> dict[str, TriFilteredTable]:
     """Expand a "tables" list: family spec strings pull in the whole builtin
-    set, objects are inline tables (or nested table sets)."""
-    from .tables import TriFilteredTable, tables_from_json_obj
+    set, objects are inline tables or nested table sets, whose own "tables"
+    lists are read by the same rule."""
+    from .tables import TriFilteredTable
 
     if not isinstance(refs, list):
         raise ValueError('"tables" must be a list of family specs or table objects')
@@ -57,7 +58,7 @@ def _resolve_tables(refs) -> dict[str, TriFilteredTable]:
 
             new = family_tables(parse_family(ref))
         elif isinstance(ref, dict) and "tables" in ref:
-            new = tables_from_json_obj(ref)
+            new = _resolve_tables(ref["tables"])
         elif isinstance(ref, dict):
             t = TriFilteredTable.from_json_obj(ref)
             new = {t.space.tag: t}

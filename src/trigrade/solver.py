@@ -55,12 +55,13 @@ earlier.  A lane reading one cell at two positions (custom templates can
 build one) is no path, so it re-queues itself for the next round whenever
 it tightens a cell.  Rank pins act after each round on the lanes' last
 boundary ranks, and a lane whose rank cap a pin changes is queued for the
-next round.  This is the order of sweeping every lane every round, minus
-the sweeps that cannot change anything: the intervals, the contradiction
-reported and the round count are those of the full sweep.  A test runs
-such a full sweep, with the interval passes alone, over every lane _lanes
-builds, beside _assemble and _propagate on every case of the solver golden,
-and checks this and the closed form below.
+next round, unless its boundary ranks are all points, which no cap moves
+(see the closed form below).  This is the order of sweeping every lane
+every round, minus the sweeps that cannot change anything: the intervals,
+the contradiction reported and the round count are those of the full
+sweep.  A test runs such a full sweep, with the interval passes alone,
+over every lane _lanes builds, beside _assemble and _propagate on every
+case of the solver golden, and checks this and the closed form below.
 
 A lane that the lane pass passes and that no pin reads is exact and takes
 no further part: it reads no unknown cell, so a full sweep finds nothing to
@@ -82,7 +83,7 @@ closed form succeeds on a visit only if it did on every earlier one (its
 ranks read known cells, intervals only shrink), so the lane's boundary
 always held these point ranks, and the pin step, having checked
 lo_sum <= pin <= hi_sum, caps a point rank r to max(r, pin - others_hi) = r
-and min(r, pin - others_lo) = r.
+and min(r, pin - others_lo) = r, whichever step made it a point.
 
 A determined solve is verified by _verify: _lane_pass runs over the
 propagated lanes, each unknown cell read at its point value, and each pin's
@@ -389,8 +390,9 @@ def _propagate(system: tuple, pins: list[RankPin],
                     lo, hi = max(prev[0], lo), min(prev[1], hi)
                 if (lo, hi) != prev:
                     lane_caps[j] = (lo, hi)
-                    requeue.add(li)
                     changed = True
+                    if boundary[li][0] != boundary[li][1]:  # a cap moves no point rank
+                        requeue.add(li)
 
         if not changed:
             return rounds, None

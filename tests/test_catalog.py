@@ -51,18 +51,13 @@ def test_union_membership():
         family_spec("k3-elliptic:r=1")
 
 
-ORACLES = [
-    (EllipticCurveBase(1), oracle_tables.elliptic, 1),
-    (EllipticCurveBase(2), oracle_tables.elliptic, 2),
-    (EllipticCurveBase(3), oracle_tables.elliptic, 3),
-    (FiniteSurfaceBase(2), oracle_tables.finite, 2),
-    (FiniteSurfaceBase(3), oracle_tables.finite, 3),
-    (TypeII(1), oracle_tables.type_ii, 1),
-    (TypeII(2), oracle_tables.type_ii, 2),
-    (TypeII(3), oracle_tables.type_ii, 3),
-    (TypeIII(1), oracle_tables.type_iii, 1),
-    (TypeIII(2), oracle_tables.type_iii, 2),
-]
+# every family of the sweep in scripts/verify_families.py
+ORACLES = [(ctor(t), oracle, t) for ctor, oracle, least in [
+    (EllipticCurveBase, oracle_tables.elliptic, 1),
+    (FiniteSurfaceBase, oracle_tables.finite, 2),
+    (TypeII, oracle_tables.type_ii, 1),
+    (TypeIII, oracle_tables.type_iii, 1),
+] for t in range(least, 21)]
 
 
 @pytest.mark.parametrize("family,oracle,param", ORACLES,
@@ -78,6 +73,16 @@ def test_tables_match_transcribed_oracle(family, oracle, param):
         assert table.space.n == n
         assert table.space.m == m
         assert table.entries == entries, tag
+
+
+@pytest.mark.parametrize("ctor", [EllipticCurveBase, FiniteSurfaceBase, TypeII, TypeIII])
+def test_no_entry_is_negative_at_any_parameter(ctor):
+    """Each stored entry is c + s*t for t >= LEAST: with a slope s >= 0 and a
+    value at LEAST >= 0 it is nonnegative at every parameter, so no table of
+    the family has a negative entry, nor do the dual tables derived from them."""
+    for tag, coeffs in ctor.TABLES.items():
+        for quad, (c, s) in coeffs.items():
+            assert s >= 0 and c + s * ctor.LEAST >= 0, (tag, quad)
 
 
 def test_family_tables_dispatch():

@@ -367,6 +367,9 @@ def test_check_table_set(tmp_path):
     path.write_text(gen.stdout)
     res = invoke(["check", str(path)])
     assert res.exit_code == 0
+    # a table set's list is read as a sequence object's: a spec stands for its set
+    spec = invoke(["check", _write(tmp_path, "spec.json", {"tables": ["k3-finite:g=2"]})])
+    assert (spec.exit_code, spec.stdout) == (0, res.stdout)
 
 
 def test_check_single_table(tmp_path):
@@ -465,6 +468,16 @@ def test_check_empty_tables(tmp_path, obj):
 def test_check_tables_must_be_a_list(tmp_path):
     path = _write(tmp_path, "in.json", {"template": "cs", "tables": "k3-typeII:r=2"})
     res = invoke(["check", path])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == 'error: "tables" must be a list of family specs or table objects\n'
+
+
+@pytest.mark.parametrize("tables", ["abc", {"Y": 1}, ""], ids=["string", "object", "empty"])
+def test_check_table_set_tables_must_be_a_list(tmp_path, tables):
+    """A table set's "tables" is read by the rule of a sequence object's:
+    anything but a list gets the same one line."""
+    res = invoke(["check", _write(tmp_path, "in.json", {"tables": tables})])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr == 'error: "tables" must be a list of family specs or table objects\n'

@@ -837,3 +837,26 @@ def test_the_lane_cell_budget_admits_products_up_to_n_16():
                 largest = max(largest, sum(len(cells) for _c_lo, cells
                                            in _lanes(tmpl, given).values()))
     assert 60_000 < largest <= MAX_LANE_CELLS // 10
+
+
+@pytest.mark.parametrize("template, spec, tag", [
+    ("cs", "k3-typeII:r=2", "Total"),
+    ("loc1", "k3-finite:g=3", "U"),
+])
+def test_a_pin_cap_does_not_revisit_point_rank_lanes(monkeypatch, template, spec, tag):
+    """A pin on the true total rank out of term 0 caps every lane it sums,
+    but a cap cannot move the point ranks of a closed-form lane, so no such
+    lane is visited again: check_exactness runs once per closed-form lane,
+    for its ranks."""
+    tmpl = builtin_templates()[template]
+    tables = family_tables(parse_family(spec))
+    pin = RankPin(0, infer_rank(tmpl, tables, 0))
+    exact, assemble, calls, systems = solver.check_exactness, solver._assemble, [], []
+    monkeypatch.setattr(solver, "check_exactness", lambda cells: calls.append(1) or exact(cells))
+    monkeypatch.setattr(solver, "_assemble",
+                        lambda *args: systems.append(assemble(*args)) or systems[-1])
+    res = solve_unknown(tmpl, {t: v for t, v in tables.items() if t != tag}, tag, [pin])
+    assert res.determined and res.report.passed and res.table == tables[tag]
+    (system,) = systems
+    closed_form = sum(pos is not None for pos in system[4])
+    assert len(calls) == closed_form == {"Total": 92, "U": 23}[tag]
