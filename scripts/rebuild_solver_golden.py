@@ -31,7 +31,7 @@ cases are:
 
 Run it only when a change to the solver's results is intended:
 
-    PYTHONPATH=src python scripts/rebuild_solver_golden.py
+    python scripts/rebuild_solver_golden.py
 """
 
 import json
@@ -39,8 +39,10 @@ import random
 import sys
 from pathlib import Path
 
-TESTS = Path(__file__).resolve().parent.parent / "tests"
-sys.path.insert(0, str(TESTS))
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ROOT / "tests"
+# this checkout's package, installed or not, and the test helpers
+sys.path[:0] = [str(ROOT / "src"), str(TESTS)]
 
 from solver_cases import result_obj, run_case  # noqa: E402
 from trigrade import (builtin_templates, family_tables, infer_rank,  # noqa: E402

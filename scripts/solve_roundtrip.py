@@ -8,8 +8,12 @@ some instances genuinely leave a rank's placement open).
 """
 
 import sys
+from pathlib import Path
 
-from trigrade import (EllipticCurveBase, FiniteSurfaceBase, TypeII, TypeIII,
+# this checkout's package, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from trigrade import (EllipticCurveBase, FiniteSurfaceBase, TypeII, TypeIII,  # noqa: E402
                       builtin_templates, family_spec, family_tables,
                       solve_unknown, support_box)
 

@@ -8,8 +8,12 @@ sequence template, and the mirror comparison for the matched pairs.
 """
 
 import sys
+from pathlib import Path
 
-from trigrade import (EllipticCurveBase, FiniteSurfaceBase, MirrorPair,
+# this checkout's package, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from trigrade import (EllipticCurveBase, FiniteSurfaceBase, MirrorPair,  # noqa: E402
                       TypeII, TypeIII, builtin_templates, check_sequence,
                       check_subvariety_constraints, family_spec,
                       family_tables, hard_lefschetz_check, mirror_check,

@@ -8,8 +8,6 @@ bad tags), which surfaces as ValueError.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
-
 from .tables import Quad, TriFilteredTable, VerificationReport, Violation
 
 
@@ -115,22 +113,10 @@ def hard_lefschetz_check(table: TriFilteredTable) -> VerificationReport:
     return VerificationReport(violations)
 
 
-def _section_map(sections) -> dict[int, TriFilteredTable]:
-    by_depth: dict[int, TriFilteredTable] = {}
-    if isinstance(sections, Mapping):
-        sections = sections.values()
-    for t in sections:
-        if t.space.kind != "Z":
-            continue
-        by_depth[t.space.depth] = t
-    return by_depth
-
-
-def check_subvariety_constraints(
-    table_y: TriFilteredTable,
-    sections: Mapping[str, TriFilteredTable] | Iterable[TriFilteredTable],
-) -> VerificationReport:
-    """Relate off-center lanes of a fibred space to its linear sections.
+def check_subvariety_constraints(table_y: TriFilteredTable,
+                                 tables: dict[str, TriFilteredTable]) -> VerificationReport:
+    """Relate off-center lanes of a fibred space to its linear sections, the
+    Z:r tables of the table set ``tables``; its other tables are not read.
 
     For an entry of Y at (k,l,q,p):
 
@@ -145,7 +131,7 @@ def check_subvariety_constraints(
     A needed depth with no section table supplied is an input error naming
     the depth.
     """
-    by_depth = _section_map(sections)
+    by_depth = {t.space.depth: t for t in tables.values() if t.space.kind == "Z"}
     failing = []
     for quad, v in table_y.entries.items():
         failures = _section_failures(quad, v, by_depth)

@@ -43,42 +43,16 @@ def _load_json(path: str):
         raise ValueError("input JSON is nested too deeply to decode") from None
 
 
-def _resolve_tables(refs) -> dict[str, TriFilteredTable]:
-    """Expand a "tables" list: family spec strings pull in the whole builtin
-    set, objects are inline tables or nested table sets, whose own "tables"
-    lists are read by the same rule."""
-    from .tables import TriFilteredTable
-
-    if not isinstance(refs, list):
-        raise ValueError('"tables" must be a list of family specs or table objects')
-    tables: dict[str, TriFilteredTable] = {}
-    for ref in refs:
-        if isinstance(ref, str):
-            from .catalog import family_tables, parse_family
-
-            new = family_tables(parse_family(ref))
-        elif isinstance(ref, dict) and "tables" in ref:
-            new = _resolve_tables(ref["tables"])
-        elif isinstance(ref, dict):
-            t = TriFilteredTable.from_json_obj(ref)
-            new = {t.space.tag: t}
-        else:
-            raise ValueError(f"bad table reference {ref!r}")
-        for tag, t in new.items():
-            if tag in tables:
-                raise ValueError(f"duplicate table for space {tag}")
-            tables[tag] = t
-    return tables
-
-
 def _read_sequence(obj: dict) -> tuple[SequenceTemplate, dict[str, TriFilteredTable],
                                       list[RankPin]]:
     """The template, tables and pins of a sequence object."""
     from .sequences import RankPin, SequenceTemplate
+    from .tables import _json_list, tables_from_json_obj
 
     template = SequenceTemplate.from_json_obj(obj["template"])
-    tables = _resolve_tables(obj.get("tables", []))
-    pins = [RankPin.from_json_obj(p, len(template.terms)) for p in obj.get("pins", [])]
+    tables = tables_from_json_obj({"tables": obj.get("tables", [])})
+    pins = [RankPin.from_json_obj(p, len(template.terms))
+            for p in _json_list(obj.get("pins", []), "pins", "pin objects")]
     return template, tables, pins
 
 
@@ -107,9 +81,8 @@ def _check_table_set(tables: dict[str, TriFilteredTable]) -> VerificationReport:
     for tag in sorted(tables):
         rep.extend(validate_table(tables[tag]))
         rep.extend(hard_lefschetz_check(tables[tag]))
-    sections = [t for t in tables.values() if t.space.kind == "Z"]
-    if "Y" in tables and sections:
-        rep.extend(check_subvariety_constraints(tables["Y"], sections))
+    if "Y" in tables and any(t.space.kind == "Z" for t in tables.values()):
+        rep.extend(check_subvariety_constraints(tables["Y"], tables))
     return rep
 
 
@@ -141,7 +114,7 @@ def check(input):
     and its sections are present; a single table {"space", "n", "entries"}.
     A table set or table without an entry is an input error.
     """
-    from .tables import canonical_json
+    from .tables import canonical_json, tables_from_json_obj
 
     obj = _load_json(input)
     if not isinstance(obj, dict):
@@ -153,7 +126,7 @@ def check(input):
         rep = check_sequence(template, tables, pins)
         _require_data(template, tables)
     elif "tables" in obj or "space" in obj:
-        tables = _resolve_tables([obj])
+        tables = tables_from_json_obj(obj)
         if not any(table.entries for table in tables.values()):
             raise ValueError("nothing checked: no table has an entry")
         rep = _check_table_set(tables)

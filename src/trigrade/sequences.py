@@ -173,11 +173,11 @@ class Lane(Frozen):
         return [e.dim for e in self.entries]
 
     def describe(self) -> str:
-        return _describe_lane((self.residue, self.l, self.q, self.p))
+        return _describe_lane((self.l, self.q, self.p, self.residue))
 
 
 def _describe_lane(key: tuple[int, int, int, int]) -> str:
-    res, l, q, p = key
+    l, q, p, res = key
     return f"lane (l={l}, q={q}, p={p}) residue {res}"
 
 
@@ -240,7 +240,7 @@ def _check_instance(template: SequenceTemplate,
 
 def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
     """Map key -> (first cycle, cells) for every lane of a template
-    instance, where key = (residue, l, q, p).
+    instance, where key = (l, q, p, residue), the order of every report.
 
     ``sources`` maps each space tag to a mapping quad -> value.  Every quad a
     term reads opens its lane, which runs from the first such cycle to the
@@ -277,7 +277,7 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
         for k, l, q, p in sources[space]:
             # the lane (and cycle c) under which this term reads the quad
             c = k - ko
-            key = (c % P, l - s, q - 2 * tw, p - tw)
+            key = (l - s, q - 2 * tw, p - tw, c % P)
             w = windows.get(key)
             if w is None:
                 windows[key] = (c, c)
@@ -306,7 +306,7 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
         ko, s, tw = term.k_offset, term.shift, term.twist
         for (k, l, q, p), value in sources[term.space].items():
             c = k - ko
-            c_lo, cells = lanes[(c % P, l - s, q - 2 * tw, p - tw)]
+            c_lo, cells = lanes[(l - s, q - 2 * tw, p - tw, c % P)]
             cells[(c - c_lo) // P * T + j] = value
     return lanes
 
@@ -315,7 +315,7 @@ def _as_lane(template: SequenceTemplate, key: tuple[int, int, int, int], c_lo: i
              cells: list[int]) -> Lane:
     """One enumerated lane as a Lane: cell j belongs to term j % T and reads
     degree c_lo + (j // T) * P + that term's k_offset."""
-    res, l, q, p = key
+    l, q, p, res = key
     P = template.period
     T = len(template.terms)
     return Lane(l, q, p, res, c_lo, tuple([
@@ -330,9 +330,8 @@ def extract_lanes(template: SequenceTemplate,
     window), ordered by (l, q, p, residue)."""
     _check_instance(template, tables, None)
     sources = {s: tables[s].entries for s in template.spaces()}
-    return sorted((_as_lane(template, key, *lane)
-                   for key, lane in _lanes(template, sources).items()),
-                  key=lambda lane: (lane.key, lane.residue))
+    return [_as_lane(template, key, *lane)
+            for key, lane in sorted(_lanes(template, sources).items())]
 
 
 def _check_term_index(template: SequenceTemplate, term_index: int):
@@ -432,14 +431,14 @@ def _lane_pass(template: SequenceTemplate, lanes, pins: list[tuple[int, int | No
 def _instance_pass(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
                    pins: list[tuple[int, int | None]]):
     """_lane_pass over every lane of a fully known instance, once each pin's
-    term index and the instance are checked, with the failing lanes in the
-    order of a report, by (l, q, p) and then residue."""
+    term index and the instance are checked, with the failing lanes in key
+    order, the order of a report."""
     for term_index, _degree in pins:
         _check_term_index(template, term_index)
     _check_instance(template, tables, None)
     sources = {s: tables[s].entries for s in template.spaces()}
     failures, totals = _lane_pass(template, _lanes(template, sources).items(), pins)
-    failures.sort(key=lambda lane: (lane[0][1:], lane[0][0]))
+    failures.sort()
     return failures, totals
 
 
@@ -465,7 +464,7 @@ def check_sequence(template: SequenceTemplate,
         rep.add(Violation(
             f"exactness: {reason} ({_describe_lane(key)}, "
             f"term {i % T} [{term.space}] in degree {degree})",
-            space=term.space, lane=key[1:], position=i))
+            space=term.space, lane=key[:3], position=i))
     if not rep.passed:
         return rep
     for pin, total in zip(pins, totals):

@@ -474,7 +474,7 @@ def solve_unknown(template: SequenceTemplate,
         key, position, detail = failure
         rep = VerificationReport([Violation(
             f"solve contradiction: {detail} ({_describe_lane(key)})",
-            lane=key[1:], position=position)])
+            lane=key[:3], position=position)])
         return SolveResult(None, False, [], rep, iterations)
 
     solved = other_degrees  # the box's determined cells join the degrees kept

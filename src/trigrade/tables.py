@@ -212,7 +212,7 @@ class TriFilteredTable(Frozen):
         try:
             space = SpaceDescriptor.parse_tag(obj["space"], obj["n"], obj.get("m"))
             entries = {}
-            for e in obj["entries"]:
+            for e in _json_list(obj["entries"], "entries", "entry objects"):
                 quad = (e["k"], e["l"], e["q"], e["p"])
                 if quad in entries and entries[quad] != e["dim"]:
                     raise ValueError(f"conflicting duplicate entry at {quad}")
@@ -268,10 +268,36 @@ def tables_to_json_obj(tables: dict[str, TriFilteredTable], family: str | None =
 
 
 def tables_from_json_obj(obj: dict) -> dict[str, TriFilteredTable]:
-    out = {}
-    for tobj in obj["tables"]:
-        t = TriFilteredTable.from_json_obj(tobj)
-        if t.space.tag in out:
-            raise ValueError(f"duplicate table for space {t.space.tag}")
-        out[t.space.tag] = t
+    """The tables of a table set, keyed by space tag, in every form trigrade
+    reads: a dict with "tables" is a set, whose list holds family spec
+    strings (the builtin family's tables), nested sets read by this rule and
+    inline table objects; a dict without "tables" is one table.  A space
+    given twice is an input error."""
+    if "tables" not in obj:
+        return tables_from_json_obj({"tables": [obj]})
+    out: dict[str, TriFilteredTable] = {}
+    for ref in _json_list(obj["tables"], "tables", "family specs or table objects"):
+        # an inline table, the common ref, is read without a nested call
+        if isinstance(ref, dict) and "tables" not in ref:
+            t = TriFilteredTable.from_json_obj(ref)
+            new = ((t.space.tag, t),)
+        elif isinstance(ref, dict):
+            new = tables_from_json_obj(ref).items()
+        elif isinstance(ref, str):
+            from .catalog import family_tables, parse_family
+
+            new = family_tables(parse_family(ref)).items()
+        else:
+            raise ValueError(f"bad table reference {ref!r}")
+        for tag, t in new:
+            if tag in out:
+                raise ValueError(f"duplicate table for space {tag}")
+            out[tag] = t
     return out
+
+
+def _json_list(value, key: str, items: str) -> list:
+    """``value``, read at ``key`` of a JSON object, if it is a list of ``items``."""
+    if not isinstance(value, list):
+        raise ValueError(f'"{key}" must be a list of {items}')
+    return value

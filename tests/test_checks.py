@@ -124,6 +124,20 @@ def test_subvariety_constraints_missing_depth():
         check_subvariety_constraints(tables["Y"], {"Z:1": tables["Z:1"]})
 
 
+def test_subvariety_constraints_read_the_sections_of_the_set():
+    """The sections are the Z:r tables of the set, each at its depth; the
+    set's other tables are not read."""
+    tables = family_tables(parse_family("k3-finite:g=3"))
+    assert check_subvariety_constraints(tables["Y"], tables).passed
+    sections = {tag: tables[tag] for tag in ("Z:1", "Z:2")}
+    assert check_subvariety_constraints(tables["Y"], sections).passed
+    for tag in sections:
+        emptied = {**tables, tag: TriFilteredTable(tables[tag].space, {})}
+        rep = check_subvariety_constraints(tables["Y"], emptied)
+        assert rep.violations
+        assert all(f"{tag}(" in v.relation for v in rep.violations), tag
+
+
 def test_subvariety_constraint_violations():
     tables = family_tables(parse_family("k3-finite:g=3"))
     y = tables["Y"]

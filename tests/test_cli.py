@@ -483,6 +483,37 @@ def test_check_table_set_tables_must_be_a_list(tmp_path, tables):
     assert res.stderr == 'error: "tables" must be a list of family specs or table objects\n'
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("pins", [{}, "", {"between": [0, 1], "rank": 3}, None],
+                         ids=["object", "string", "one-pin", "null"])
+def test_pins_must_be_a_list(tmp_path, command, pins):
+    """A sequence object's "pins" is read by the list rule of its "tables":
+    anything but a list gets one line, not a run with no pins."""
+    obj = {"template": "loc1", "tables": ["k3-elliptic:r=2"], "pins": pins}
+    if command == "solve":
+        obj["unknown"] = {"space": "U", "k": 2}
+    res = invoke([command, _write(tmp_path, "in.json", obj)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == 'error: "pins" must be a list of pin objects\n'
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("entries", [{}, ""], ids=["object", "string"])
+def test_entries_must_be_a_list(tmp_path, command, entries):
+    """A table's "entries" is a list: anything else is refused, not read as
+    an empty table whose lanes then fail."""
+    tables = tables_to_json_obj(family_tables(parse_family("k3-elliptic:r=2")))
+    next(t for t in tables["tables"] if t["space"] == "Z:1")["entries"] = entries
+    obj = {"template": "loc1", "tables": [tables]}
+    if command == "solve":
+        obj["unknown"] = {"space": "U", "k": 2}
+    res = invoke([command, _write(tmp_path, "in.json", obj)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == 'error: "entries" must be a list of entry objects\n'
+
+
 def test_check_missing_file(tmp_path):
     res = invoke(["check", str(tmp_path / "absent.json")])
     assert res.exit_code == 2

@@ -1,8 +1,9 @@
 """The scripts' text reports and the solver golden's case list, against the
 committed goldens under tests/golden.
 
-Each script runs in a fresh interpreter that imports trigrade from this
-checkout, as the CI step that rebuilds the goldens runs it.
+Each script runs in a fresh interpreter, with and without src on
+PYTHONPATH; either way it imports trigrade from this checkout, as the CI
+step that rebuilds the goldens runs it.
 """
 
 import importlib.util
@@ -20,11 +21,14 @@ GOLDEN = ROOT / "tests" / "golden"
 
 @pytest.mark.parametrize("script", ["verify_families", "solve_roundtrip"])
 def test_script_report_matches_its_golden(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{script}.py")], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / f"{script}.txt").read_text()
+    """Run with src on PYTHONPATH, and with no PYTHONPATH at all: the script
+    puts this checkout's src on its own path."""
+    bare = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    for env in (dict(bare, PYTHONPATH=str(ROOT / "src")), bare):
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{script}.py")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / f"{script}.txt").read_text()
 
 
 def test_solver_golden_holds_the_rebuild_cases():

@@ -181,11 +181,11 @@ def _naive_lanes(template, sources):
             c = quad[0] - term.k_offset
             lane = (quad[1] - term.shift, quad[2] - 2 * term.twist, quad[3] - term.twist)
             assert term.read_quad(c, *lane) == quad
-            windows.setdefault((c % P, *lane), []).append(c)
+            windows.setdefault((*lane, c % P), []).append(c)
     out = []
     for key in sorted(windows):
         c_lo, c_hi = min(windows[key]), max(windows[key])
-        cells = [sources[t.space].get(t.read_quad(c, *key[1:]), 0)
+        cells = [sources[t.space].get(t.read_quad(c, *key[:3]), 0)
                  for c in range(c_lo, c_hi + 1, P) for t in template.terms]
         out.append((key, c_lo, cells))
     return out

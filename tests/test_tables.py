@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_tables
-from trigrade import (SpaceDescriptor, TriFilteredTable, canonical_json,
-                      tables_from_json_obj, tables_to_json_obj)
+from trigrade import (SpaceDescriptor, TriFilteredTable, canonical_json, family_tables,
+                      parse_family, tables_from_json_obj, tables_to_json_obj)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -164,3 +164,39 @@ def test_table_set_duplicate_tag():
     ]}
     with pytest.raises(ValueError):
         tables_from_json_obj(obj)
+
+
+@pytest.mark.parametrize("tables", ["", "abc", {"Y": 1}], ids=["empty", "string", "object"])
+def test_table_set_tables_must_be_a_list(tables):
+    with pytest.raises(ValueError) as exc:
+        tables_from_json_obj({"tables": tables})
+    assert str(exc.value) == '"tables" must be a list of family specs or table objects'
+
+
+def test_table_set_forms():
+    """Every form a table set is read in: a family spec stands for the
+    family's tables, a nested set is read by the same rule, and an object
+    without "tables" is one table."""
+    tables = family_tables(parse_family("k3-finite:g=3"))
+    objs = {tag: t.to_json_obj() for tag, t in tables.items()}
+    assert tables_from_json_obj({"tables": ["k3-finite:g=3"]}) == tables
+    nested = {"tables": [{"tables": [objs["Y"], {"tables": [objs["Z:1"]]}]}, objs["Z:2"],
+                         {"tables": []}]}
+    assert tables_from_json_obj(nested) == {tag: tables[tag] for tag in ("Y", "Z:1", "Z:2")}
+    assert tables_from_json_obj(objs["U"]) == {"U": tables["U"]}
+
+
+def test_table_set_bad_reference():
+    with pytest.raises(ValueError, match=r"^bad table reference \[\]$"):
+        tables_from_json_obj({"tables": [{"tables": [[]]}]})
+    with pytest.raises(ValueError, match=r"^bad table reference 5$"):
+        tables_from_json_obj({"tables": [5]})
+
+
+def test_table_set_duplicate_tag_across_nested_sets():
+    y = family_tables(parse_family("k3-elliptic:r=2"))["Y"].to_json_obj()
+    obj = {"tables": [{"tables": [y]}, {"tables": [{"tables": [y]}]}]}
+    with pytest.raises(ValueError, match=r"^duplicate table for space Y$"):
+        tables_from_json_obj(obj)
+    with pytest.raises(ValueError, match=r"^duplicate table for space Y$"):
+        tables_from_json_obj({"tables": ["k3-elliptic:r=2", {"tables": [y]}]})
