@@ -25,8 +25,8 @@ class _Family(Frozen):
     data: SPEC, the spec name; LEAST, the least t, and LABEL, t's name in
     messages (the field's name when None); M, the base dimension m; TABLES,
     each stored table as {quad: (c, s)}, the dimension c + s*t, zero ones
-    dropped; DUAL, (tag, d) of the stored table whose dual in dimension d is
-    derived; and the mu-fold base change t - SHIFT -> mu**POWER * (t - SHIFT)."""
+    dropped; DUAL, the tag of the stored table dualized in its own dimension;
+    and the mu-fold base change t - SHIFT -> mu**POWER * (t - SHIFT)."""
 
     __slots__ = ()
     LEAST, LABEL, SHIFT, POWER = 1, None, 0, 1
@@ -40,8 +40,8 @@ class _Family(Frozen):
         tables = {tag: TriFilteredTable(SpaceDescriptor.parse_tag(tag, N, self.M),
                                         {quad: c + s * t for quad, (c, s) in coeffs.items()})
                   for tag, coeffs in self.TABLES.items()}
-        tag, d = self.DUAL
-        dual = dualize_in_dimension(tables[tag], d)
+        stored = tables[self.DUAL]
+        dual = dualize_in_dimension(stored, stored.space.complex_dim)
         tables[dual.space.tag] = dual
         return tables
 
@@ -55,7 +55,7 @@ class FibrationFamily(_Family):
     sections, and Uc, and U, the dual of Uc."""
 
     __slots__ = ()
-    DUAL = "Uc", N
+    DUAL = "Uc"
 
 
 class DegenerationFamily(_Family):
@@ -64,7 +64,7 @@ class DegenerationFamily(_Family):
     total space's own dimension n+1."""
 
     __slots__ = ()
-    M, DUAL = None, ("Total", N + 1)
+    M, DUAL = None, "Total"
 
 
 class EllipticCurveBase(FibrationFamily):

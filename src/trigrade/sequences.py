@@ -28,7 +28,8 @@ propagate, and over those lanes again to verify a determined solve.
 from __future__ import annotations
 
 from .spaces import MAX_N
-from .tables import Frozen, TriFilteredTable, VerificationReport, Violation, _integer, _set
+from .tables import (Frozen, TriFilteredTable, VerificationReport, Violation, _integer,
+                     _json_list, _set)
 
 # No space has a degree above 2(MAX_N + 1), the top degree of a space of
 # complex dimension MAX_N + 1.  Template k_offsets lie within this bound, and _lanes refuses an
@@ -111,7 +112,7 @@ class SequenceTemplate(Frozen):
             terms = tuple(
                 SequenceTerm(t["space"], t.get("k_offset", 0),
                              t.get("shift", 0), t.get("twist", 0))
-                for t in obj["terms"])
+                for t in _json_list(obj["terms"], "terms", "term objects"))
             return cls(obj.get("name", "custom"), obj["period"], terms)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed template object: {exc}") from exc
@@ -221,11 +222,16 @@ def check_exactness(dims: list[int]) -> FeasibilityResult:
     return FeasibilityResult(True, ranks)
 
 
-def _check_instance(template: SequenceTemplate,
-                    tables: dict[str, TriFilteredTable], unknown: str | None):
-    """Raise ValueError unless every space the template reads has a table
-    (the unknown excepted), and all the tables given, read by the template
-    or not, agree on n, and on m where m is set."""
+def _check_instance(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
+                    unknown: str | None = None, pins: list[RankPin] = ()):
+    """Raise ValueError unless every pin names a term of the template, every
+    space the template reads has a table (the unknown excepted), and all the
+    tables given, read by the template or not, agree on n, and on m where m
+    is set.  A bad pin is reported first."""
+    for pin in pins:
+        if not 0 <= pin.term_index < len(template.terms):
+            raise ValueError(f"pin names term {pin.term_index}, template has "
+                             f"{len(template.terms)} terms")
     missing = [s for s in template.spaces() if s != unknown and s not in tables]
     if missing:
         raise ValueError(
@@ -328,29 +334,23 @@ def extract_lanes(template: SequenceTemplate,
     """All lanes with at least one nonzero entry, as fully materialized
     chains (interior zeros included, boundaries trimmed to the nonzero
     window), ordered by (l, q, p, residue)."""
-    _check_instance(template, tables, None)
+    _check_instance(template, tables)
     sources = {s: tables[s].entries for s in template.spaces()}
     return [_as_lane(template, key, *lane)
             for key, lane in sorted(_lanes(template, sources).items())]
 
 
-def _check_term_index(template: SequenceTemplate, term_index: int):
-    if not 0 <= term_index < len(template.terms):
-        raise ValueError(f"pin names term {term_index}, template has "
-                         f"{len(template.terms)} terms")
-
-
-def _pin_positions(template: SequenceTemplate, term_index: int, degree: int | None,
-                   start_cycle: int, length: int) -> range:
+def _pin_positions(template: SequenceTemplate, pin: RankPin, start_cycle: int,
+                   length: int) -> range:
     """Chain indices, in a lane starting at ``start_cycle`` with ``length``
-    cells, of the term's occurrences whose outgoing rank a pin sums: every
-    occurrence, or only the one reading ``degree`` in the term's own table."""
+    cells, of the pinned term's occurrences whose outgoing rank the pin sums:
+    every one, or only the one reading the pin's degree in the term's table."""
     T = len(template.terms)
-    if degree is None:
-        return range(term_index, length, T)
-    c = degree - template.terms[term_index].k_offset
+    if pin.degree is None:
+        return range(pin.term_index, length, T)
+    c = pin.degree - template.terms[pin.term_index].k_offset
     block, off = divmod(c - start_cycle, template.period)
-    idx = block * T + term_index
+    idx = block * T + pin.term_index
     return range(idx, idx + 1) if off == 0 and 0 <= idx < length else range(0)
 
 
@@ -399,16 +399,16 @@ class RankPin(Frozen):
         return obj
 
 
-def _lane_pass(template: SequenceTemplate, lanes, pins: list[tuple[int, int | None]]):
+def _lane_pass(template: SequenceTemplate, lanes, pins: list[RankPin]):
     """Run check_exactness's recursion once over ``lanes``, (key, (first
     cycle, cells)) pairs in any order, as _lanes(...).items() gives them.
 
     Returns the lanes it cannot pass, as it took them and in their order, and
-    each (term index, degree) pin's total rank over the passing lanes, which
-    means something only when no lane fails.  A lane fails where a rank goes
-    negative, which a negative cell always makes it do, or where a rank is
-    left over.  The recursion keeps no ranks: check_exactness reruns it on
-    each passing lane when there are pins, for its ranks.
+    each pin's total rank over the passing lanes, which means something only
+    when no lane fails.  A lane fails where a rank goes negative, which a
+    negative cell always makes it do, or where a rank is left over.  The
+    recursion keeps no ranks: check_exactness reruns it on each passing lane
+    when there are pins, for its ranks.
     """
     failures, totals = [], [0] * len(pins)
     for lane in lanes:
@@ -423,19 +423,17 @@ def _lane_pass(template: SequenceTemplate, lanes, pins: list[tuple[int, int | No
         elif pins:
             ranks = check_exactness(cells).ranks
             for n, pin in enumerate(pins):
-                at = _pin_positions(template, *pin, c_lo, len(cells))
+                at = _pin_positions(template, pin, c_lo, len(cells))
                 totals[n] += sum(ranks[i] for i in at)
     return failures, totals
 
 
 def _instance_pass(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
-                   pins: list[tuple[int, int | None]]):
-    """_lane_pass over every lane of a fully known instance, once each pin's
-    term index and the instance are checked, with the failing lanes in key
-    order, the order of a report."""
-    for term_index, _degree in pins:
-        _check_term_index(template, term_index)
-    _check_instance(template, tables, None)
+                   pins: list[RankPin]):
+    """_lane_pass over every lane of a fully known instance, once the
+    instance and its pins are checked, with the failing lanes in key order,
+    the order of a report."""
+    _check_instance(template, tables, pins=pins)
     sources = {s: tables[s].entries for s in template.spaces()}
     failures, totals = _lane_pass(template, _lanes(template, sources).items(), pins)
     failures.sort()
@@ -448,12 +446,11 @@ def check_sequence(template: SequenceTemplate,
     """Check lane-by-lane exactness of a template instance, plus any pins.
 
     Every violation names the lane, the chain position and the relation that
-    failed.  Pin term indices are checked before any lane; pinned ranks only
-    once all lanes are feasible, since ranks are not defined otherwise.
+    failed.  Pin term indices are checked before anything else; pinned ranks
+    only once all lanes are feasible, since ranks are not defined otherwise.
     """
     rep = VerificationReport()
-    failures, totals = _instance_pass(
-        template, tables, [(p.term_index, p.degree) for p in pins])
+    failures, totals = _instance_pass(template, tables, pins)
     T = len(template.terms)
     for key, (c_lo, cells) in failures:
         res = check_exactness(cells)
@@ -482,10 +479,12 @@ def infer_rank(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
     """Total rank, over all lanes, of the maps out of one term, optionally
     restricted to the occurrence reading degree ``degree``.
 
-    Only meaningful on a fully known, exact instance; raises if any lane is
+    The term and degree are read as RankPin(term_index, 0, degree), whose
+    rank is never read, so they are checked as a pin's are.  Only
+    meaningful on a fully known, exact instance; raises if any lane is
     infeasible.
     """
-    failures, (total,) = _instance_pass(template, tables, [(term_index, degree)])
+    failures, (total,) = _instance_pass(template, tables, [RankPin(term_index, 0, degree)])
     if failures:
         key, (_c_lo, cells) = failures[0]
         raise ValueError(f"cannot infer ranks: {_describe_lane(key)} is not exact "

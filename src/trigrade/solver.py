@@ -101,11 +101,10 @@ check_sequence of the completed instance.
 
 from __future__ import annotations
 
-from .sequences import (RankPin, SequenceTemplate, _check_instance, _check_term_index,
-                        _describe_lane, _lane_pass, _lanes, _pin_positions,
-                        check_exactness, check_sequence)
+from .sequences import (RankPin, SequenceTemplate, _check_instance, _describe_lane,
+                        _lane_pass, _lanes, _pin_positions, check_exactness, check_sequence)
 from .spaces import FIBRATION_KINDS, SpaceDescriptor
-from .tables import Quad, Record, TriFilteredTable, VerificationReport, Violation
+from .tables import Quad, Record, TriFilteredTable, VerificationReport, Violation, _integer
 
 # interval [lo, hi]; hi is INF when unbounded above, so that comparisons
 # and sums need no special case
@@ -118,8 +117,10 @@ def support_box(space: SpaceDescriptor, degree: int | None = None) -> set[Quad]:
 
     Degree, lane, weight and Hodge windows all come from the descriptor,
     the same windows validate_table checks, so any valid table lives inside
-    its box.
+    its box.  A degree given must be an int.
     """
+    if degree is not None:
+        _integer(degree, "degree")
     return set(_sorted_box(space, degree))
 
 
@@ -210,7 +211,7 @@ def _assemble(template: SequenceTemplate, sources: dict, box: list[Quad],
         if pins:
             # the rank out of position j is the lane's boundary rank j + 1
             at = [(occ, j + 1) for occ, pin in zip(pin_occ, pins)
-                  for j in _pin_positions(template, pin.term_index, pin.degree, c_lo, len(cells))]
+                  for j in _pin_positions(template, pin, c_lo, len(cells))]
             if not at and key not in failing:
                 continue
             for occ, j in at:
@@ -407,8 +408,7 @@ def _verify(template: SequenceTemplate, system: tuple, pins: list[RankPin],
     lane exact with each unknown cell at its point value, and each pin's
     total over them is its rank."""
     _box, lanes, _readers, _repeats, single, _pin_occ = system
-    failures, totals = _lane_pass(template, _completed(lanes, single, intervals),
-                                  [(pin.term_index, pin.degree) for pin in pins])
+    failures, totals = _lane_pass(template, _completed(lanes, single, intervals), pins)
     return not failures and all(total == pin.rank for pin, total in zip(pins, totals))
 
 
@@ -448,9 +448,7 @@ def solve_unknown(template: SequenceTemplate,
         raise ValueError(
             f"partial solve for {tag} degree {degree} needs the table present "
             "to supply its other degrees")
-    _check_instance(template, tables, tag)
-    for pin in pins:
-        _check_term_index(template, pin.term_index)
+    _check_instance(template, tables, tag, pins)
     space = stored.space if stored is not None else _infer_descriptor(tag, known)
     if degree is not None:
         k_lo, k_hi = space.degree_range()

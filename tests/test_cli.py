@@ -514,6 +514,22 @@ def test_entries_must_be_a_list(tmp_path, command, entries):
     assert res.stderr == 'error: "entries" must be a list of entry objects\n'
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("terms", [{}, "abc", {"a": 1}, None],
+                         ids=["empty-object", "string", "object", "null"])
+def test_terms_must_be_a_list(tmp_path, command, terms):
+    """An inline template's "terms" is read by the list rule of "tables",
+    "pins" and "entries": anything but a list gets one line, not a message
+    from whatever iterating it raised."""
+    obj = {"template": {"period": 1, "terms": terms}, "tables": ["k3-elliptic:r=2"]}
+    if command == "solve":
+        obj["unknown"] = "U"
+    res = invoke([command, _write(tmp_path, "in.json", obj)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == 'error: "terms" must be a list of term objects\n'
+
+
 def test_check_missing_file(tmp_path):
     res = invoke(["check", str(tmp_path / "absent.json")])
     assert res.exit_code == 2

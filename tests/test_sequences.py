@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -355,6 +356,38 @@ def test_pin_outside_template_raises_everywhere(empty):
         known = {tag: t for tag, t in tables.items() if tag != "U"}
         with pytest.raises(ValueError, match="pin names term 5"):
             solve_unknown(tmpl, known, "U", [pin])
+
+
+def test_pin_outside_template_raises_before_a_missing_table():
+    """A bad pin is refused first on an instance missing a table, by solve
+    as by check and infer: all three check the pins with the instance."""
+    from trigrade import solve_unknown
+    tmpl = builtin_templates()["loc1"]
+    tables = family_tables(parse_family("k3-elliptic:r=2"))
+    del tables["Z:1"]
+    pin = RankPin(5, 0)
+    with pytest.raises(ValueError, match="pin names term 5"):
+        check_sequence(tmpl, tables, [pin])
+    with pytest.raises(ValueError, match="pin names term 5"):
+        infer_rank(tmpl, tables, pin.term_index)
+    known = {tag: t for tag, t in tables.items() if tag != "U"}
+    with pytest.raises(ValueError, match="pin names term 5"):
+        solve_unknown(tmpl, known, "U", [pin])
+
+
+@pytest.mark.parametrize("term_index, degree, message", [
+    (True, 2, "pin term index must be an integer, got True"),
+    (1.0, 2, "pin term index must be an integer, got 1.0"),
+    ("1", 2, "pin term index must be an integer, got '1'"),
+    (1, True, "pin degree must be an integer, got True"),
+    (1, 2.0, "pin degree must be an integer, got 2.0"),
+], ids=["term-bool", "term-float", "term-str", "degree-bool", "degree-float"])
+def test_infer_rank_takes_the_integer_rule_of_a_pin(term_index, degree, message):
+    """infer_rank reads its term and degree as a RankPin's: True is not
+    term 1, nor 2.0 degree 2."""
+    tables = family_tables(parse_family("k3-typeII:r=2"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        infer_rank(builtin_templates()["cs"], tables, term_index, degree)
 
 
 def _reference_report(template, tables, pins):

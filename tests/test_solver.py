@@ -24,6 +24,14 @@ def test_support_box_contains_all_fixture_entries(fixture_sets):
             assert not outside, (spec, tag, outside)
 
 
+@pytest.mark.parametrize("degree", [True, 2.0])
+def test_support_box_degree_takes_the_integer_rule(degree):
+    """A degree that is no int is refused, not read as the int it equals."""
+    space = family_tables(parse_family("k3-typeII:r=2"))["Xlim"].space
+    with pytest.raises(ValueError, match=f"^degree must be an integer, got {degree}$"):
+        support_box(space, degree)
+
+
 def test_support_box_degree_restriction():
     space = SpaceDescriptor("Uc", 2, 1)
     full = support_box(space)
@@ -127,7 +135,7 @@ def _unsplit(template, sources, pins):
     pairs over them."""
     lanes = sorted((key, *lane) for key, lane in _lanes(template, sources).items())
     pin_occ = [[(li, j + 1) for li, (_key, c_lo, cells) in enumerate(lanes)
-                for j in _pin_positions(template, pin.term_index, pin.degree, c_lo, len(cells))]
+                for j in _pin_positions(template, pin, c_lo, len(cells))]
                for pin in pins]
     return lanes, pin_occ
 
