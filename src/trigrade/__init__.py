@@ -2,8 +2,8 @@
 
 The objects are finite tables dim Gr_F^p Gr^W_q Gr^P_l H^k indexed by
 cohomological degree, perverse lane, weight and Hodge index.  The package
-validates such tables against structural support windows, checks duality and
-Lefschetz symmetries, verifies lane-by-lane exactness of periodic sequence
+validates such tables against structural support windows and Lefschetz
+symmetry, dualizes them, verifies lane-by-lane exactness of periodic sequence
 templates at the dimension level, solves for a deleted table from exactness
 alone, generates the builtin K3 fibration and degeneration families, checks
 the mirror correspondence between the two sides, and counts dual complex
@@ -23,8 +23,8 @@ _EXPORTS = {
                 "FiniteSurfaceBase", "TypeII", "TypeIII", "base_changed_family",
                 "degeneration_tables", "dual_complex", "family_spec", "family_tables",
                 "fibration_tables", "parse_family", "phantom_cohomology", "veronese"),
-    "checks": ("check_subvariety_constraints", "dualize_in_dimension", "hard_lefschetz_check",
-               "lefschetz_partner", "poincare_verdier_dual", "validate_table"),
+    "checks": ("check_subvariety_constraints", "hard_lefschetz_check", "lefschetz_partner",
+               "validate_table"),
     "dualcomplex": ("CHAIN", "SPHERE", "DualComplexData", "base_change", "chain_counts",
                     "type_iii_counts"),
     "mirror": ("MirrorPair", "mirror_check", "mirror_quad", "mirror_transform",
@@ -36,7 +36,7 @@ _EXPORTS = {
     "solver": ("SolveResult", "solve_unknown", "support_box"),
     "spaces": ("DEGENERATION_KINDS", "FIBRATION_KINDS", "SpaceDescriptor"),
     "tables": ("Quad", "TriFilteredTable", "VerificationReport", "Violation", "canonical_json",
-               "tables_from_json_obj", "tables_to_json_obj"),
+               "poincare_verdier_dual", "tables_from_json_obj", "tables_to_json_obj"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -7,15 +7,14 @@ those facts up; only dual_complex, whose counts live in dualcomplex.py,
 branches on the family.
 
 The compact-support tables of U and the supported-on-the-central-fibre
-tables are not stored; they are forced by duality and derived here, which
-the test suite cross-checks against independently transcribed values.
+tables are not stored; poincare_verdier_dual derives them, which the test
+suite cross-checks against independently transcribed values.
 """
 
 from __future__ import annotations
 
-from .checks import dualize_in_dimension
 from .spaces import SpaceDescriptor
-from .tables import Frozen, TriFilteredTable, _integer, _set
+from .tables import Frozen, TriFilteredTable, _integer, _set, poincare_verdier_dual
 
 N = 2  # the dimension n of every builtin family's members
 
@@ -25,8 +24,8 @@ class _Family(Frozen):
     data: SPEC, the spec name; LEAST, the least t, and LABEL, t's name in
     messages (the field's name when None); M, the base dimension m; TABLES,
     each stored table as {quad: (c, s)}, the dimension c + s*t, zero ones
-    dropped; DUAL, the tag of the stored table dualized in its own dimension;
-    and the mu-fold base change t - SHIFT -> mu**POWER * (t - SHIFT)."""
+    dropped; DUAL, the tag of the stored table that poincare_verdier_dual
+    dualizes; and the mu-fold base change t - SHIFT -> mu**POWER * (t - SHIFT)."""
 
     __slots__ = ()
     LEAST, LABEL, SHIFT, POWER = 1, None, 0, 1
@@ -36,23 +35,22 @@ class _Family(Frozen):
         return _integer(value, self.LABEL or name, self.LEAST)
 
     def _tables(self) -> dict[str, TriFilteredTable]:
-        (t,) = self._values()
+        (t,) = self._values
         tables = {tag: TriFilteredTable(SpaceDescriptor.parse_tag(tag, N, self.M),
                                         {quad: c + s * t for quad, (c, s) in coeffs.items()})
                   for tag, coeffs in self.TABLES.items()}
-        stored = tables[self.DUAL]
-        dual = dualize_in_dimension(stored, stored.space.complex_dim)
+        dual = poincare_verdier_dual(tables[self.DUAL])
         tables[dual.space.tag] = dual
         return tables
 
     def _base_changed(self, mu: int) -> _Family:
-        (t,) = self._values()
+        (t,) = self._values
         return type(self)(self.SHIFT + mu ** self.POWER * (t - self.SHIFT))
 
 
 class FibrationFamily(_Family):
     """A K3 fibration over a base of dimension m: the tables of Y, its linear
-    sections, and Uc, and U, the dual of Uc."""
+    sections, and Uc, and U, poincare_verdier_dual of Uc in dimension n."""
 
     __slots__ = ()
     DUAL = "Uc"
@@ -60,8 +58,8 @@ class FibrationFamily(_Family):
 
 class DegenerationFamily(_Family):
     """A one-parameter degeneration of K3 surfaces: the tables of the limit
-    Xlim and of the total space, and Supported, the dual of Total in the
-    total space's own dimension n+1."""
+    Xlim and of the total space, and Supported, poincare_verdier_dual of
+    Total in the total space's own dimension n+1."""
 
     __slots__ = ()
     M, DUAL = None, "Total"

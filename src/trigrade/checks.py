@@ -1,5 +1,5 @@
-"""Single-table checks: support windows, duality, Lefschetz pairing,
-restriction to linear sections.
+"""Single-table checks: support windows, Lefschetz pairing, restriction to
+linear sections.
 
 All checks return a VerificationReport rather than raising, so callers can collect every
 violation at once.  Raising is reserved for malformed input (missing tables,
@@ -56,32 +56,6 @@ def _window_failures(sp, k_lo: int, k_hi: int, k: int, l: int, q: int, p: int) -
         relations += (
             f"Hodge window: p={p} outside [{p_lo}, {p_hi}] for weight {q} in degree {k}",)
     return relations
-
-
-def poincare_verdier_dual(table: TriFilteredTable) -> TriFilteredTable:
-    """The dual table, for fibration-side spaces.
-
-    With d the complex dimension of the space itself, the entry at (k,l,q,p)
-    of the dual equals the entry at (2d-k, 2d-l, 2d-q, d-p) of the input; the
-    space swaps with its dual partner (U with Uc, Y and the sections with
-    themselves).  The perverse center being 2d-l encodes that each space's
-    perverse structure is centered at its own dimension; for a depth-r
-    section the center drops by r with the dimension.  Degeneration-side
-    tables carry a different pairing and are rejected.
-    """
-    if not table.space.is_fibration_side:
-        raise ValueError(
-            f"duality is defined here for Y, Z, U, Uc only, not {table.space.tag}")
-    return dualize_in_dimension(table, table.space.complex_dim)
-
-
-def dualize_in_dimension(table: TriFilteredTable, d: int) -> TriFilteredTable:
-    """Index-level duality about dimension d, retagging to the dual space."""
-    moved = {
-        (2 * d - k, 2 * d - l, 2 * d - q, d - p): v
-        for (k, l, q, p), v in table.entries.items()
-    }
-    return TriFilteredTable(table.space.dual(), moved)
 
 
 def lefschetz_partner(quad: Quad, d: int) -> Quad:

@@ -56,23 +56,6 @@ def _read_sequence(obj: dict) -> tuple[SequenceTemplate, dict[str, TriFilteredTa
     return template, tables, pins
 
 
-def _require_data(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
-                  unknown: str | tuple[str, int] | None = None):
-    """Refuse an instance whose known tables, those the template reads but the
-    unknown, are all empty: a check or solve of it would pass on nothing.  A
-    degree solve knows the unknown's other degrees; a template that reads
-    only the unknown has no known table, and is solved from its lanes."""
-    tag, degree = unknown if isinstance(unknown, tuple) else (unknown, None)
-    known = [tables[s].entries for s in template.spaces() if s != tag]
-    if degree is not None:
-        known.append([quad for quad in tables[tag].entries if quad[0] != degree])
-    if known and not any(known):
-        besides = "" if tag is None else f" besides the unknown {tag}"
-        besides += "" if degree is None else f" in degree {degree}"
-        raise ValueError(f"nothing checked: the tables {template.name!r} reads{besides} "
-                         "are all empty")
-
-
 def _check_table_set(tables: dict[str, TriFilteredTable]) -> VerificationReport:
     from .checks import check_subvariety_constraints, hard_lefschetz_check, validate_table
     from .tables import VerificationReport
@@ -124,7 +107,6 @@ def check(input):
 
         template, tables, pins = _read_sequence(obj)
         rep = check_sequence(template, tables, pins)
-        _require_data(template, tables)
     elif "tables" in obj or "space" in obj:
         tables = tables_from_json_obj(obj)
         if not any(table.entries for table in tables.values()):
@@ -161,7 +143,6 @@ def solve(input):
         raise ValueError('unknown must be a space tag or {"space": tag, "k": degree}, '
                          f"got {unknown!r}")
     result = solve_unknown(template, tables, unknown, pins)
-    _require_data(template, tables, unknown)
     return canonical_json({
         "table": None if result.table is None else result.table.to_json_obj(),
         "determined": result.determined,

@@ -244,6 +244,21 @@ def _check_instance(template: SequenceTemplate, tables: dict[str, TriFilteredTab
             raise ValueError(f"the tables of one instance disagree on {attr}: {listed}")
 
 
+def _require_data(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
+                  unknown: str | None = None, degree: int | None = None):
+    """Refuse an instance whose known data, the tables the template reads but
+    the unknown and, when only its ``degree`` is solved, its other degrees,
+    are all empty.  A template reading only the unknown has no known table."""
+    known = [tables[s].entries for s in template.spaces() if s != unknown]
+    if degree is not None:
+        known.append([quad for quad in tables[unknown].entries if quad[0] != degree])
+    if known and not any(known):
+        besides = "" if unknown is None else f" besides the unknown {unknown}"
+        besides += "" if degree is None else f" in degree {degree}"
+        raise ValueError(f"nothing checked: the tables {template.name!r} reads{besides} "
+                         "are all empty")
+
+
 def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
     """Map key -> (first cycle, cells) for every lane of a template
     instance, where key = (l, q, p, residue), the order of every report.
@@ -448,7 +463,16 @@ def check_sequence(template: SequenceTemplate,
     Every violation names the lane, the chain position and the relation that
     failed.  Pin term indices are checked before anything else; pinned ranks
     only once all lanes are feasible, since ranks are not defined otherwise.
+    An all-empty instance is an input error, after the pin and table checks.
     """
+    rep = _sequence_report(template, tables, pins)
+    _require_data(template, tables)
+    return rep
+
+
+def _sequence_report(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
+                     pins: list[RankPin]) -> VerificationReport:
+    """check_sequence's report, also on the all-empty tables a solve can complete."""
     rep = VerificationReport()
     failures, totals = _instance_pass(template, tables, pins)
     T = len(template.terms)
@@ -481,10 +505,11 @@ def infer_rank(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
 
     The term and degree are read as RankPin(term_index, 0, degree), whose
     rank is never read, so they are checked as a pin's are.  Only
-    meaningful on a fully known, exact instance; raises if any lane is
-    infeasible.
+    meaningful on a fully known, exact instance; raises, as check_sequence
+    does, on an all-empty instance, and if any lane is infeasible.
     """
     failures, (total,) = _instance_pass(template, tables, [RankPin(term_index, 0, degree)])
+    _require_data(template, tables)
     if failures:
         key, (_c_lo, cells) = failures[0]
         raise ValueError(f"cannot infer ranks: {_describe_lane(key)} is not exact "

@@ -95,14 +95,15 @@ completed instance: an assembled lane is its lane, padded with zero cells
 every cell 0).  Leading zeros keep the rank at 0, and trailing zeros keep a
 rank of 0 at 0 and drive any other rank negative, so padding changes
 neither whether a lane is exact nor any rank a pin sums.  If the check
-fails, which by this argument it never does, the report comes from
-check_sequence of the completed instance.
+fails, which by this argument it never does, the report is
+check_sequence's of the completed instance, all-empty tables allowed.
 """
 
 from __future__ import annotations
 
 from .sequences import (RankPin, SequenceTemplate, _check_instance, _describe_lane,
-                        _lane_pass, _lanes, _pin_positions, check_exactness, check_sequence)
+                        _lane_pass, _lanes, _pin_positions, _require_data, _sequence_report,
+                        check_exactness)
 from .spaces import FIBRATION_KINDS, SpaceDescriptor
 from .tables import Quad, Record, TriFilteredTable, VerificationReport, Violation, _integer
 
@@ -151,7 +152,7 @@ class SolveResult(Record):
     with the interval bounds, hi None when unbounded above; ``report``
     carries the contradiction, or the final verification of the completed
     instance when fully determined: a pass is read off the assembled lanes,
-    and only a failure runs check_sequence for the violations;
+    and only a failure builds check_sequence's report for the violations;
     ``iterations`` counts the propagation rounds, the last of which only
     confirms the fixpoint.
     """
@@ -437,7 +438,8 @@ def solve_unknown(template: SequenceTemplate,
     degree must lie in the space's degree window, outside which the table
     has no cell to solve.  If the tables set still contains the unknown tag
     in a full solve, its stored entries are ignored; everything is rebuilt
-    from the other tables.
+    from the other tables.  After these checks, an instance is refused whose
+    known tables, and in a degree solve the table's other degrees, are all empty.
     """
     tag, degree = _parse_unknown(unknown)
     if tag not in {t.space for t in template.terms}:
@@ -455,6 +457,7 @@ def solve_unknown(template: SequenceTemplate,
         if not k_lo <= degree <= k_hi:
             raise ValueError(f"degree {degree} lies outside the degree window "
                              f"[{k_lo}, {k_hi}] of {tag}")
+    _require_data(template, tables, tag, degree)
     box = _sorted_box(space, degree)
 
     # The lanes are those of the instance with the unknown table read
@@ -488,5 +491,5 @@ def solve_unknown(template: SequenceTemplate,
     determined = not under
     report = VerificationReport()
     if determined and not _verify(template, system, pins, intervals):
-        report = check_sequence(template, {**known, tag: table}, pins=list(pins))
+        report = _sequence_report(template, {**known, tag: table}, list(pins))
     return SolveResult(table, determined, under, report, iterations)

@@ -80,10 +80,14 @@ class SpaceDescriptor:
     @classmethod
     def parse_tag(cls, tag: str, n: int, m: int | None = None) -> "SpaceDescriptor":
         """The descriptor whose ``tag`` is exactly ``tag``: ``Z:01``, ``Z:+1``
-        and ``Z: 1`` are refused, not read as ``Z:1``."""
+        and ``Z: 1`` are refused, not read as ``Z:1``, as is ``Z:abc``."""
         if not (isinstance(tag, str) and tag.startswith("Z:")):
             return cls(tag, n, m)
-        desc = cls("Z", n, m, depth=int(tag[2:]))
+        try:
+            depth = int(tag[2:])
+        except ValueError:
+            raise ValueError(f"section tag {tag!r} needs an integer depth") from None
+        desc = cls("Z", n, m, depth=depth)
         if desc.tag != tag:
             raise ValueError(f"section tag {tag!r} is not canonical; write {desc.tag!r}")
         return desc
@@ -102,10 +106,6 @@ class SpaceDescriptor:
         if self.kind in ("Total", "Supported"):
             return self.n + 1
         return self.n
-
-    @property
-    def is_fibration_side(self) -> bool:
-        return self.kind in FIBRATION_KINDS
 
     def dual(self) -> "SpaceDescriptor":
         """Descriptor of the dual space: U and Uc swap, as do Total and

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -57,20 +58,25 @@ class Record:
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        if len(names) > 1:
+            cls._values = property(attrgetter(*names))
+        elif names:  # attrgetter of one name gives the bare value
+            get = attrgetter(*names)
+            cls._values = property(lambda self: (get(self),))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values == other._values
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values
 
 
 class Frozen(Record):
@@ -79,7 +85,7 @@ class Frozen(Record):
     __slots__ = ()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -220,6 +226,18 @@ class TriFilteredTable(Frozen):
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed table object: {exc}") from exc
         return cls(space, entries)
+
+
+def poincare_verdier_dual(table: TriFilteredTable) -> TriFilteredTable:
+    """The dual table, an involution: with d the complex dimension of the
+    table's space, its entry at (k, l, q, p) is the input's at (2d-k, 2d-l,
+    2d-q, d-p), on SpaceDescriptor.dual.  U pairs with Uc, and Y with
+    itself, in dimension n; Z:r with itself in n-r; Xlim with itself in n;
+    Total with Supported, cohomology supported on the central fibre, in n+1."""
+    d = table.space.complex_dim
+    return TriFilteredTable(table.space.dual(), {
+        (2 * d - k, 2 * d - l, 2 * d - q, d - p): v
+        for (k, l, q, p), v in table.entries.items()})
 
 
 def canonical_json(obj) -> str:

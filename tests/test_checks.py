@@ -1,10 +1,11 @@
+import oracle_tables
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from trigrade import (EllipticCurveBase, FiniteSurfaceBase, SpaceDescriptor,
                       TriFilteredTable, TypeII, TypeIII, VerificationReport,
-                      Violation, check_subvariety_constraints, dualize_in_dimension,
+                      Violation, check_subvariety_constraints, family_spec,
                       family_tables, hard_lefschetz_check, lefschetz_partner,
                       parse_family, poincare_verdier_dual, validate_table)
 
@@ -41,8 +42,6 @@ def test_out_of_band_entries_fail(desc, quad, phrase):
 def test_duality_is_an_involution_on_fixtures(fixture_sets):
     for spec, tables in fixture_sets.items():
         for tag, t in tables.items():
-            if not t.space.is_fibration_side:
-                continue
             assert poincare_verdier_dual(poincare_verdier_dual(t)) == t, (spec, tag)
 
 
@@ -57,19 +56,41 @@ def test_duality_swaps_open_and_compact(fixture_sets):
     assert du.dim(3, 3, 4, 2) == 1
 
 
-def test_duality_rejects_degeneration_side(fixture_sets):
-    tables = fixture_sets["k3-typeII:r=2"]
-    for tag in ("Xlim", "Total", "Supported"):
-        with pytest.raises(ValueError):
-            poincare_verdier_dual(tables[tag])
+# The pairing of each kind, written out apart from SpaceDescriptor.dual and
+# complex_dim: the partner's tag and the dimension d of the index map
+# (2d-k, 2d-l, 2d-q, d-p), for the builtin members of dimension n = 2.
+PARTNERS = {"Y": ("Y", 2), "Z:1": ("Z:1", 1), "Z:2": ("Z:2", 0), "U": ("Uc", 2),
+            "Uc": ("U", 2), "Xlim": ("Xlim", 2), "Total": ("Supported", 3),
+            "Supported": ("Total", 3)}
 
 
-def test_dualize_in_dimension_total_supported(fixture_sets):
-    tables = fixture_sets["k3-typeIII:k=2"]
-    d = dualize_in_dimension(tables["Total"], 3)
-    assert d.space.kind == "Supported"
-    assert d == tables["Supported"]
-    assert dualize_in_dimension(d, 3) == tables["Total"]
+# the 79 families of the sweep in scripts/verify_families.py, each with its
+# hand-transcribed tables
+SWEEP = [(ctor(t), oracle(t)) for ctor, oracle, least in [
+    (EllipticCurveBase, oracle_tables.elliptic, 1),
+    (FiniteSurfaceBase, oracle_tables.finite, 2),
+    (TypeII, oracle_tables.type_ii, 1),
+    (TypeIII, oracle_tables.type_iii, 1),
+] for t in range(least, 21)]
+
+
+def test_duality_maps_every_sweep_table_onto_its_partner():
+    """Every table of the sweep's families, of all seven kinds, dualizes
+    onto its partner in the catalog and back, and the dual's entries are
+    the index map, about the pair's dimension, of the transcribed table."""
+    kinds = set()
+    for fam, want in SWEEP:
+        spec = family_spec(fam)
+        tables = family_tables(fam)
+        for tag, t in tables.items():
+            partner, d = PARTNERS[tag]
+            dual = poincare_verdier_dual(t)
+            assert dual == tables[partner], (spec, tag)
+            assert poincare_verdier_dual(dual) == t, (spec, tag)
+            assert dual.entries == {(2 * d - k, 2 * d - l, 2 * d - q, d - p): v
+                                    for (k, l, q, p), v in want[tag][2].items()}, (spec, tag)
+            kinds.add(t.space.kind)
+    assert kinds == {"Y", "Z", "U", "Uc", "Xlim", "Total", "Supported"}
 
 
 def test_section_duality_uses_own_dimension(fixture_sets):
@@ -292,13 +313,9 @@ def _mutations(table):
 
 
 def test_reports_match_sorted_scans_on_sweep_mutations():
-    families = ([EllipticCurveBase(r) for r in range(1, 21)]
-                + [FiniteSurfaceBase(g) for g in range(2, 21)]
-                + [TypeII(r) for r in range(1, 21)]
-                + [TypeIII(k) for k in range(1, 21)])
-    assert len(families) == 79
+    assert len(SWEEP) == 79
     several = {}  # check -> reports with two or more violations; or the input error
-    for fam in families:
+    for fam, _want in SWEEP:
         tables = family_tables(fam)
         for tag, table in tables.items():
             for mutated in [table, *_mutations(table)]:

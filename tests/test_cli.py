@@ -420,6 +420,17 @@ def test_check_bad_inputs(tmp_path, payload):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("tag", ["Z:abc", "Z:", "Z:1.5"])
+def test_section_tag_needs_an_integer_depth(tmp_path, tag):
+    """A section tag whose depth is no integer exits 2 with one line naming
+    the tag, not the bare message of int()."""
+    path = _write(tmp_path, "in.json", {"space": tag, "n": 2, "m": 1, "entries": []})
+    res = invoke(["check", path])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: section tag {tag!r} needs an integer depth\n"
+
+
 @pytest.mark.parametrize("command", ["check", "solve"])
 def test_deeply_nested_json_is_an_input_error(command):
     """JSON nested deeper than the decoder recurses exits 2 with one line,

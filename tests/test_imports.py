@@ -67,9 +67,10 @@ def _inline_instances(tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("args, absent", [
     (["generate", "k3-elliptic:r=2"],
      {"trigrade.sequences", "trigrade.solver", "trigrade.mirror", "trigrade.dualcomplex",
-      "trigrade.render"}),
+      "trigrade.render", "trigrade.checks"}),
     (["generate", "k3-elliptic:r=2", "--format", "grid"],
-     {"trigrade.sequences", "trigrade.solver", "trigrade.mirror", "trigrade.dualcomplex"}),
+     {"trigrade.sequences", "trigrade.solver", "trigrade.mirror", "trigrade.dualcomplex",
+      "trigrade.checks"}),
     (["check", "{check}"],
      {"trigrade.catalog", "trigrade.solver", "trigrade.mirror", "trigrade.dualcomplex",
       "trigrade.render", "trigrade.checks"}),
@@ -79,11 +80,14 @@ def _inline_instances(tmp_path) -> dict[str, str]:
     (["solve", "{solve}"],
      {"trigrade.catalog", "trigrade.mirror", "trigrade.dualcomplex", "trigrade.render",
       "trigrade.checks"}),
+    (["mirror", "--fibration", "k3-elliptic:r=2", "--degeneration", "k3-typeII:r=2",
+      "--mu", "2"],
+     {"trigrade.sequences", "trigrade.solver", "trigrade.render", "trigrade.checks"}),
     (["basechange", "--topology", "chain", "--components", "3", "--mu", "2"],
      {"trigrade.sequences", "trigrade.solver", "trigrade.mirror", "trigrade.render",
       "trigrade.spaces", "trigrade.catalog", "trigrade.checks", "dataclasses"}),
 ], ids=["generate", "generate-grid", "check-inline", "check-table-set", "solve-inline",
-     "basechange"])
+     "mirror", "basechange"])
 def test_subcommand_loads_only_what_it_runs(args, absent, tmp_path):
     paths = _inline_instances(tmp_path)
     args = [a.format(**paths) for a in args]
@@ -117,7 +121,7 @@ def test_every_public_name_resolves():
         "print(json.dumps([len(names), [n for n in names if n not in globals()],\n"
         "                  sorted(set(names) - set(dir(trigrade)))]))")
     count, missing, undir = found
-    assert count == 59
+    assert count == 58
     assert missing == [] and undir == []
 
 

@@ -77,6 +77,8 @@ def test_parse_empty_table():
     ("# table   \n", "line 1: empty table header"),
     ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n2  5\n# table\n", "line 5: empty table header"),
     ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n2  5\n# table \n", "line 5: empty table header"),
+    # a section tag whose depth is no integer, named with its line
+    ("# table Z:abc n=2 m=1\n", "^line 1: section tag 'Z:abc' needs an integer depth$"),
 ])
 def test_parse_errors(text, match):
     with pytest.raises(ValueError, match=match):

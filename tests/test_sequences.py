@@ -337,6 +337,23 @@ def _plus_one(tables, *cells):
     return out
 
 
+def test_check_and_infer_refuse_an_all_empty_instance():
+    """loc1 over empty Y, U and Z:1 has no lane to check: check_sequence and
+    infer_rank raise, as the CLI's check does, rather than pass or return 0.
+    One entry in a table the template reads is enough to check lanes."""
+    loc1 = builtin_templates()["loc1"]
+    tables = family_tables(parse_family("k3-elliptic:r=2"))
+    empty = {tag: TriFilteredTable(tables[tag].space, {}) for tag in ("Y", "U", "Z:1")}
+    message = "^nothing checked: the tables 'loc1' reads are all empty$"
+    with pytest.raises(ValueError, match=message):
+        check_sequence(loc1, empty)
+    with pytest.raises(ValueError, match=message):
+        infer_rank(loc1, empty, 0)
+    with pytest.raises(ValueError, match=message):
+        check_sequence(loc1, {**empty, "Uc": tables["Uc"]})  # a table loc1 does not read
+    assert not check_sequence(loc1, {**empty, "Y": tables["Y"]}).passed
+
+
 @pytest.mark.parametrize("empty", [False, True])
 def test_pin_outside_template_raises_everywhere(empty):
     from trigrade import solve_unknown

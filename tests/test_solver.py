@@ -391,15 +391,32 @@ def test_contradictory_tables_report_lane():
     assert v.lane is not None
 
 
-def test_zero_environment_forces_zero_table():
-    empty = {
-        "Total": TriFilteredTable(SpaceDescriptor("Total", 2), {}),
-        "Supported": TriFilteredTable(SpaceDescriptor("Supported", 2), {}),
-    }
-    res = solve_unknown(builtin_templates()["cs"], empty, "Xlim")
-    assert res.determined
-    assert res.table.entries == {}
-    assert res.report.passed
+@pytest.mark.parametrize("spec, name, unknown, besides", [
+    ("k3-typeII:r=2", "cs", "Xlim", "Xlim"),
+    ("k3-elliptic:r=2", "loc1", "U", "U"),
+    ("k3-elliptic:r=2", "loc1", ("U", 2), "U in degree 2"),
+], ids=["cs-full", "loc1-full", "loc1-degree"])
+def test_solve_refuses_an_all_empty_instance(spec, name, unknown, besides):
+    """With every table the template reads besides the unknown empty, and in
+    a degree solve the unknown's other degrees too, nothing is known to
+    solve from: the solve raises, as the CLI's does, rather than return a
+    determined empty table with a passing report.  The unknown's own cells
+    in the solved degree are not known data.  An unknown the template never
+    reads and a degree outside the window are still reported first."""
+    tables = family_tables(parse_family(spec))
+    tag = unknown if isinstance(unknown, str) else unknown[0]
+    empty = {t: TriFilteredTable(tab.space, {}) for t, tab in tables.items()}
+    empty[tag] = TriFilteredTable(tables[tag].space, {
+        quad: d for quad, d in tables[tag].entries.items() if quad[0] == 2})
+    template = builtin_templates()[name]
+    message = f"nothing checked: the tables {name!r} reads besides the unknown {besides} " \
+              "are all empty"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_unknown(template, empty, unknown)
+    with pytest.raises(ValueError, match="never references"):
+        solve_unknown(template, empty, "Z:2")
+    with pytest.raises(ValueError, match="outside the degree window"):
+        solve_unknown(template, empty, (tag, 30))
 
 
 def test_partial_degree_solve():
@@ -620,8 +637,8 @@ def test_unknown_descriptor_error_is_its_own():
 def test_uncoupled_reads_stay_unbounded():
     """A template reading the unknown twice at the same quadruple imposes no
     upper bound at all, and the solver says so instead of guessing."""
-    tmpl = SequenceTemplate("twice", 1, (
-        SequenceTerm("Y"), SequenceTerm("Y"), SequenceTerm("U")))
+    tmpl = SequenceTemplate("twice", 1, (SequenceTerm("Y"), SequenceTerm("Y")))
+    # U, which the template does not read, gives n and m
     tables = {"U": TriFilteredTable(SpaceDescriptor("U", 2, 1), {})}
     res = solve_unknown(tmpl, tables, "Y")
     assert not res.determined
@@ -700,8 +717,8 @@ def test_verification_on_the_assembled_lanes_is_check_sequence(monkeypatch):
         template, tables, unknown, pins = calls["solve"]
         tag = unknown if isinstance(unknown, str) else unknown[0]
         completed = {**tables, tag: res.table}
-        assert calls["verify"] == check_sequence(template, completed, pins).passed, \
-            entry["case"]
+        assert calls["verify"] == sequences._sequence_report(template, completed,
+                                                             pins).passed, entry["case"]
         assert calls["verify"], entry["case"]
     assert determined == 197
 

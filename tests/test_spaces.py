@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from trigrade import SpaceDescriptor
@@ -73,6 +75,13 @@ def test_tag_parse_round_trip():
         SpaceDescriptor("Supported", 2),
     ):
         assert SpaceDescriptor.parse_tag(desc.tag, desc.n, desc.m) == desc
+
+
+@pytest.mark.parametrize("tag", ["Z:abc", "Z:", "Z:1.5"])
+def test_section_tag_needs_an_integer_depth(tag):
+    with pytest.raises(ValueError, match=f"^section tag '{re.escape(tag)}' needs an integer "
+                                         "depth$"):
+        SpaceDescriptor.parse_tag(tag, 2, 1)
 
 
 def test_complex_dim():
