@@ -93,6 +93,17 @@ def test_duality_maps_every_sweep_table_onto_its_partner():
     assert kinds == {"Y", "Z", "U", "Uc", "Xlim", "Total", "Supported"}
 
 
+def test_dualize_in_dimension_total_supported(fixture_sets):
+    # the total space pairs with its central-fibre-supported cohomology
+    # about the total space's dimension n+1 = 3
+    tables = fixture_sets["k3-typeIII:k=2"]
+    d = poincare_verdier_dual(tables["Total"])
+    assert d.space.kind == "Supported"
+    assert d.space.complex_dim == 3
+    assert d == tables["Supported"]
+    assert poincare_verdier_dual(d) == tables["Total"]
+
+
 def test_section_duality_uses_own_dimension(fixture_sets):
     # a depth-1 section of the elliptic family is a curve: duality about d=1
     z = fixture_sets["k3-elliptic:r=2"]["Z:1"]
