@@ -236,9 +236,7 @@ def degeneration_tables(family: DegenerationFamily) -> dict[str, TriFilteredTabl
 
 
 def family_tables(family) -> dict[str, TriFilteredTable]:
-    if isinstance(family, FibrationFamily):
-        return fibration_tables(family)
-    return degeneration_tables(family)
+    return _of_kind(family, _Family, "catalog")._tables()
 
 
 def phantom_cohomology(family: DegenerationFamily, k: int) -> int:

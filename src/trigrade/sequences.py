@@ -15,14 +15,17 @@ each class is its own exact sequence.  A Lane is one such chain: a triple
 Exactness of a chain of finite dimensional pieces is a pure dimension
 condition: ranks r_i of the connecting maps must satisfy d_i = r_{i-1} + r_i
 with zero rank entering the first position and leaving the last.  That
-recursion is check_exactness for one chain.  _lane_pass runs it once over
-lanes given as key and (first cycle, cells), in any order, and returns the
-lanes it cannot pass, as it took them, and each pin's total rank.
-check_sequence and infer_rank run it over every lane of a known instance and
-rerun check_exactness on the failing lanes they report, with no Lane built.
-The solver runs it over every lane of an instance whose unknown cells read
-as negative ints, on which the recursion breaks, to find the lanes it must
-propagate, and over those lanes again to verify a determined solve.
+recursion is check_exactness for one chain.  _lanes builds every lane of an
+instance in one pass over the reads, as key and (first cycle, cells), once
+sizes or a guard pass show they fit the budgets.  _lane_pass runs the
+recursion once over such lanes, in any order, and returns the lanes it
+cannot pass, as it took them, and each pin's total rank.  check_sequence
+and infer_rank run it over every lane of a known instance and rerun
+check_exactness on the failing lanes they report, with no Lane built.  The
+solver runs it over the lanes of an instance whose unknown cells read as
+negative ints, on which the recursion breaks, but for the lanes that hold a
+lone unknown between zeros, to find the lanes it must propagate, and over
+those lanes again to verify a determined solve.
 """
 
 from __future__ import annotations
@@ -251,7 +254,8 @@ def _require_data(template: SequenceTemplate, tables: dict[str, TriFilteredTable
     are all empty.  A template reading only the unknown has no known table."""
     known = [tables[s].entries for s in template.spaces() if s != unknown]
     if degree is not None:
-        known.append([quad for quad in tables[unknown].entries if quad[0] != degree])
+        # the first entry of another degree settles it
+        known.append(any(quad[0] != degree for quad in tables[unknown].entries))
     if known and not any(known):
         besides = "" if unknown is None else f" besides the unknown {unknown}"
         besides += "" if degree is None else f" in degree {degree}"
@@ -259,36 +263,48 @@ def _require_data(template: SequenceTemplate, tables: dict[str, TriFilteredTable
                          "are all empty")
 
 
-def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
-    """Map key -> (first cycle, cells) for every lane of a template
-    instance, where key = (l, q, p, residue), the order of every report.
+def _sizes_fit(template: SequenceTemplate, sources: dict[str, dict]) -> bool:
+    """Whether sizes alone keep the lanes of an instance within the budgets
+    _windows checks, so that _lanes can build without its guard.
 
-    ``sources`` maps each space tag to a mapping quad -> value.  Every quad a
-    term reads opens its lane, which runs from the first such cycle to the
-    last; cells holds each term's read at each cycle, 0 where a quad is absent.
-    The dict is unsorted: extract_lanes sorts it, the solver sorts only the
-    lanes it propagates, and _lane_pass needs no order.
+    Every read's cycle lies in [c_min, c_max], from the least and greatest
+    degree of a space less the k_offset of a term reading it.  So a lane has
+    at most (c_max - c_min) // P + 1 cycles, and there are no more lanes
+    than reads.  When c_min and c_max lie in [-2B, 2B], B = MAX_DEGREE, and
+    reads * ((c_max - c_min) // P + 1) * T <= MAX_LANE_CELLS, no check of
+    _windows can refuse the instance.  This holds for every builtin
+    instance.  Each space's degree range is taken once, not once per term:
+    1,000 equal terms must not scan their table 1,000 times.
+    """
+    degrees = {s: (min(sources[s])[0], max(sources[s])[0])
+               for s in template.spaces() if sources[s]}
+    cycles = [(degrees[t.space][0] - t.k_offset, degrees[t.space][1] - t.k_offset)
+              for t in template.terms if t.space in degrees]
+    if not cycles:
+        return True
+    c_min = min(lo for lo, _hi in cycles)
+    c_max = max(hi for _lo, hi in cycles)
+    reads = sum(len(sources[t.space]) for t in template.terms)
+    return (-2 * MAX_DEGREE <= c_min and c_max <= 2 * MAX_DEGREE and
+            reads * ((c_max - c_min) // template.period + 1) * len(template.terms)
+            <= MAX_LANE_CELLS)
 
-    The cells are built by scatter, not by probing every (cycle, term) cell:
-    each lane gets a zero-filled list, and a second pass over the sources
-    writes each entry straight to its cell, (c - c_lo) // P * T + j for term
-    j at cycle c.  The inverse of SequenceTerm.read_quad is written out in
-    both passes, and nowhere else: the solver finds its unknown cells in the
-    lanes, as negative cells.  The second pass recomputes each entry's lane
-    rather than keeping a list of the first pass's reads: such a list was no
-    faster and held every read in memory at once.
 
-    Between the passes each lane's cycle window must lie in [-2B, 2B], with
-    B = MAX_DEGREE; else a ValueError names a table entry whose degree lies
-    outside [-B, B], since c = k - k_offset and |k_offset| <= B.  A few KB of
-    input can otherwise ask for lanes of millions of cells.  The same loop
-    sums the lanes' cells, which must stay within MAX_LANE_CELLS.  Checking
-    the windows costs one step per lane, not one per entry.  The first pass
+def _windows(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
+    """The guard of _lanes: map key -> (first cycle, last cycle) for every
+    lane, once the instance is checked against the budgets.
+
+    A few KB of input can otherwise ask for lanes of millions of cells.
+    Every lane's cycle window must lie in [-2B, 2B], with B = MAX_DEGREE;
+    else a ValueError names a table entry whose degree lies outside [-B, B],
+    since c = k - k_offset and |k_offset| <= B.  The same loop sums the
+    lanes' cells, which must stay within MAX_LANE_CELLS.  Checking the
+    windows costs one step per lane, not one per entry.  The window pass
     already refuses an instance, after each term, once it has opened more
     than MAX_LANE_CELLS / T lanes, since each holds at least T cells: terms
     that each open lanes of their own would otherwise fill the windows with
     one lane per entry and term before the budget is checked.  Equal terms
-    open equal windows, so the first pass runs over the distinct terms.
+    open equal windows, so the pass runs over the distinct terms.
     """
     P = template.period
     T = len(template.terms)
@@ -320,15 +336,68 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
     # ((c_hi - c_lo) // P + 1) * T cells
     if (span // P + len(windows)) * T > MAX_LANE_CELLS:
         raise ValueError(OVER_BUDGET)
+    return windows
 
-    lanes = {key: (c_lo, [0] * (((c_hi - c_lo) // P + 1) * T))
-             for key, (c_lo, c_hi) in windows.items()}
+
+def _lanes(template: SequenceTemplate, sources: dict[str, dict],
+           opened: dict | None = None) -> dict:
+    """Map key -> (first cycle, cells) for every lane of a template
+    instance, where key = (l, q, p, residue), the order of every report.
+
+    ``sources`` maps each space tag to a mapping quad -> value.  Every quad a
+    term reads opens its lane, which runs from the first such cycle to the
+    last; cells holds each term's read at each cycle, 0 where a quad is absent.
+    The dict is unsorted: extract_lanes sorts it, the solver sorts only the
+    lanes it propagates, and _lane_pass needs no order.
+
+    The lanes are built in one pass over the reads, one lane lookup each.
+    Term j reads (k, l, q, p) at cycle c = k - k_offset in the lane
+    (l - shift, q - 2 twist, p - twist, c mod P): the inverse of
+    SequenceTerm.read_quad is written out here and in _windows, and nowhere
+    else, for the solver finds its unknown cells in the lanes, as negative
+    cells.  The first read of a lane opens it as one cycle of T zero cells,
+    T the template's term count.  A later read extends it by whole cycles of
+    zeros at either end to reach its cycle, then writes its cell,
+    (c - c_lo) // P * T + j.  When ``opened`` is a dict, it maps the key of
+    each lane that a negative cell opens to that cell.
+
+    When _sizes_fit cannot rule out the budgets, _windows runs first as a
+    guard: it refuses an instance over them before any lane is allocated,
+    or returns every lane's window.  The pass then starts from those
+    windows' zero-filled lanes, so that no read opens or extends a lane,
+    and ``opened`` stays empty.  Either way an instance is accepted or
+    refused, and with which error, as by _windows alone.
+    """
+    P = template.period
+    T = len(template.terms)
+    if opened is None:
+        opened = {}
+    lanes: dict = {}
+    if not _sizes_fit(template, sources):
+        lanes = {key: (c_lo, [0] * (((c_hi - c_lo) // P + 1) * T))
+                 for key, (c_lo, c_hi) in _windows(template, sources).items()}
     for j, term in enumerate(template.terms):
         ko, s, tw = term.k_offset, term.shift, term.twist
         for (k, l, q, p), value in sources[term.space].items():
             c = k - ko
-            c_lo, cells = lanes[(l - s, q - 2 * tw, p - tw, c % P)]
-            cells[(c - c_lo) // P * T + j] = value
+            key = (l - s, q - 2 * tw, p - tw, c % P)
+            lane = lanes.get(key)
+            if lane is None:
+                cells = [0] * T
+                cells[j] = value
+                lanes[key] = (c, cells)
+                if value < 0:
+                    opened[key] = value
+                continue
+            c_lo, cells = lane
+            i = (c - c_lo) // P * T + j
+            if i < 0:  # whole cycles of zeros in front, so that cells start at c
+                cells[:0] = [0] * (j - i)
+                lanes[key] = (c, cells)
+                i = j
+            elif i >= len(cells):  # whole cycles of zeros behind, up to c's
+                cells += [0] * (i - j + T - len(cells))
+            cells[i] = value
     return lanes
 
 

@@ -28,20 +28,41 @@ readers are lists indexed by slot.  The results are read off in slot
 order, which is the sorted order of the cells; only a contradiction's
 "cell ... has no feasible dimension" turns a slot back into its quadruple.
 
-A solve runs in two steps.  _assemble builds the lane system once: it runs
-_lane_pass, the lane pass of check_sequence, over every lane of the
-instance read through the overlay.  The rank recursion breaks on a negative
-cell, so the pass cannot pass a lane reading a cell of the box, nor a lane
-of known dimensions that is not exact.  These lanes, and when there are
-pins every lane holding a pin occurrence, are the lanes propagated, in key
-order, and _assemble keeps the lanes reading each cell, the lanes reading a
-cell twice, each lane's one unknown position and the ranks each pin sums.
+A solve runs in two steps.  _assemble builds the lane system once.
+_lanes builds every lane of the instance, read through the overlay, in one
+pass, and notes each lane that a negative cell opens.  A box cell is
+isolated when each of its reads, one per template term on the unknown's
+space, opens a lane that no other read reaches: a lane of one cycle holding
+the cell between zeros.  _assemble drops those lanes and closes the cell at
+0, as below.  It runs _lane_pass, the lane pass of check_sequence, over the
+other lanes.  The rank recursion breaks on a negative cell, so the pass
+cannot pass a lane reading a cell of the box, nor a lane of known
+dimensions that is not exact.  These lanes, and when there are pins every
+lane holding a pin occurrence, are the lanes propagated, in key order, and
+_assemble keeps the lanes reading each cell, the lanes reading a cell
+twice, each lane's one unknown position and the ranks each pin sums.
 _propagate owns all that follows, the worklist, the closed form, the
 interval passes and the pin step; it tightens the intervals in place and
 returns the round count and the contradiction, if any, from which
 solve_unknown builds the report.  Only the pin step reads a lane's boundary
 ranks and caps, so _propagate keeps them only when there are pins, and caps
 only for the lanes a pin caps.
+
+An isolated cell takes no part in propagation.  Its lanes each hold the
+cell between zeros, so in round 1 the closed form below forces it from
+(0, INF) to 0 in the first of them.  No other lane reads the cell, so that
+queues only the others, later in the same round, which find the cell at
+0; it cannot give a contradiction, and only sets round 1's changed flag.
+_propagate therefore sets the cell's interval to (0, 0) before round 1 and
+counts round 1 as changed when any cell is isolated: the contradiction, the
+round count and, when there is no contradiction, the intervals are the full
+sweep's.  (After a contradiction no interval is read, and an isolated cell
+may read 0 where the sweep stopped before its lanes.)  With pins nothing
+is isolated, since the pin step sums boundary ranks over lanes, and a pin
+contradiction is named by the first lane it sums.  A cell with one such
+lane and one lane coupling it to other cells (cs reads Xlim twice) is not
+isolated, and both its lanes are propagated.  Finding these cells costs one
+dict entry per lane a negative cell opens, noted while the lanes are built.
 
 Within one lane each unknown cell usually sits at one position, and then
 the lane's relations form a path: one forward/backward pass already gives
@@ -60,8 +81,9 @@ next round, unless its boundary ranks are all points, which no cap moves
 every round, minus the sweeps that cannot change anything: the intervals,
 the contradiction reported and the round count are those of the full
 sweep.  A test runs such a full sweep, with the interval passes alone,
-over every lane _lanes builds, beside _assemble and _propagate on every
-case of the solver golden, and checks this and the closed form below.
+over every lane _lanes builds, the isolated cells' included, beside
+_assemble and _propagate on every case of the solver golden, and checks
+this and the closed form below.
 
 A lane that the lane pass passes and that no pin reads is exact and takes
 no further part: it reads no unknown cell, so a full sweep finds nothing to
@@ -85,16 +107,18 @@ always held these point ranks, and the pin step, having checked
 lo_sum <= pin <= hi_sum, caps a point rank r to max(r, pin - others_hi) = r
 and min(r, pin - others_lo) = r, whichever step made it a point.
 
-A determined solve is verified by _verify: _lane_pass runs over the
-propagated lanes, each unknown cell read at its point value, and each pin's
-total over them must be its rank.  Every lane is still checked once, the
-others by _assemble's lane pass and these here; no lane or pin is skipped
-on the strength of the propagation argument.  This is check_sequence of the
-completed instance: an assembled lane is its lane, padded with zero cells
-(the box cells solved to 0, and whole lanes opened only by such cells,
-every cell 0).  Leading zeros keep the rank at 0, and trailing zeros keep a
-rank of 0 at 0 and drive any other rank negative, so padding changes
-neither whether a lane is exact nor any rank a pin sums.  If the check
+A determined solve is verified by _verify: each isolated cell must be 0,
+which is exactly the exactness of its dropped lanes, _lane_pass runs over
+the propagated lanes, each unknown cell read at its point value, and each
+pin's total over them must be its rank.  Every lane is checked once: the
+isolated cells' lanes and the propagated ones here, the others by
+_assemble's lane pass; no lane or pin is skipped on the strength of the
+propagation argument.  This is check_sequence of the completed instance: an
+assembled lane is its lane, padded with zero cells (the box cells solved to
+0, and whole lanes opened only by such cells, every cell 0).  Leading zeros
+keep the rank at 0, and trailing zeros keep a rank of 0 at 0 and drive any
+other rank negative, so padding changes neither whether a lane is exact nor
+any rank a pin sums.  If the check
 fails, which by this argument it never does, the report is
 check_sequence's of the completed instance, all-empty tables allowed.
 """
@@ -193,18 +217,36 @@ def _infer_descriptor(tag: str, known: dict[str, TriFilteredTable]) -> SpaceDesc
 
 
 def _assemble(template: SequenceTemplate, sources: dict, box: list[Quad],
-              pins: list[RankPin]) -> tuple:
-    """The lane system over the unknowns of ``box``, whose cell at slot i
-    the overlay in ``sources`` writes as ~i: (box, lanes, readers, repeats,
-    single, pin_occ).  lanes[i] = (key, first cycle, cells) are the lanes
-    _lane_pass cannot pass and, when there are pins, the lanes holding a pin
-    occurrence, in key order, a cell being a known dimension or an unknown's
-    ~slot, the only negative ints there; readers[slot] lists the lanes
-    reading that cell, repeats the lanes reading a cell twice, single[i]
-    lane i's one unknown position (None if none or more), and pin_occ for
-    each pin the (lane, boundary rank) pairs it sums.  The other lanes are
-    exact, and take no further part."""
-    lane_map = _lanes(template, sources)
+              pins: list[RankPin], tag: str) -> tuple:
+    """The lane system over the unknowns of ``box``, the support box of
+    ``tag``, whose cell at slot i the overlay in ``sources`` writes as ~i:
+    (box, lanes, readers, repeats, single, pin_occ, isolated).  isolated
+    lists the slots of the isolated cells, each of whose reads opens a lane
+    holding the cell between zeros (none when there are pins); those lanes
+    are dropped before the lane pass.  lanes[i] = (key, first cycle, cells)
+    are the other lanes _lane_pass cannot pass and, when there are pins, the
+    lanes holding a pin occurrence, in key order, a cell being a known
+    dimension or an unknown's ~slot, the only negative ints there;
+    readers[slot] lists the lanes reading that cell, repeats the lanes
+    reading a cell twice, single[i] lane i's one unknown position (None if
+    none or more), and pin_occ for each pin the (lane, boundary rank) pairs
+    it sums.  The other lanes are exact, and take no further part."""
+    opened: dict = {}
+    lane_map = _lanes(template, sources, opened)
+    isolated = []
+    if not pins and opened:
+        T = len(template.terms)
+        reads = sum(term.space == tag for term in template.terms)
+        lone: dict[int, list] = {}  # ~slot -> the lanes holding it between zeros
+        for key, d in opened.items():
+            cells = lane_map[key][1]
+            if len(cells) == T and cells.count(0) == T - 1:
+                lone.setdefault(d, []).append(key)
+        for d, keys in lone.items():
+            if len(keys) == reads:
+                isolated.append(~d)
+                for key in keys:
+                    del lane_map[key]
     failures, _totals = _lane_pass(template, lane_map.items(), [])
     failing = {key for key, _lane in failures} if pins else ()
     lanes, pin_occ = [], [[] for _ in pins]
@@ -231,7 +273,7 @@ def _assemble(template: SequenceTemplate, sources: dict, box: list[Quad],
                 repeats[li] = True
             else:
                 lis.append(li)
-    return box, lanes, readers, repeats, single, pin_occ
+    return box, lanes, readers, repeats, single, pin_occ, isolated
 
 
 def _propagate(system: tuple, pins: list[RankPin],
@@ -241,7 +283,9 @@ def _propagate(system: tuple, pins: list[RankPin],
     when unbounded above), in place: (rounds, None), or (rounds, (lane key,
     position, detail)) for a contradiction.  The lanes' boundary ranks and
     their caps are kept only when there are pins, for the pin step."""
-    box, lanes, readers, repeats, single, pin_occ = system
+    box, lanes, readers, repeats, single, pin_occ, isolated = system
+    for slot in isolated:  # what round 1 of their lanes would force
+        intervals[slot] = (0, 0)
     # Only the pin step reads these: boundary[li] = (lo, hi) lists of lane
     # li's boundary ranks at its last visit, and caps[li][j] a pin's cap on
     # its boundary rank j, held only for the lanes a pin caps.
@@ -253,7 +297,7 @@ def _propagate(system: tuple, pins: list[RankPin],
         rounds += 1
         if rounds > 10000:
             raise ValueError("interval propagation did not converge within 10000 rounds")
-        changed = False
+        changed = rounds == 1 and bool(isolated)
         requeue: set[int] = set()  # lanes to visit next round
 
         for li, (key, _c_lo, cells) in enumerate(lanes):
@@ -405,10 +449,12 @@ def _propagate(system: tuple, pins: list[RankPin],
 def _verify(template: SequenceTemplate, system: tuple, pins: list[RankPin],
             intervals: list[Interval]) -> bool:
     """Whether check_sequence passes the completed instance, read off the
-    assembled system (module docstring): _lane_pass finds every propagated
-    lane exact with each unknown cell at its point value, and each pin's
-    total over them is its rank."""
-    _box, lanes, _readers, _repeats, single, _pin_occ = system
+    assembled system (module docstring): every isolated cell is 0, _lane_pass
+    finds every propagated lane exact with each unknown cell at its point
+    value, and each pin's total over them is its rank."""
+    _box, lanes, _readers, _repeats, single, _pin_occ, isolated = system
+    if any(intervals[slot][0] for slot in isolated):
+        return False
     failures, totals = _lane_pass(template, _completed(lanes, single, intervals), pins)
     return not failures and all(total == pin.rank for pin, total in zip(pins, totals))
 
@@ -469,7 +515,7 @@ def solve_unknown(template: SequenceTemplate,
     sources[tag] = overlay = dict(other_degrees)
     overlay.update(zip(box, range(-1, ~len(box), -1)))
     intervals: list[Interval] = [(0, INF)] * len(box)
-    system = _assemble(template, sources, box, pins)
+    system = _assemble(template, sources, box, pins, tag)
     iterations, failure = _propagate(system, pins, intervals)
     if failure is not None:
         key, position, detail = failure

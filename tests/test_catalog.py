@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import oracle_tables
@@ -83,6 +85,16 @@ def test_no_entry_is_negative_at_any_parameter(ctor):
     for tag, coeffs in ctor.TABLES.items():
         for quad, (c, s) in coeffs.items():
             assert s >= 0 and c + s * ctor.LEAST >= 0, (tag, quad)
+
+
+@pytest.mark.parametrize("family", [42, "k3-elliptic:r=2", None])
+def test_a_non_family_is_named_as_family_spec_names_it(family):
+    """family_tables refuses what is no catalog family with the message of
+    family_spec, not as a degeneration family it was never asked for."""
+    message = f"^not a catalog family: {re.escape(repr(family))}$"
+    for fn in (family_spec, family_tables):
+        with pytest.raises(ValueError, match=message):
+            fn(family)
 
 
 def test_family_tables_dispatch():

@@ -256,6 +256,25 @@ def test_template_length_is_bounded(tmp_path, command, terms, shifts):
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
+def test_the_template_at_the_cap_is_guarded_then_built(tmp_path, monkeypatch, command):
+    """1,000 terms reading Y with k_offsets cycling through -34..34: the
+    bound from sizes cannot rule out the budgets, so the window pass runs
+    once as a guard, and the instance, within them, is built and checked."""
+    import trigrade.sequences as sequences
+
+    windows, calls = sequences._windows, []
+    monkeypatch.setattr(sequences, "_windows", lambda *args: calls.append(1) or windows(*args))
+    template = {"period": 1, "terms": [{"space": "Y", "k_offset": -34 + i % 69}
+                                       for i in range(1000)]}
+    obj = {"template": template, "tables": ["k3-elliptic:r=2"]}
+    if command == "solve":
+        obj["unknown"] = {"space": "Y", "k": 2}
+    res = invoke([command, _write(tmp_path, "in.json", obj)])
+    assert (res.exit_code, res.stderr) == (1, "")
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
 def test_equal_terms_are_refused_quickly(tmp_path, command):
     """1,000 equal terms read a Y table of 10,000 entries in 500 lanes of 20
     cycles: 10,000,000 cells, over the budget.  Equal terms open equal

@@ -1,6 +1,7 @@
 import itertools
 import re
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from trigrade import (RankPin, SequenceTemplate, SequenceTerm, SpaceDescriptor,
                       TriFilteredTable, builtin_templates, check_exactness,
                       check_sequence, extract_lanes, family_tables,
                       infer_rank, parse_family)
+import trigrade.sequences as sequences
 from trigrade.sequences import _lane_pass, _lanes
 
 
@@ -215,9 +217,27 @@ def _template_and_sources(draw):
 
 @given(_template_and_sources())
 def test_lanes_match_naive_reads(case):
+    """The one pass builds the naive lanes, and each lane it notes as
+    opened by a negative cell holds that cell."""
     template, sources = case
-    assert sorted((key, *lane) for key, lane in _lanes(template, sources).items()) \
+    opened = {}
+    lanes = _lanes(template, sources, opened)
+    assert sorted((key, *lane) for key, lane in lanes.items()) \
         == _naive_lanes(template, sources)
+    assert all(d < 0 and d in lanes[key][1] for key, d in opened.items())
+
+
+@given(_template_and_sources())
+def test_lanes_match_naive_reads_through_the_guard(case):
+    """With the bound from sizes made to fail, _windows runs first and the
+    pass starts from its windows: the same lanes, none noted as opened."""
+    template, sources = case
+    opened = {}
+    with mock.patch.object(sequences, "_sizes_fit", lambda *args: False):
+        lanes = _lanes(template, sources, opened)
+    assert sorted((key, *lane) for key, lane in lanes.items()) \
+        == _naive_lanes(template, sources)
+    assert opened == {}
 
 
 @given(_template_and_sources())

@@ -140,37 +140,84 @@ def _unsplit(template, sources, pins):
     return lanes, pin_occ
 
 
+def _isolated(template, lanes, box, pins):
+    """The slots of the isolated cells, by their definition: with no pins,
+    every lane reading the cell, of ``lanes``, holds it as one cycle's one
+    nonzero cell."""
+    T = len(template.terms)
+    readers = [[] for _ in box]
+    for _key, _c_lo, cells in lanes:
+        for cell in cells:
+            if cell < 0:
+                readers[~cell].append(cells)
+    return [] if pins else [slot for slot, reading in enumerate(readers)
+                            if all(len(cells) == T and cells.count(0) == T - 1
+                                   for cells in reading)]
+
+
+def _beside_a_full_sweep(system, args, case=None):
+    """solver._propagate over ``system``, _assemble's of ``args``, beside
+    _full_sweep over every lane _lanes builds, the isolated cells' lanes
+    included: the same round count and contradiction, and the same
+    intervals.  After a contradiction the isolated cells may differ, and
+    the solve reads no interval: _propagate sets them to 0 before round 1,
+    the sweep when it reaches their lanes.  Returns what _propagate does."""
+    template, sources, box, pins, _tag = args
+    worklist = [(0, INF)] * len(box)
+    sweep = list(worklist)
+    got = solver._propagate(system, pins, worklist)
+    assert got == _full_sweep(box, *_unsplit(template, sources, pins), pins, sweep), case
+    isolated = set(system[6]) if got[1] is not None else set()
+    assert [iv for slot, iv in enumerate(worklist) if slot not in isolated] == \
+        [iv for slot, iv in enumerate(sweep) if slot not in isolated], case
+    return got
+
+
 def test_worklist_and_closed_form_match_a_full_sweep(monkeypatch):
-    """The solver module docstring's claims, on every golden case: passing
-    the exact lanes no pin reads once and propagating the others with the
-    worklist gives a full sweep of every lane's intervals, contradiction and
-    round count, and the closed form gives what the interval passes give.
-    The propagated lanes are the lanes holding an unknown cell, a pin
-    occurrence or a failing chain, in key order, each pin sums the same
-    ranks of the same lanes as over every lane, and the lanes' readers,
-    repeats and one-unknown positions are those of a scan of their cells.
-    The golden holds contradictions on a lane of known dimensions, and
-    contradictions on a lane reading an unknown cell that comes before a
-    failing lane of known dimensions."""
+    """The solver module docstring's claims, on every golden case: closing
+    the isolated cells at assembly, passing the exact lanes no pin reads
+    once and propagating the others with the worklist gives a full sweep of
+    every lane's intervals, contradiction and round count, and the closed
+    form gives what the interval passes give.  The isolated cells are those
+    of the definition, none in a pinned case and some in others; their lanes
+    are dropped, and the propagated lanes are the other lanes holding an
+    unknown cell, a pin occurrence or a failing chain, in key order.  A cs
+    solve for Xlim keeps in the system the lane of a cell read once between
+    zeros and once beside known cells.  Each pin sums the same ranks of the
+    same lanes as over every lane, and the lanes' readers, repeats and
+    one-unknown positions are those of a scan of their cells.  The golden
+    holds contradictions on a lane of known dimensions, and contradictions
+    on a lane reading an unknown cell that comes before a failing lane of
+    known dimensions."""
     golden = _golden()
     assemble, calls = solver._assemble, []
     monkeypatch.setattr(solver, "_assemble", lambda *args: calls.append(args) or assemble(*args))
     outcomes = {"contradiction": 0, "pinned": 0, "known lane reported": 0,
                 "read lane before a failing known lane": 0}
+    isolating, lone_read_kept = 0, 0
     for entry in golden:
         calls.clear()
         run_case(entry["case"])
         (args,) = calls
-        template, sources, box, pins = args
-        _box, lanes, readers, repeats, single, occ_got = system = assemble(*args)
+        template, sources, box, pins, tag = args
+        _box, lanes, readers, repeats, single, occ_got, isolated = system = assemble(*args)
         every_lane, pin_occ = _unsplit(template, sources, pins)
+        assert isolated == _isolated(template, every_lane, box, pins), entry["case"]
+        assert not (pins and isolated), entry["case"]
+        isolating += bool(isolated)
         known = [lane for lane in every_lane if not any(c < 0 for c in lane[2])]
         pinned = {li for occ in pin_occ for li, _j in occ}
+        closed = {~slot for slot in isolated}
         assert lanes == [lane for li, lane in enumerate(every_lane)
-                         if lane not in known or li in pinned
-                         or not check_exactness(lane[2]).feasible], entry["case"]
+                         if not closed.intersection(lane[2])
+                         and (lane not in known or li in pinned
+                              or not check_exactness(lane[2]).feasible)], entry["case"]
         assert [[(lanes[li][0], j) for li, j in occ] for occ in occ_got] == \
             [[(every_lane[li][0], j) for li, j in occ] for occ in pin_occ], entry["case"]
+        if (template.name, tag, pins) == ("cs", "Xlim", []):
+            # a lane of one cycle, 4 cells, holding an unknown between zeros
+            lone_read_kept += any(len(cells) == 4 and cells.count(0) == 3 and min(cells) < 0
+                                  for _key, _c_lo, cells in lanes)
 
         scan = [set() for _ in box]
         for li, (_key, _c_lo, cells) in enumerate(lanes):
@@ -181,11 +228,7 @@ def test_worklist_and_closed_form_match_a_full_sweep(monkeypatch):
             assert single[li] == (unknown[0] if len(unknown) == 1 else None)
         assert [sorted(lis) for lis in readers] == [sorted(lis) for lis in scan], entry["case"]
 
-        worklist = [(0, INF)] * len(box)
-        sweep = list(worklist)
-        got = solver._propagate(system, pins, worklist)
-        assert got == _full_sweep(box, every_lane, pin_occ, pins, sweep), entry["case"]
-        assert worklist == sweep, entry["case"]
+        got = _beside_a_full_sweep(system, args, entry["case"])
         assert got[0] == entry["result"]["iterations"]
         outcomes["contradiction"] += got[1] is not None
         outcomes["pinned"] += bool(pins)
@@ -197,6 +240,20 @@ def test_worklist_and_closed_form_match_a_full_sweep(monkeypatch):
     assert len(golden) == 390
     assert outcomes == {"contradiction": 175, "pinned": 189, "known lane reported": 17,
                         "read lane before a failing known lane": 2}
+    assert (isolating, lone_read_kept) == (183, 17)
+
+
+def test_sizes_bound_every_golden_solve(monkeypatch):
+    """Every golden solve builds its lanes in one pass: the bound from sizes
+    clears, and the window pass guarding the budgets never runs."""
+    import trigrade.sequences as sequences
+
+    windows = sequences._windows
+    calls = []
+    monkeypatch.setattr(sequences, "_windows", lambda *args: calls.append(1) or windows(*args))
+    for entry in _golden():
+        run_case(entry["case"])
+    assert calls == []
 
 
 ORACLE_FAMILIES = ("k3-elliptic:r=1", "k3-finite:g=2", "k3-typeII:r=1", "k3-typeIII:k=1")
@@ -520,12 +577,7 @@ def test_pin_on_a_rank_unbounded_above(monkeypatch):
             assert res.underdetermined == [(q, *iv) for q, iv in zip(cells, under)]
         _assert_exact_bounds(res)
         (args,) = calls
-        template, sources, box, _pins = args
-        worklist = [(0, INF)] * len(box)
-        sweep = list(worklist)
-        assert solver._propagate(assemble(*args), pins, worklist) == \
-            _full_sweep(box, *_unsplit(template, sources, pins), pins, sweep), rank
-        assert worklist == sweep, rank
+        _beside_a_full_sweep(assemble(*args), args, rank)
 
 
 @pytest.mark.parametrize("pin, rounds, contradiction", [
@@ -551,12 +603,7 @@ def test_a_pin_on_known_lanes_alone(monkeypatch, pin, rounds, contradiction):
     assert [v.relation for v in res.report.violations] == ([contradiction] if contradiction else [])
     assert contradiction or all(hi is None for _quad, _lo, hi in res.underdetermined)
     (args,) = calls
-    template, sources, box, _pins = args
-    worklist = [(0, INF)] * len(box)
-    sweep = list(worklist)
-    assert solver._propagate(assemble(*args), pins, worklist) == \
-        _full_sweep(box, *_unsplit(template, sources, pins), pins, sweep)
-    assert worklist == sweep
+    _beside_a_full_sweep(assemble(*args), args)
 
 
 @pytest.mark.parametrize("unknown", [("Y", 1), "Y"], ids=["degree", "full"])
@@ -583,12 +630,9 @@ def test_a_cell_read_twice_with_no_feasible_dimension(monkeypatch, unknown):
                           "(lane (l=1, q=1, p=0) residue 0)")
     assert (v.lane, v.position) == ((1, 1, 0), 4)
     (args,) = calls
-    template, sources, box, _pins = args
+    box = args[2]
     assert box.index((1, 1, 1, 0)) == (0 if isinstance(unknown, tuple) else 2)
-    worklist = [(0, INF)] * len(box)
-    sweep = list(worklist)
-    assert solver._propagate(assemble(*args), [], worklist) == \
-        _full_sweep(box, *_unsplit(template, sources, []), [], sweep)
+    _beside_a_full_sweep(assemble(*args), args)
 
 
 @pytest.mark.parametrize("tag, degree, window", [
@@ -750,10 +794,14 @@ def _assembled(monkeypatch, template, tables, unknown, pins):
     ("k3-elliptic:r=2", "loc1", "Z:1"),
 ])
 def test_verification_fails_on_a_changed_cell(monkeypatch, spec, name, tag):
+    """A +1 on any one cell of the solved box fails the verification, on
+    the cells _verify reads off the propagated lanes and on the isolated
+    cells, 8 of the 32 in the cs solve, whose lanes were dropped."""
     tables = family_tables(parse_family(spec))
     known = {t: tab for t, tab in tables.items() if t != tag}
     template, system, pins, intervals = _assembled(
         monkeypatch, builtin_templates()[name], known, tag, [])
+    assert len(system[6]) == {"cs": 8, "loc1": 0}[name]
     assert solver._verify(template, system, pins, intervals)
     for slot, (value, _hi) in enumerate(intervals):
         bumped = intervals[:]
@@ -799,10 +847,11 @@ def test_worklist_matches_a_full_sweep_on_kunneth_products(monkeypatch):
     solve of each degree.  _propagate gives the full sweep's intervals,
     contradiction and round count, and every determined cell is the
     product's.  These lanes are longer than the golden's and some read two
-    or three unknown cells."""
+    or three unknown cells, and 372 of the 416 solves close isolated cells
+    at assembly."""
     assemble, calls = solver._assemble, []
     monkeypatch.setattr(solver, "_assemble", lambda *args: calls.append(args) or assemble(*args))
-    solves, unknowns_in_a_lane = 0, set()
+    solves, unknowns_in_a_lane, isolating = 0, set(), 0
     for builder, param in PRODUCT_SETS:
         for t in (1, 2):
             tables = _curve_product(builder(param), 2, t)
@@ -822,7 +871,7 @@ def test_worklist_matches_a_full_sweep_on_kunneth_products(monkeypatch):
                         assert res.table is not None, case
                         under = {quad: (lo, hi) for quad, lo, hi in res.underdetermined}
                         (args,) = calls
-                        template, sources, box, pins = args
+                        box = args[2]
                         for quad in box:
                             truth = tables[tag].dim(*quad)
                             if quad in under:
@@ -831,18 +880,15 @@ def test_worklist_matches_a_full_sweep_on_kunneth_products(monkeypatch):
                             else:
                                 assert res.table.dim(*quad) == truth, (case, quad)
                         system = assemble(*args)
-                        worklist = [(0, INF)] * len(box)
-                        sweep = list(worklist)
-                        got = solver._propagate(system, pins, worklist)
-                        assert got == _full_sweep(box, *_unsplit(template, sources, pins),
-                                                  pins, sweep), case
-                        assert worklist == sweep, case
+                        got = _beside_a_full_sweep(system, args, case)
                         assert got[0] == res.iterations, case
+                        isolating += bool(system[6])
                         unknowns_in_a_lane.update(
                             sum(c < 0 for c in cells) for _key, _c_lo, cells in system[1])
                         solves += 1
     assert solves == 416
     assert unknowns_in_a_lane == {1, 2, 3}
+    assert isolating == 372
 
 
 def test_the_lane_cell_budget_admits_products_up_to_n_16():
