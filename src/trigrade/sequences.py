@@ -16,16 +16,16 @@ Exactness of a chain of finite dimensional pieces is a pure dimension
 condition: ranks r_i of the connecting maps must satisfy d_i = r_{i-1} + r_i
 with zero rank entering the first position and leaving the last.  That
 recursion is check_exactness for one chain.  _lanes builds every lane of an
-instance in one pass over the reads, as key and (first cycle, cells), once
-sizes or a guard pass show they fit the budgets.  _lane_pass runs the
-recursion once over such lanes, in any order, and returns the lanes it
-cannot pass, as it took them, and each pin's total rank.  check_sequence
-and infer_rank run it over every lane of a known instance and rerun
-check_exactness on the failing lanes they report, with no Lane built.  The
-solver runs it over the lanes of an instance whose unknown cells read as
-negative ints, on which the recursion breaks, but for the lanes that hold a
-lone unknown between zeros, to find the lanes it must propagate, and over
-those lanes again to verify a determined solve.
+instance in one pass over the reads, as key and (first cycle, cells), and
+asks _windows to check the budgets only once what it allocates could break
+them.  _lane_pass runs the recursion once over such lanes, in any order,
+and returns the lanes it cannot pass, as it took them, and each pin's total
+rank.  check_sequence and infer_rank run it over every lane of a known
+instance and rerun check_exactness on the failing lanes they report, with no
+Lane built.  The solver runs it over the lanes of an instance whose unknown
+cells read as negative ints, on which the recursion breaks, but for the
+lanes that hold a lone unknown between zeros, to find the lanes it must
+propagate, and over those lanes again to verify a determined solve.
 """
 
 from __future__ import annotations
@@ -35,17 +35,22 @@ from .tables import (Frozen, TriFilteredTable, VerificationReport, Violation, _i
                      _json_list, _set)
 
 # No space has a degree above 2(MAX_N + 1), the top degree of a space of
-# complex dimension MAX_N + 1.  Template k_offsets lie within this bound, and _lanes refuses an
+# complex dimension MAX_N + 1.  Template k_offsets lie within this bound, and _windows refuses an
 # instance whose table degrees stray far enough to widen a lane beyond it.
 MAX_DEGREE = 2 * (MAX_N + 1)
 # A lane holds one cell per term per cycle, so the work of an instance grows
 # with the template's length: the builtin templates have at most 4 terms.
-# SequenceTemplate refuses more than MAX_TERMS terms, and _lanes an instance
+# SequenceTemplate refuses more than MAX_TERMS terms, and _windows an instance
 # whose lanes would hold more than MAX_LANE_CELLS cells in all, about 8 MB of
 # cell references; the largest product instance up to n = MAX_N, cs or
-# mirror-cs with one table unknown, holds about 63,000.
+# mirror-cs with one table unknown, holds about 63,000.  _lanes asks
+# _windows once it would allocate more than LANE_ALLOWANCE cells: an eighth
+# of the budget, 125,000 cells, lies above every product instance, so none
+# of them runs the window pass, and the 1 MB of cell references it allows
+# keeps a refused instance's memory small.
 MAX_TERMS = 1000
 MAX_LANE_CELLS = 1_000_000
+LANE_ALLOWANCE = MAX_LANE_CELLS // 8
 OVER_BUDGET = f"the lanes of this instance would hold more than {MAX_LANE_CELLS} cells"
 
 
@@ -263,36 +268,8 @@ def _require_data(template: SequenceTemplate, tables: dict[str, TriFilteredTable
                          "are all empty")
 
 
-def _sizes_fit(template: SequenceTemplate, sources: dict[str, dict]) -> bool:
-    """Whether sizes alone keep the lanes of an instance within the budgets
-    _windows checks, so that _lanes can build without its guard.
-
-    Every read's cycle lies in [c_min, c_max], from the least and greatest
-    degree of a space less the k_offset of a term reading it.  So a lane has
-    at most (c_max - c_min) // P + 1 cycles, and there are no more lanes
-    than reads.  When c_min and c_max lie in [-2B, 2B], B = MAX_DEGREE, and
-    reads * ((c_max - c_min) // P + 1) * T <= MAX_LANE_CELLS, no check of
-    _windows can refuse the instance.  This holds for every builtin
-    instance.  Each space's degree range is taken once, not once per term:
-    1,000 equal terms must not scan their table 1,000 times.
-    """
-    degrees = {s: (min(sources[s])[0], max(sources[s])[0])
-               for s in template.spaces() if sources[s]}
-    cycles = [(degrees[t.space][0] - t.k_offset, degrees[t.space][1] - t.k_offset)
-              for t in template.terms if t.space in degrees]
-    if not cycles:
-        return True
-    c_min = min(lo for lo, _hi in cycles)
-    c_max = max(hi for _lo, hi in cycles)
-    reads = sum(len(sources[t.space]) for t in template.terms)
-    return (-2 * MAX_DEGREE <= c_min and c_max <= 2 * MAX_DEGREE and
-            reads * ((c_max - c_min) // template.period + 1) * len(template.terms)
-            <= MAX_LANE_CELLS)
-
-
-def _windows(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
-    """The guard of _lanes: map key -> (first cycle, last cycle) for every
-    lane, once the instance is checked against the budgets.
+def _windows(template: SequenceTemplate, sources: dict[str, dict]) -> None:
+    """Refuse, with a ValueError, an instance whose lanes break the budgets.
 
     A few KB of input can otherwise ask for lanes of millions of cells.
     Every lane's cycle window must lie in [-2B, 2B], with B = MAX_DEGREE;
@@ -336,7 +313,6 @@ def _windows(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
     # ((c_hi - c_lo) // P + 1) * T cells
     if (span // P + len(windows)) * T > MAX_LANE_CELLS:
         raise ValueError(OVER_BUDGET)
-    return windows
 
 
 def _lanes(template: SequenceTemplate, sources: dict[str, dict],
@@ -361,21 +337,26 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict],
     (c - c_lo) // P * T + j.  When ``opened`` is a dict, it maps the key of
     each lane that a negative cell opens to that cell.
 
-    When _sizes_fit cannot rule out the budgets, _windows runs first as a
-    guard: it refuses an instance over them before any lane is allocated,
-    or returns every lane's window.  The pass then starts from those
-    windows' zero-filled lanes, so that no read opens or extends a lane,
-    and ``opened`` stays empty.  Either way an instance is accepted or
-    refused, and with which error, as by _windows alone.
+    The pass keeps the budgets of _windows where it allocates, at an opening
+    and an extension: it counts the cells these add against LANE_ALLOWANCE,
+    and checks that the cycle they reach lies in [-2B, 2B], B = MAX_DEGREE.
+    A read inside a lane's cycles allocates nothing and is not checked.
+    Before an allocation that would exceed the allowance, or reach a cycle
+    outside that range, the pass calls _windows once, which refuses the
+    instance or returns; the pass then goes on with no cap.  If it never
+    calls _windows, every lane's window lies in range and the lanes hold at
+    most LANE_ALLOWANCE <= MAX_LANE_CELLS cells, so _windows would accept
+    the instance; and every refusal is raised by _windows itself.  So an
+    instance is accepted or refused, and with which error, as by _windows
+    alone.
     """
     P = template.period
     T = len(template.terms)
+    B = 2 * MAX_DEGREE
     if opened is None:
         opened = {}
+    allowance = LANE_ALLOWANCE
     lanes: dict = {}
-    if not _sizes_fit(template, sources):
-        lanes = {key: (c_lo, [0] * (((c_hi - c_lo) // P + 1) * T))
-                 for key, (c_lo, c_hi) in _windows(template, sources).items()}
     for j, term in enumerate(template.terms):
         ko, s, tw = term.k_offset, term.shift, term.twist
         for (k, l, q, p), value in sources[term.space].items():
@@ -383,34 +364,52 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict],
             key = (l - s, q - 2 * tw, p - tw, c % P)
             lane = lanes.get(key)
             if lane is None:
+                added = T
+            else:
+                c_lo, cells = lane
+                i = (c - c_lo) // P * T + j
+                if 0 <= i < len(cells):
+                    cells[i] = value
+                    continue
+                # whole cycles of zeros in front, so that cells start at c,
+                # or behind, up to c's
+                added = j - i if i < 0 else i - j + T - len(cells)
+            if added > allowance or not -B <= c <= B:
+                _windows(template, sources)
+                allowance = float("inf")
+            allowance -= added
+            if lane is None:
                 cells = [0] * T
                 cells[j] = value
                 lanes[key] = (c, cells)
                 if value < 0:
                     opened[key] = value
                 continue
-            c_lo, cells = lane
-            i = (c - c_lo) // P * T + j
-            if i < 0:  # whole cycles of zeros in front, so that cells start at c
-                cells[:0] = [0] * (j - i)
+            if i < 0:
+                cells[:0] = [0] * added
                 lanes[key] = (c, cells)
                 i = j
-            elif i >= len(cells):  # whole cycles of zeros behind, up to c's
-                cells += [0] * (i - j + T - len(cells))
+            else:
+                cells += [0] * added
             cells[i] = value
     return lanes
 
 
+def _cell(template: SequenceTemplate, c_lo: int, i: int) -> tuple[int, int]:
+    """Cell i of a lane whose first cycle is c_lo: the index of its term,
+    i % T, and the degree it reads in that term's table, its cycle
+    c_lo + (i // T) * P plus the term's k_offset."""
+    block, j = divmod(i, len(template.terms))
+    return j, c_lo + block * template.period + template.terms[j].k_offset
+
+
 def _as_lane(template: SequenceTemplate, key: tuple[int, int, int, int], c_lo: int,
              cells: list[int]) -> Lane:
-    """One enumerated lane as a Lane: cell j belongs to term j % T and reads
-    degree c_lo + (j // T) * P + that term's k_offset."""
+    """One enumerated lane as a Lane, each cell an entry of its term and
+    degree."""
     l, q, p, res = key
-    P = template.period
-    T = len(template.terms)
     return Lane(l, q, p, res, c_lo, tuple([
-        LaneEntry(j % T, c_lo + (j // T) * P + template.terms[j % T].k_offset, dim)
-        for j, dim in enumerate(cells)]))
+        LaneEntry(*_cell(template, c_lo, i), dim) for i, dim in enumerate(cells)]))
 
 
 def extract_lanes(template: SequenceTemplate,
@@ -544,16 +543,14 @@ def _sequence_report(template: SequenceTemplate, tables: dict[str, TriFilteredTa
     """check_sequence's report, also on the all-empty tables a solve can complete."""
     rep = VerificationReport()
     failures, totals = _instance_pass(template, tables, pins)
-    T = len(template.terms)
     for key, (c_lo, cells) in failures:
         res = check_exactness(cells)
         i, reason = res.failure_index, res.reason
-        # cell i is term i % T at cycle c_lo + (i // T) * P, as in _as_lane
-        term = template.terms[i % T]
-        degree = c_lo + (i // T) * template.period + term.k_offset
+        j, degree = _cell(template, c_lo, i)
+        term = template.terms[j]
         rep.add(Violation(
             f"exactness: {reason} ({_describe_lane(key)}, "
-            f"term {i % T} [{term.space}] in degree {degree})",
+            f"term {j} [{term.space}] in degree {degree})",
             space=term.space, lane=key[:3], position=i))
     if not rep.passed:
         return rep

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trigrade import (SpaceDescriptor, TriFilteredTable, builtin_templates,
-                      family_tables, parse_family, parse_grid,
-                      tables_from_json_obj, tables_to_json_obj)
+from trigrade import (SequenceTemplate, SpaceDescriptor, TriFilteredTable,
+                      builtin_templates, check_sequence, family_tables, parse_family,
+                      parse_grid, solve_unknown, tables_from_json_obj, tables_to_json_obj)
 from trigrade.cli import main
 
 
@@ -214,7 +214,8 @@ def _invoke_traced(args):
     (34, True), (-34, True), (35, False), (-35, False), (10**5, False)])
 def test_template_k_offset_is_bounded(tmp_path, command, offset, accepted):
     """A lane spans the spread of the k_offsets, so an offset beyond any
-    table's degrees is refused before a lane is built."""
+    table's degrees is refused when the template is read, before any lane
+    is opened."""
     template = {"period": 1, "terms": [{"space": "Y"}, {"space": "Y", "k_offset": offset}]}
     obj = {"template": template, "tables": ["k3-elliptic:r=2"]}
     if command == "solve":
@@ -235,9 +236,10 @@ def test_template_k_offset_is_bounded(tmp_path, command, offset, accepted):
 def test_template_length_is_bounded(tmp_path, command, terms, shifts):
     """A lane holds one cell per term per cycle: a template longer than
     MAX_TERMS is refused when it is read, and an instance whose lanes would
-    hold more than MAX_LANE_CELLS cells before a lane is built.  Terms read
-    Y with k_offsets cycling through -34..34, and with shifts cycling
-    through 0..shifts-1, each of which opens lanes of its own."""
+    hold more than MAX_LANE_CELLS cells by the window pass, once the lanes
+    built so far would pass LANE_ALLOWANCE cells.  Terms read Y with
+    k_offsets cycling through -34..34, and with shifts cycling through
+    0..shifts-1, each of which opens lanes of its own."""
     template = {"period": 1, "terms": [{"space": "Y", "k_offset": -34 + i % 69, "shift": i % shifts}
                                        for i in range(terms)]}
     obj = {"template": template, "tables": ["k3-elliptic:r=2"]}
@@ -257,9 +259,10 @@ def test_template_length_is_bounded(tmp_path, command, terms, shifts):
 
 @pytest.mark.parametrize("command", ["check", "solve"])
 def test_the_template_at_the_cap_is_guarded_then_built(tmp_path, monkeypatch, command):
-    """1,000 terms reading Y with k_offsets cycling through -34..34: the
-    bound from sizes cannot rule out the budgets, so the window pass runs
-    once as a guard, and the instance, within them, is built and checked."""
+    """1,000 terms reading Y with k_offsets cycling through -34..34 open 7
+    lanes of 483,000 cells in all: once they would pass LANE_ALLOWANCE
+    cells, the window pass runs once, finds the instance within the
+    budgets, and the lanes are built on and checked."""
     import trigrade.sequences as sequences
 
     windows, calls = sequences._windows, []
@@ -278,7 +281,10 @@ def test_the_template_at_the_cap_is_guarded_then_built(tmp_path, monkeypatch, co
 def test_equal_terms_are_refused_quickly(tmp_path, command):
     """1,000 equal terms read a Y table of 10,000 entries in 500 lanes of 20
     cycles: 10,000,000 cells, over the budget.  Equal terms open equal
-    lanes, so the refusal takes one pass over the table, not one per term."""
+    lanes, so the refusal takes one pass over the table, not one per term.
+    The lanes built before the window pass runs take at most LANE_ALLOWANCE
+    cells, 1 MB: in process, past reading the tables, whose JSON alone
+    takes 4 MB, the refusal peaks under 2 MB."""
     y = TriFilteredTable(SpaceDescriptor("Y", 16, 1),
                          {(k, l, 0, 0): 1 for k in range(20) for l in range(500)})
     obj = {"template": {"period": 1, "terms": [{"space": "Y"}] * 1000},
@@ -292,13 +298,26 @@ def test_equal_terms_are_refused_quickly(tmp_path, command):
     assert (res.exit_code, res.stdout, res.stderr) == (
         2, "", "error: the lanes of this instance would hold more than 1000000 cells\n")
     assert elapsed < 1, elapsed
+    template = SequenceTemplate.from_json_obj(obj["template"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^the lanes of this instance"):
+            if command == "solve":
+                solve_unknown(template, {"Y": y}, ("Y", 2))
+            else:
+                check_sequence(template, {"Y": y})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
 @pytest.mark.parametrize("degree, accepted", [(34, True), (10**5, False)])
 def test_table_degree_is_bounded(tmp_path, command, degree, accepted):
     """A lane spans the cycle degrees it reads, so a table entry far beyond
-    any space's degrees is refused before a lane is built."""
+    any space's degrees is refused by the window pass, which runs before a
+    lane reaches the entry's cycle."""
     tables = family_tables(parse_family("k3-elliptic:r=2"))
     y = tables["Y"]
     tables["Y"] = TriFilteredTable(y.space, {**y.entries, (degree, 1, 0, 0): 1})

@@ -228,16 +228,57 @@ def test_lanes_match_naive_reads(case):
 
 
 @given(_template_and_sources())
-def test_lanes_match_naive_reads_through_the_guard(case):
-    """With the bound from sizes made to fail, _windows runs first and the
-    pass starts from its windows: the same lanes, none noted as opened."""
+def test_lanes_that_ask_the_window_pass_at_the_first_read_are_the_same(case):
+    """With no allowance, the first read makes _lanes call _windows, which
+    accepts, and the pass goes on to build the same lanes and note the same
+    opened lanes as without the call."""
     template, sources = case
     opened = {}
-    with mock.patch.object(sequences, "_sizes_fit", lambda *args: False):
-        lanes = _lanes(template, sources, opened)
+    lanes = _lanes(template, sources, opened)
+    windows, calls = sequences._windows, []
+    asked = {}
+    with mock.patch.object(sequences, "LANE_ALLOWANCE", 0), \
+            mock.patch.object(sequences, "_windows",
+                              lambda *args: calls.append(1) or windows(*args)):
+        assert _lanes(template, sources, asked) == lanes
+    assert asked == opened
+    assert calls == ([1] if lanes else [])
+
+
+@st.composite
+def _far_reaching_instances(draw):
+    """An instance of _template_and_sources, with at times one entry in a
+    degree whose cycle may lie outside [-2 MAX_DEGREE, 2 MAX_DEGREE]."""
+    template, sources = draw(_template_and_sources())
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([-72, -66, 66, 72]))
+        _k, l, q, p = draw(_quad)
+        sources[draw(st.sampled_from(template.spaces()))][(k, l, q, p)] = draw(st.integers(-9, 9))
+    return template, sources
+
+
+@given(_far_reaching_instances(), st.integers(0, 400), st.data())
+def test_lanes_refuse_as_the_window_pass_does(case, budget, data):
+    """Under a small cell budget and an allowance within it, _lanes raises
+    exactly when _windows raises, with its message, and otherwise builds
+    the naive lanes."""
+    template, sources = case
+    allowance = data.draw(st.integers(0, budget))
+    with mock.patch.object(sequences, "MAX_LANE_CELLS", budget), \
+            mock.patch.object(sequences, "LANE_ALLOWANCE", allowance):
+        try:
+            sequences._windows(template, sources)
+            error = None
+        except ValueError as exc:
+            error = str(exc)
+        if error is not None:
+            with pytest.raises(ValueError) as exc:
+                _lanes(template, sources)
+            assert str(exc.value) == error
+            return
+        lanes = _lanes(template, sources)
     assert sorted((key, *lane) for key, lane in lanes.items()) \
         == _naive_lanes(template, sources)
-    assert opened == {}
 
 
 @given(_template_and_sources())
@@ -521,10 +562,11 @@ def test_a_failing_lane_is_reported_from_its_failing_cell():
 def test_lanes_opened_term_by_term_are_refused_early():
     """100 terms read Y, each with a twist of its own, so each term opens a
     lane for every entry: 200,000 lanes of 100 cells on a table of 2,000
-    entries.  The first pass of _lanes refuses the instance once the lanes
-    it has opened hold more than MAX_LANE_CELLS cells, before their windows
-    fill memory (46 MB under tracemalloc when only the sum between the
-    passes refused it)."""
+    entries.  _lanes opens lanes until they would pass LANE_ALLOWANCE cells,
+    then calls _windows, whose first pass refuses the instance once the
+    lanes it has opened hold more than MAX_LANE_CELLS cells, before their
+    windows fill memory (46 MB under tracemalloc when only the sum between
+    the passes refused it)."""
     entries = {(k, l, k, 0): 1 for k in range(20) for l in range(100)}
     tables = {"Y": TriFilteredTable(SpaceDescriptor("Y", 16, 1), entries)}
     tmpl = SequenceTemplate("twists", 1, tuple(SequenceTerm("Y", twist=i) for i in range(100)))

@@ -244,8 +244,9 @@ def test_worklist_and_closed_form_match_a_full_sweep(monkeypatch):
 
 
 def test_sizes_bound_every_golden_solve(monkeypatch):
-    """Every golden solve builds its lanes in one pass: the bound from sizes
-    clears, and the window pass guarding the budgets never runs."""
+    """Every golden solve builds its lanes in one pass within LANE_ALLOWANCE
+    cells, every cycle within [-2 MAX_DEGREE, 2 MAX_DEGREE], so the window
+    pass guarding the budgets never runs."""
     import trigrade.sequences as sequences
 
     windows = sequences._windows
