@@ -36,8 +36,11 @@ class _Family(Frozen):
 
     def _tables(self) -> dict[str, TriFilteredTable]:
         (t,) = self._values
-        tables = {tag: TriFilteredTable(SpaceDescriptor.parse_tag(tag, N, self.M),
-                                        {quad: c + s * t for quad, (c, s) in coeffs.items()})
+        # t is a checked int, and no c + s*t is negative at any t >= LEAST
+        # (tests/test_catalog.py): the zeros dropped, the entries need no check
+        tables = {tag: TriFilteredTable._of(SpaceDescriptor.parse_tag(tag, N, self.M),
+                                            {quad: v for quad, (c, s) in coeffs.items()
+                                             if (v := c + s * t)})
                   for tag, coeffs in self.TABLES.items()}
         dual = poincare_verdier_dual(tables[self.DUAL])
         tables[dual.space.tag] = dual

@@ -22,11 +22,19 @@ def validate_table(table: TriFilteredTable) -> VerificationReport:
     """
     sp = table.space
     k_lo, k_hi = sp.degree_range()
+    # (k, q) -> the lane and Hodge windows of a weight-q piece of H^k, or
+    # empty ones when k or q lies outside its window
+    windows: dict[tuple[int, int], tuple[int, int, int, int]] = {}
     failing = []
     for quad in table.entries:
-        relations = _window_failures(sp, k_lo, k_hi, *quad)
-        if relations:
-            failing.append((quad, relations))
+        k, l, q, p = quad
+        w = windows.get((k, q))
+        if w is None:
+            q_lo, q_hi = sp.weight_range(k)
+            w = windows[k, q] = (sp.lane_range(k) + sp.hodge_range(k, q)
+                                 if k_lo <= k <= k_hi and q_lo <= q <= q_hi else (1, 0, 1, 0))
+        if not (w[0] <= l <= w[1] and w[2] <= p <= w[3]):
+            failing.append((quad, _window_failures(sp, k_lo, k_hi, *quad)))
     failing.sort()
     return VerificationReport([Violation(relation, space=sp.tag, entry=quad)
                                for quad, relations in failing for relation in relations])

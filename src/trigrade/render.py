@@ -22,6 +22,14 @@ def render_table(table: TriFilteredTable) -> str:
     for (k, l, q, p), v in table.entries.items():
         by_kl.setdefault((k, l), {})[(p, q)] = v
     for (k, l), cells in sorted(by_kl.items()):
+        lines += ["", f"## k={k} l={l}"]
+        if len(cells) == 1:  # most blocks: written without the row machinery
+            ((p, q), v), = cells.items()
+            p, q, v = str(p), str(q), str(v)
+            left, width = max(3, len(p)), max(len(q), len(v))
+            lines += ["p\\q".ljust(left) + "  " + q.rjust(width),
+                      p.ljust(left) + "  " + v.rjust(width)]
+            continue
         qs = sorted({q for (_, q) in cells})
         # the column header row, then one row per p; the first column is
         # left-aligned, the q columns right-aligned
@@ -29,7 +37,6 @@ def render_table(table: TriFilteredTable) -> str:
         rows += [[str(p), *[str(cells.get((p, q), ".")) for q in qs]]
                  for p in sorted({p for (p, _) in cells})]
         left, *widths = [max(map(len, column)) for column in zip(*rows)]
-        lines += ["", f"## k={k} l={l}"]
         lines += ["  ".join([row[0].ljust(left), *map(str.rjust, row[1:], widths)])
                   for row in rows]
     return "\n".join(lines) + "\n"
@@ -64,7 +71,7 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
     def flush():
         nonlocal entries
         if desc is not None:
-            tables[desc.tag] = TriFilteredTable(desc, entries)
+            tables[desc.tag] = TriFilteredTable._of(desc, entries)
         entries = {}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -72,7 +79,8 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
         if not line:
             continue
         toks = line.split()
-        if line.startswith("# table ") or line == "# table":
+        head = toks[0]  # the kind of line; a malformed header reads as a row
+        if head == "#" and (line.startswith("# table ") or line == "# table"):
             flush()
             if len(toks) == 2:
                 raise ValueError(f"line {lineno}: empty table header")
@@ -94,14 +102,14 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
             if desc.tag in tables:
                 raise ValueError(f"line {lineno}: duplicate table {desc.tag}")
             k = l = None
-        elif line.startswith("## "):
+        elif head == "##" and line.startswith("## "):
             if desc is None:
                 raise ValueError(f"line {lineno}: block before any table header")
             if len(toks) != 3 or toks[1][:2] != "k=" or toks[2][:2] != "l=":
                 raise ValueError(f"line {lineno}: bad block header {line!r}")
             k, l = _int(toks[1][2:], lineno), _int(toks[2][2:], lineno)
             qs = []
-        elif toks[0] == "p\\q":
+        elif head == "p\\q":
             if k is None:
                 raise ValueError(f"line {lineno}: column header outside a block")
             qs = [_int(tok, lineno) for tok in toks[1:]]
@@ -111,15 +119,16 @@ def parse_grid(text: str) -> dict[str, TriFilteredTable]:
             if len(toks) != len(qs) + 1:
                 raise ValueError(
                     f"line {lineno}: expected {len(qs)} cells, got {len(toks) - 1}")
-            p = _int(toks[0], lineno)
+            p = _int(head, lineno)
             for q, tok in zip(qs, toks[1:]):
                 if tok == ".":
                     continue
                 key = (k, l, q, p)
                 if key in entries:
                     raise ValueError(f"line {lineno}: duplicate cell {key}")
-                entries[key] = _int(tok, lineno)
-                if entries[key] <= 0:
+                v = _int(tok, lineno)
+                if v <= 0:
                     raise ValueError(f"line {lineno}: dimension {tok} is not positive")
+                entries[key] = v
     flush()
     return tables

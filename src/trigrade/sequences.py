@@ -244,9 +244,14 @@ def _check_instance(template: SequenceTemplate, tables: dict[str, TriFilteredTab
     if missing:
         raise ValueError(
             f"template {template.name!r} is missing tables for {', '.join(missing)}")
-    spaces = [t.space for t in tables.values()]
-    for attr in ("n", "m"):
-        found = {sp.tag: getattr(sp, attr) for sp in spaces if getattr(sp, attr) is not None}
+    found_n, found_m = {}, {}  # tag -> n, and tag -> m where m is set
+    for t in tables.values():
+        sp = t.space
+        tag = sp.tag
+        found_n[tag] = sp.n
+        if sp.m is not None:
+            found_m[tag] = sp.m
+    for attr, found in (("n", found_n), ("m", found_m)):
         if len(set(found.values())) > 1:
             listed = ", ".join(f"{tag} {attr}={v}" for tag, v in found.items())
             raise ValueError(f"the tables of one instance disagree on {attr}: {listed}")

@@ -533,7 +533,9 @@ def solve_unknown(template: SequenceTemplate,
         else:
             under.append((quad, lo, None if hi == INF else hi))
 
-    table = TriFilteredTable(space, solved)
+    # the kept degrees come from a checked table, and every solved value is
+    # an int bound, positive
+    table = TriFilteredTable._of(space, solved)
     determined = not under
     report = VerificationReport()
     if determined and not _verify(template, system, pins, intervals):

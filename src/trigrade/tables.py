@@ -18,6 +18,14 @@ an integer argument through _integer.  Violation and VerificationReport,
 what every check and solve reports, live here too, so that reporting loads
 none of the single-table checks.
 
+TriFilteredTable's __init__, and so from_json_obj and tables_from_json_obj,
+check every entry.  The builders whose entries are checked already skip
+that through the private TriFilteredTable._of: poincare_verdier_dual and
+mirror.mirror_transform move a checked table's entries one to one, the
+catalog evaluates its stored pairs at a checked parameter, parse_grid
+checks each cell as it reads it, and solve_unknown's result holds a
+checked table's entries and int bounds.
+
 Every JSON output is canonical_json's text, byte for byte
 ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``.  A small formatter
 writes it: with an indent, json.dumps (on Python 3.11, for one) skips its
@@ -179,6 +187,16 @@ class TriFilteredTable(Frozen):
         _set(self, "space", space)
         _set(self, "entries", clean)
 
+    @classmethod
+    def _of(cls, space: SpaceDescriptor, entries: dict[Quad, int]) -> "TriFilteredTable":
+        """The table holding ``entries`` itself, unchecked: for a builder
+        whose entries, four-int keys to positive ints, come from a checked
+        table or were checked as it read them."""
+        table = object.__new__(cls)
+        _set(table, "space", space)
+        _set(table, "entries", entries)
+        return table
+
     def dim(self, k: int, l: int, q: int, p: int) -> int:
         return self.entries.get((k, l, q, p), 0)
 
@@ -235,7 +253,7 @@ def poincare_verdier_dual(table: TriFilteredTable) -> TriFilteredTable:
     itself, in dimension n; Z:r with itself in n-r; Xlim with itself in n;
     Total with Supported, cohomology supported on the central fibre, in n+1."""
     d = table.space.complex_dim
-    return TriFilteredTable(table.space.dual(), {
+    return TriFilteredTable._of(table.space.dual(), {
         (2 * d - k, 2 * d - l, 2 * d - q, d - p): v
         for (k, l, q, p), v in table.entries.items()})
 
@@ -245,16 +263,19 @@ def canonical_json(obj) -> str:
     ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, byte for byte.
     A list or dict that contains itself raises RecursionError, where
     json.dumps reports a circular reference; no payload here holds one."""
-    return _dumps(obj, "\n") + "\n"
+    return _dumps(obj, "\n", {}) + "\n"
 
 
-def _dumps(o, nl: str) -> str:
+def _dumps(o, nl: str, keyed: dict) -> str:
     """json.dumps(o, indent=2, sort_keys=True) at the depth whose line break
     and indent is ``nl``.  Exact str and int, non-empty lists and non-empty
     dicts with only str keys are written here, as json writes them; anything
     else (floats, bools, None, tuples, subclasses, empty containers, other
     keys) goes to json.dumps, whose standalone text is the nested text with
-    every later line shifted by the depth."""
+    every later line shifted by the depth.  ``keyed``, made afresh by each
+    canonical_json call, maps a dict's keys in insertion order to its sorted
+    (key, quoted key prefix) pairs, or to () when a key is not a str: the
+    entry dicts of a table share one key set, sorted and quoted once."""
     t = type(o)
     if t is str:
         return _quote(o)
@@ -262,12 +283,18 @@ def _dumps(o, nl: str) -> str:
         return _int(o)
     inner = nl + "  "
     if t is list and o:
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in o]) + nl + "]"
-    if t is dict and o and all([type(key) is str for key in o]):
-        # an int value inline: most values are the indices of an entry
-        return "{" + inner + ("," + inner).join(
-            [_quote(key) + ": " + (_int(v) if type(v) is int else _dumps(v, inner))
-             for key, v in sorted(o.items())]) + nl + "}"
+        return "[" + inner + ("," + inner).join([_dumps(v, inner, keyed) for v in o]) + nl + "]"
+    if t is dict and o:
+        keys = tuple(o)
+        pairs = keyed.get(keys)
+        if pairs is None:
+            pairs = keyed[keys] = ([(key, _quote(key) + ": ") for key in sorted(keys)]
+                                   if all([type(key) is str for key in keys]) else ())
+        if pairs:
+            # an int value inline: most values are the indices of an entry
+            return "{" + inner + ("," + inner).join(
+                [head + (_int(v) if type(v := o[key]) is int else _dumps(v, inner, keyed))
+                 for key, head in pairs]) + nl + "}"
     return json.dumps(o, indent=2, sort_keys=True).replace("\n", nl)
 
 

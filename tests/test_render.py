@@ -69,6 +69,20 @@ def test_parse_empty_table():
     ("# table Y n=2 m=1\n## k=02 l=2\n", "line 2: bad integer '02'"),
     ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  -5\n", "line 4: dimension -5 is not"),
     ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  0\n", "line 4: dimension 0 is not"),
+    # every cell render_table never writes, and a cell given twice: in one
+    # row, in a repeated row, in a repeated block
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  -1\n", "^line 4: dimension -1 is not positive$"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  +1\n", "^line 4: bad integer '\\+1'$"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  1.0\n", "^line 4: bad integer '1.0'$"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2  2\n1  5  5\n",
+     "^line 4: duplicate cell \\(2, 2, 2, 1\\)$"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  5\n1  5\n",
+     "^line 5: duplicate cell \\(2, 2, 2, 1\\)$"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n1  5\n## k=2 l=2\np\\q  2\n1  5\n",
+     "^line 7: duplicate cell \\(2, 2, 2, 1\\)$"),
+    # a malformed header is read as a row, and refused as one
+    ("# table Y n=2 m=1\n##\tk=2 l=2\n", "^line 2: unexpected row"),
+    ("# table Y n=2 m=1\n## k=2 l=2\np\\q  2\n#  table U n=2 m=1\n", "^line 4: expected 1 cells"),
     ("# table Y n=99 m=1\n", "line 1: dimension n=99"),
     ("# table Y n=2 m=1\n## k=2 l=2\np\\qX  2\n1  5\n", "line 3: unexpected row"),
     ("# table Y n=2 m=1\n\n# table U n=2 m=1\n# table Y n=2 m=1\n", "line 4: duplicate table Y"),

@@ -1,4 +1,6 @@
+import ast
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -6,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_tables
-from trigrade import (SpaceDescriptor, TriFilteredTable, canonical_json, family_tables,
-                      parse_family, tables_from_json_obj, tables_to_json_obj)
+import trigrade
+from trigrade import (EllipticCurveBase, FiniteSurfaceBase, SpaceDescriptor, TriFilteredTable,
+                      TypeII, TypeIII, builtin_templates, canonical_json, family_tables,
+                      mirror_transform, parse_family, parse_grid, poincare_verdier_dual,
+                      render_tables, solve_unknown, tables_from_json_obj, tables_to_json_obj)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -37,6 +42,79 @@ def test_construction_rejects_bad_values():
 def test_construction_rejects_booleans(entries):
     with pytest.raises(ValueError):
         TriFilteredTable(Y2, entries)
+
+
+# the 79 families of the sweep in scripts/verify_families.py
+SWEEP = ([EllipticCurveBase(r) for r in range(1, 21)]
+         + [FiniteSurfaceBase(g) for g in range(2, 21)]
+         + [TypeII(r) for r in range(1, 21)] + [TypeIII(k) for k in range(1, 21)])
+
+
+def _built(tables: dict) -> list:
+    """What the builders that skip the entry checks make from ``tables``:
+    each table's dual, its mirror transform where it has a match, and the
+    tables read back from their grids."""
+    out = [*map(poincare_verdier_dual, tables.values()),
+           *[mirror_transform(t) for tag, t in tables.items() if tag in ("Y", "Uc")]]
+    return out + list(parse_grid(render_tables(tables)).values())
+
+
+def test_unchecked_builders_match_the_checking_constructor():
+    """The catalog, the duals, mirror_transform, parse_grid and the solver
+    build their tables without checking the entries again.  Each such table
+    equals the one the checking constructor makes of its entries, so none
+    holds a zero, a negative or a non-int entry, or a key that is no four
+    ints: on every sweep family, on a +1 and a -1 at each entry of each of
+    its tables, and on every completed solve of solve_roundtrip's families,
+    in full and per degree."""
+    built, solved = [], 0
+    for fam in SWEEP:
+        tables = family_tables(fam)
+        built += [*tables.values(), *_built(tables)]
+        for tag, t in tables.items():
+            for quad, v in t.entries.items():
+                for dv in (1, -1):
+                    mutated = TriFilteredTable(t.space, {**t.entries, quad: v + dv})
+                    built += _built({tag: mutated})
+    templates = builtin_templates()
+    for fam in (EllipticCurveBase(2), FiniteSurfaceBase(3), TypeII(2), TypeIII(2)):
+        tables = family_tables(fam)
+        for tmpl in templates.values():
+            if not all(s in tables for s in tmpl.spaces()):
+                continue
+            for tag in tmpl.spaces():
+                k_lo, k_hi = tables[tag].space.degree_range()
+                known = {t: tab for t, tab in tables.items() if t != tag}
+                results = [solve_unknown(tmpl, known, tag)]
+                results += [solve_unknown(tmpl, tables, (tag, k)) for k in range(k_lo, k_hi + 1)]
+                done = [res.table for res in results if res.table is not None]
+                solved += len(done)
+                built += done
+    assert len(built) > 9000 and solved > 100, (len(built), solved)
+    for t in built:
+        assert t == TriFilteredTable(t.space, dict(t.entries)), t
+
+
+def _of_callers(node, where: str) -> list:
+    """The qualified names of the functions in ``node`` that call _of."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found += _of_callers(child, f"{where}.{child.name}")
+        elif isinstance(child, ast.Attribute) and child.attr == "_of":
+            found.append(where)
+        else:
+            found += _of_callers(child, where)
+    return found
+
+
+def test_only_the_listed_builders_skip_the_entry_checks():
+    package = Path(trigrade.__file__).parent
+    callers = {caller for path in package.glob("*.py")
+               for caller in _of_callers(ast.parse(path.read_text()), path.stem)}
+    assert callers == {"tables.poincare_verdier_dual", "catalog._Family._tables",
+                       "mirror.mirror_transform", "render.parse_grid.flush",
+                       "solver.solve_unknown"}
 
 
 def test_totals():
@@ -76,6 +154,27 @@ def test_json_duplicate_entries():
 def test_json_malformed():
     with pytest.raises(ValueError):
         TriFilteredTable.from_json_obj({"space": "Y", "n": 2})
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("dim", True, "dimension at (2, 2, 2, 1) is not an integer: True"),
+    ("dim", 1.5, "dimension at (2, 2, 2, 1) is not an integer: 1.5"),
+    ("dim", "1", "dimension at (2, 2, 2, 1) is not an integer: '1'"),
+    ("dim", -1, "negative dimension -1 at (2, 2, 2, 1)"),
+    ("k", True, "bad index quadruple (True, 2, 2, 1)"),
+    ("k", "0", "bad index quadruple ('0', 2, 2, 1)"),
+    ("p", True, "bad index quadruple (2, 2, 2, True)"),
+    ("q", "0", "bad index quadruple (2, 2, '0', 1)"),
+])
+def test_json_readers_refuse_bad_entries(field, value, message):
+    """Both JSON readers, of one table and of a table set, check every entry."""
+    entry = {"k": 2, "l": 2, "q": 2, "p": 1, "dim": 1, field: value}
+    obj = {"space": "Y", "n": 2, "m": 1, "entries": [entry]}
+    for read in (TriFilteredTable.from_json_obj, tables_from_json_obj,
+                 lambda o: tables_from_json_obj({"tables": [o]})):
+        with pytest.raises(ValueError) as info:
+            read(obj)
+        assert str(info.value) == message
 
 
 def test_zero_dim_accepted_on_read():
@@ -133,6 +232,26 @@ def test_canonical_json_is_json_dumps(value):
 ])
 def test_canonical_json_edge_cases(value):
     assert canonical_json(value) == json_oracle(value)
+
+
+def test_canonical_json_keeps_nothing_between_calls():
+    """The sorted keys canonical_json remembers live for one call: a thousand
+    payloads, each dict with a key set of its own, are written as json.dumps
+    writes them and leave traced memory where it was.  A memo kept across
+    calls would hold every key set, well over 100 KB of them."""
+    payloads = [{f"key{i}": [i, {f"a{i}": i, f"b{i}": [str(i)]}], "n": {f"c{i}": i}}
+                for i in range(1000)]
+    want = [json_oracle(v) for v in payloads]
+    canonical_json(payloads[0])  # anything a first call sets up once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        wrong = sum([canonical_json(v) != text for v, text in zip(payloads, want)])
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert wrong == 0
+    assert after - before < 1024, after - before
 
 
 def test_canonical_json_of_golden_table_sets():
