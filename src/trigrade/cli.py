@@ -95,9 +95,11 @@ def check(input):
     input error when every table the template reads is empty); a table set
     {"tables": [...]}, checked per table plus the section constraints when Y
     and its sections are present; a single table {"space", "n", "entries"}.
-    A table set or table without an entry is an input error.
+    A table set whose tables disagree on n, or on m where set, is an input
+    error, as a sequence object's are; so is a table set or table without
+    an entry.
     """
-    from .tables import canonical_json, tables_from_json_obj
+    from .tables import _require_agreement, canonical_json, tables_from_json_obj
 
     obj = _load_json(input)
     if not isinstance(obj, dict):
@@ -109,6 +111,7 @@ def check(input):
         rep = check_sequence(template, tables, pins)
     elif "tables" in obj or "space" in obj:
         tables = tables_from_json_obj(obj)
+        _require_agreement(tables)
         if not any(table.entries for table in tables.values()):
             raise ValueError("nothing checked: no table has an entry")
         rep = _check_table_set(tables)

@@ -36,7 +36,8 @@ class DualComplexData(Frozen):
             if f != 0 or e != v - 1:
                 raise ValueError(f"not a chain: V={v}, E={e}, F={f}")
         elif topology == SPHERE:
-            if v - e + f != 2 or 3 * f != 2 * e:  # Euler characteristic 2
+            # a triangle at least, Euler characteristic 2, two faces per edge
+            if f < 1 or v - e + f != 2 or 3 * f != 2 * e:
                 raise ValueError(f"not a triangulated sphere: V={v}, E={e}, F={f}")
         else:
             raise ValueError(f"unknown topology {topology!r}")
@@ -71,12 +72,12 @@ def base_change(d: DualComplexData, mu: int) -> DualComplexData:
     """Dual complex after a mu-fold base change.
 
     components' = V + (mu-1) E + (mu-1)(mu-2)/2 F; the other counts follow
-    from the shape identities (E = V-1 on a chain; Euler 2 and 3F = 2E on
-    the sphere).
+    from the shape identities, which chain_counts (E = V-1) and
+    type_iii_counts (Euler 2 and 3F = 2E, so F = 2(V-2)) write.
     """
     _integer(mu, "mu", 1)
     v = (d.components + (mu - 1) * d.double_curves
          + (mu - 1) * (mu - 2) // 2 * d.triple_points)
     if d.topology == CHAIN:
         return chain_counts(v)
-    return DualComplexData(v, 3 * (v - 2), 2 * (v - 2), SPHERE)
+    return type_iii_counts(2 * (v - 2))

@@ -26,13 +26,15 @@ Lane built.  The solver runs it over the lanes of an instance whose unknown
 cells read as negative ints, on which the recursion breaks, but for the
 lanes that hold a lone unknown between zeros, to find the lanes it must
 propagate, and over those lanes again to verify a determined solve.
+_sequence_report writes the report from what the pass returns, for
+check_sequence and for a determined solve alike.
 """
 
 from __future__ import annotations
 
 from .spaces import MAX_N
 from .tables import (Frozen, TriFilteredTable, VerificationReport, Violation, _integer,
-                     _json_list, _set)
+                     _json_list, _require_agreement, _set)
 
 # No space has a degree above 2(MAX_N + 1), the top degree of a space of
 # complex dimension MAX_N + 1.  Template k_offsets lie within this bound, and _windows refuses an
@@ -244,17 +246,7 @@ def _check_instance(template: SequenceTemplate, tables: dict[str, TriFilteredTab
     if missing:
         raise ValueError(
             f"template {template.name!r} is missing tables for {', '.join(missing)}")
-    found_n, found_m = {}, {}  # tag -> n, and tag -> m where m is set
-    for t in tables.values():
-        sp = t.space
-        tag = sp.tag
-        found_n[tag] = sp.n
-        if sp.m is not None:
-            found_m[tag] = sp.m
-    for attr, found in (("n", found_n), ("m", found_m)):
-        if len(set(found.values())) > 1:
-            listed = ", ".join(f"{tag} {attr}={v}" for tag, v in found.items())
-            raise ValueError(f"the tables of one instance disagree on {attr}: {listed}")
+    _require_agreement(tables)
 
 
 def _require_data(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
@@ -538,17 +530,34 @@ def check_sequence(template: SequenceTemplate,
     only once all lanes are feasible, since ranks are not defined otherwise.
     An all-empty instance is an input error, after the pin and table checks.
     """
-    rep = _sequence_report(template, tables, pins)
-    _require_data(template, tables)
-    return rep
-
-
-def _sequence_report(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
-                     pins: list[RankPin]) -> VerificationReport:
-    """check_sequence's report, also on the all-empty tables a solve can complete."""
-    rep = VerificationReport()
     failures, totals = _instance_pass(template, tables, pins)
+    _require_data(template, tables)
+    return _sequence_report(template, failures, totals, pins)
+
+
+def _sequence_report(template: SequenceTemplate, failures: list, totals: list[int],
+                     pins: list[RankPin]) -> VerificationReport:
+    """The report on an instance from what _lane_pass returns over its lanes:
+    ``failures``, its failing (key, (first cycle, cells)) lanes in key
+    order, and ``totals``, each pin's total rank.
+
+    Each failing lane is first cut to the cycles from its first nonzero cell
+    to its last.  The solver's assembled lanes have whole cycles of zeros at
+    their ends, where box cells came out 0; an instance's own lanes never
+    do, since a table stores no zero.  Leading zeros would shift the
+    failure's position, and trailing ones turn a rank left over at the end
+    into a rank forced negative in the cycle after: cut, the lane reports
+    the instance's failure.
+    """
+    rep = VerificationReport()
+    T = len(template.terms)
     for key, (c_lo, cells) in failures:
+        # a failing lane has a nonzero cell
+        front = next(i for i, d in enumerate(cells) if d) // T
+        back = next(i for i, d in enumerate(reversed(cells)) if d) // T
+        if front or back:
+            c_lo += front * template.period
+            cells = cells[front * T:len(cells) - back * T]
         res = check_exactness(cells)
         i, reason = res.failure_index, res.reason
         j, degree = _cell(template, c_lo, i)

@@ -107,20 +107,24 @@ always held these point ranks, and the pin step, having checked
 lo_sum <= pin <= hi_sum, caps a point rank r to max(r, pin - others_hi) = r
 and min(r, pin - others_lo) = r, whichever step made it a point.
 
-A determined solve is verified by _verify: each isolated cell must be 0,
-which is exactly the exactness of its dropped lanes, _lane_pass runs over
-the propagated lanes, each unknown cell read at its point value, and each
-pin's total over them must be its rank.  Every lane is checked once: the
-isolated cells' lanes and the propagated ones here, the others by
-_assemble's lane pass; no lane or pin is skipped on the strength of the
-propagation argument.  This is check_sequence of the completed instance: an
-assembled lane is its lane, padded with zero cells (the box cells solved to
-0, and whole lanes opened only by such cells, every cell 0).  Leading zeros
-keep the rank at 0, and trailing zeros keep a rank of 0 at 0 and drive any
-other rank negative, so padding changes neither whether a lane is exact nor
-any rank a pin sums.  If the check
-fails, which by this argument it never does, the report is
-check_sequence's of the completed instance, all-empty tables allowed.
+A determined solve is verified by _verify, which returns check_sequence's
+report on the completed instance, written from the lanes already assembled.
+_lane_pass runs over the propagated lanes, each unknown cell read at its
+point value.  The lanes of each isolated cell that is not 0 join its
+failures, in key order: a lone nonzero cell between zeros is never exact,
+and its lanes being exact is exactly the cell being 0.  _sequence_report,
+check_sequence's own report code, writes the violations and each pin's
+total against its rank.  Every lane is checked once: the isolated cells'
+lanes and the propagated ones here, the others by _assemble's lane pass; no
+lane or pin is skipped on the strength of the propagation argument.  An
+assembled lane is the completed instance's lane padded with whole cycles of
+zero cells at its ends (the box cells solved to 0, and whole lanes opened
+only by such cells, every cell 0).  Leading zeros keep the rank at 0, and
+trailing zeros keep a rank of 0 at 0 and drive any other rank negative, so
+padding changes neither whether a lane is exact nor any rank a pin sums;
+and _sequence_report cuts a failing lane to its nonzero cycles before it
+names the failure.  So a solve builds its lanes once, and reports on the
+completion as check_sequence would.
 """
 
 from __future__ import annotations
@@ -174,9 +178,8 @@ class SolveResult(Record):
     ``table`` holds every determined cell (None after a contradiction);
     ``underdetermined`` lists cells whose interval stayed wider than a point,
     with the interval bounds, hi None when unbounded above; ``report``
-    carries the contradiction, or the final verification of the completed
-    instance when fully determined: a pass is read off the assembled lanes,
-    and only a failure builds check_sequence's report for the violations;
+    carries the contradiction, or when fully determined check_sequence's
+    report on the completed instance, written from the assembled lanes;
     ``iterations`` counts the propagation rounds, the last of which only
     confirms the fixpoint.
     """
@@ -221,9 +224,10 @@ def _assemble(template: SequenceTemplate, sources: dict, box: list[Quad],
     """The lane system over the unknowns of ``box``, the support box of
     ``tag``, whose cell at slot i the overlay in ``sources`` writes as ~i:
     (box, lanes, readers, repeats, single, pin_occ, isolated).  isolated
-    lists the slots of the isolated cells, each of whose reads opens a lane
-    holding the cell between zeros (none when there are pins); those lanes
-    are dropped before the lane pass.  lanes[i] = (key, first cycle, cells)
+    maps the slot of each isolated cell, each of whose reads opens a lane
+    holding the cell between zeros (none when there are pins), to those
+    lanes, as (key, (first cycle, cells)) pairs; they are dropped before the
+    lane pass.  lanes[i] = (key, first cycle, cells)
     are the other lanes _lane_pass cannot pass and, when there are pins, the
     lanes holding a pin occurrence, in key order, a cell being a known
     dimension or an unknown's ~slot, the only negative ints there;
@@ -233,7 +237,7 @@ def _assemble(template: SequenceTemplate, sources: dict, box: list[Quad],
     it sums.  The other lanes are exact, and take no further part."""
     opened: dict = {}
     lane_map = _lanes(template, sources, opened)
-    isolated = []
+    isolated: dict[int, list] = {}
     if not pins and opened:
         T = len(template.terms)
         reads = sum(term.space == tag for term in template.terms)
@@ -244,9 +248,7 @@ def _assemble(template: SequenceTemplate, sources: dict, box: list[Quad],
                 lone.setdefault(d, []).append(key)
         for d, keys in lone.items():
             if len(keys) == reads:
-                isolated.append(~d)
-                for key in keys:
-                    del lane_map[key]
+                isolated[~d] = [(key, lane_map.pop(key)) for key in keys]
     failures, _totals = _lane_pass(template, lane_map.items(), [])
     failing = {key for key, _lane in failures} if pins else ()
     lanes, pin_occ = [], [[] for _ in pins]
@@ -447,16 +449,20 @@ def _propagate(system: tuple, pins: list[RankPin],
 
 
 def _verify(template: SequenceTemplate, system: tuple, pins: list[RankPin],
-            intervals: list[Interval]) -> bool:
-    """Whether check_sequence passes the completed instance, read off the
-    assembled system (module docstring): every isolated cell is 0, _lane_pass
-    finds every propagated lane exact with each unknown cell at its point
-    value, and each pin's total over them is its rank."""
+            intervals: list[Interval]) -> VerificationReport:
+    """check_sequence's report on the completed instance, written from the
+    assembled system (module docstring): _lane_pass over the propagated
+    lanes, each unknown cell at its point value, with the lanes of every
+    isolated cell that is not 0 merged into its failures in key order."""
     _box, lanes, _readers, _repeats, single, _pin_occ, isolated = system
-    if any(intervals[slot][0] for slot in isolated):
-        return False
     failures, totals = _lane_pass(template, _completed(lanes, single, intervals), pins)
-    return not failures and all(total == pin.rank for pin, total in zip(pins, totals))
+    # an isolated cell's lanes hold it, as ~slot, between zeros
+    lone = [(key, (c_lo, [intervals[slot][0] if d else 0 for d in cells]))
+            for slot, its_lanes in isolated.items() if intervals[slot][0]
+            for key, (c_lo, cells) in its_lanes]
+    if lone:
+        failures = sorted(failures + lone)
+    return _sequence_report(template, failures, totals, pins)
 
 
 def _completed(lanes: list, single: list, intervals: list[Interval]):
@@ -537,7 +543,5 @@ def solve_unknown(template: SequenceTemplate,
     # an int bound, positive
     table = TriFilteredTable._of(space, solved)
     determined = not under
-    report = VerificationReport()
-    if determined and not _verify(template, system, pins, intervals):
-        report = _sequence_report(template, {**known, tag: table}, list(pins))
+    report = _verify(template, system, pins, intervals) if determined else VerificationReport()
     return SolveResult(table, determined, under, report, iterations)

@@ -341,6 +341,22 @@ def tables_from_json_obj(obj: dict) -> dict[str, TriFilteredTable]:
     return out
 
 
+def _require_agreement(tables: dict[str, TriFilteredTable]) -> None:
+    """Raise ValueError unless the tables, of one instance or one table set,
+    agree on n, and on m where m is set."""
+    found_n, found_m = {}, {}  # tag -> n, and tag -> m where m is set
+    for t in tables.values():
+        sp = t.space
+        tag = sp.tag
+        found_n[tag] = sp.n
+        if sp.m is not None:
+            found_m[tag] = sp.m
+    for attr, found in (("n", found_n), ("m", found_m)):
+        if len(set(found.values())) > 1:
+            listed = ", ".join(f"{tag} {attr}={v}" for tag, v in found.items())
+            raise ValueError(f"the tables of one instance disagree on {attr}: {listed}")
+
+
 def _json_list(value, key: str, items: str) -> list:
     """``value``, read at ``key`` of a JSON object, if it is a list of ``items``."""
     if not isinstance(value, list):

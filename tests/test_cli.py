@@ -364,6 +364,11 @@ def _cs_known_beside_y_at_n3(y_first, bump=False):
     return [_y_at_n3(), *cs] if y_first else [*cs, _y_at_n3()]
 
 
+def _elliptic_with_z1_at_n3():
+    tables = family_tables(parse_family("k3-elliptic:r=2"))
+    return [_retagged(t, n=3) if tag == "Z:1" else _retagged(t) for tag, t in tables.items()]
+
+
 def _loc1_with_u_at_m2():
     tables = family_tables(parse_family("k3-elliptic:r=2"))
     return [_retagged(tables["Y"]), _retagged(tables["Z:1"]), _retagged(tables["U"], m=2)]
@@ -381,12 +386,18 @@ def _loc1_with_u_at_m2():
                "unknown": "Xlim"}, "n"),
     ("solve", {"template": "cs", "tables": _cs_known_beside_y_at_n3(False),
                "unknown": "Xlim"}, "n"),
+    # a table set, with no template, keeps the same rule
+    ("check", {"tables": _elliptic_with_z1_at_n3()}, "n"),
+    ("check", {"tables": _loc1_with_u_at_m2()}, "m"),
+    ("check", {"tables": ["k3-typeII:r=2", _y_at_n3()]}, "n"),
 ], ids=["check-cs-n", "solve-cs-n", "check-loc1-m", "solve-loc1-m", "check-unread-y-n",
-        "solve-unread-y-first-bumped", "solve-unread-y-last"])
+        "solve-unread-y-first-bumped", "solve-unread-y-last", "check-set-z1-n",
+        "check-set-u-m", "check-set-spec-beside-y-n"])
 def test_instance_tables_must_agree_on_n_and_m(tmp_path, command, obj, field):
     res = invoke([command, _write(tmp_path, "in.json", obj)])
     assert res.exit_code == 2
     assert f"disagree on {field}" in res.stderr
+    assert res.stdout == "" and res.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("field", ["k", "dim"])

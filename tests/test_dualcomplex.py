@@ -22,6 +22,8 @@ def test_shape_invariants():
     with pytest.raises(ValueError):
         DualComplexData(5, 6, 3, SPHERE)  # Euler 2 but 3F != 2E
     with pytest.raises(ValueError):
+        DualComplexData(2, 0, 0, SPHERE)  # Euler 2 and 3F = 2E, but no triangle
+    with pytest.raises(ValueError):
         DualComplexData(0, 0, 0, CHAIN)
     with pytest.raises(ValueError):
         DualComplexData(3, 2, 0, "torus")

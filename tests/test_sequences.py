@@ -559,6 +559,41 @@ def test_a_failing_lane_is_reported_from_its_failing_cell():
     assert got == _reference_report(tmpl, tables, [])
 
 
+@st.composite
+def _padded_lanes(draw):
+    """A template; up to 3 lanes of its cells, in key order; the same lanes
+    with whole cycles of zeros added at the front and back, the first
+    cycle moved back by the period for each cycle added in front; and up to
+    2 pins."""
+    offsets = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+    T, P = len(offsets), draw(st.integers(1, 3))
+    template = SequenceTemplate("random", P, tuple(SequenceTerm("Y", ko) for ko in offsets))
+    bare, padded = [], []
+    for l in range(draw(st.integers(1, 3))):
+        c_lo = draw(st.integers(-4, 4))
+        size = T * draw(st.integers(1, 4))
+        cells = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        front, back = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        key = (l, 0, 0, c_lo % P)
+        bare.append((key, (c_lo, cells)))
+        padded.append((key, (c_lo - front * P, [0] * (front * T) + cells + [0] * (back * T))))
+    pins = draw(st.lists(st.builds(RankPin, st.integers(0, T - 1), st.integers(0, 6),
+                                   st.none() | st.integers(-6, 14)), max_size=2))
+    return template, bare, padded, pins
+
+
+@given(_padded_lanes())
+def test_report_is_the_same_on_zero_padded_lanes(case):
+    """_sequence_report, fed what _lane_pass returns as both its callers
+    feed it, gives the same violations on lanes padded with whole cycles of
+    zeros as on the bare lanes: the same exactness failures at the same
+    positions and, when every lane is exact, the same pinned totals."""
+    template, bare, padded, pins = case
+    reports = [sequences._sequence_report(template, *_lane_pass(template, lanes, pins), pins)
+               for lanes in (bare, padded)]
+    assert reports[0].to_json_obj() == reports[1].to_json_obj()
+
+
 def test_lanes_opened_term_by_term_are_refused_early():
     """100 terms read Y, each with a twist of its own, so each term opens a
     lane for every entry: 200,000 lanes of 100 cells on a table of 2,000

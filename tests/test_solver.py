@@ -202,7 +202,12 @@ def test_worklist_and_closed_form_match_a_full_sweep(monkeypatch):
         template, sources, box, pins, tag = args
         _box, lanes, readers, repeats, single, occ_got, isolated = system = assemble(*args)
         every_lane, pin_occ = _unsplit(template, sources, pins)
-        assert isolated == _isolated(template, every_lane, box, pins), entry["case"]
+        assert list(isolated) == _isolated(template, every_lane, box, pins), entry["case"]
+        # each isolated cell keeps the lanes holding it, to verify it by
+        assert {slot: sorted((key, *lane) for key, lane in kept)
+                for slot, kept in isolated.items()} == \
+            {slot: [lane for lane in every_lane if ~slot in lane[2]]
+             for slot in isolated}, entry["case"]
         assert not (pins and isolated), entry["case"]
         isolating += bool(isolated)
         known = [lane for lane in every_lane if not any(c < 0 for c in lane[2])]
@@ -724,10 +729,23 @@ def test_one_unknown_lane_with_a_negative_rank(u, y, position, detail):
     assert (v.lane, v.position) == ((1, 1, 0), position)
 
 
+def _check_completed(template, completed, pins) -> dict:
+    """check_sequence's report on a completed instance, as JSON.  A template
+    reading only the unknown can complete it with no entry, an instance
+    check_sequence refuses as empty; there the report is the pass of an
+    instance with no lane."""
+    try:
+        return check_sequence(template, completed, pins).to_json_obj()
+    except ValueError as exc:
+        assert str(exc).startswith("nothing checked: "), exc
+        assert not any(completed[s].entries for s in template.spaces())
+        return {"pass": True, "violations": []}
+
+
 def test_verification_on_the_assembled_lanes_is_check_sequence(monkeypatch):
     """On every determined golden case, solver._verify on the assembled
-    lanes gives check_sequence's verdict on the completed instance, and the
-    solve builds its lanes once."""
+    lanes returns check_sequence's report on the completed instance, which
+    the solve reports, and the solve builds its lanes once."""
     import solver_cases
     import trigrade.sequences as sequences
 
@@ -762,20 +780,76 @@ def test_verification_on_the_assembled_lanes_is_check_sequence(monkeypatch):
         template, tables, unknown, pins = calls["solve"]
         tag = unknown if isinstance(unknown, str) else unknown[0]
         completed = {**tables, tag: res.table}
-        assert calls["verify"] == sequences._sequence_report(template, completed,
-                                                             pins).passed, entry["case"]
-        assert calls["verify"], entry["case"]
+        assert calls["verify"] is res.report, entry["case"]
+        assert res.report.to_json_obj() == _check_completed(template, completed, pins), \
+            entry["case"]
+        assert res.report.passed, entry["case"]
     assert determined == 197
 
 
-def test_failed_verification_falls_back_to_check_sequence(monkeypatch):
-    """With the check on the assembled lanes failing every time, every
-    report comes from check_sequence, and every result is the golden's."""
-    monkeypatch.setattr(solver, "_verify", lambda *args: False)
-    golden = _golden()
-    assert len(golden) == 390
-    for entry in golden:
-        assert result_obj(run_case(entry["case"])) == entry["result"], entry["case"]
+def test_verification_on_bumped_slots_is_check_sequence(monkeypatch):
+    """On every determined golden case, solve_unknown with 4 of the box's
+    slots in turn, chosen at random with at least one isolated slot where
+    the case has one, raised by 1 and by 2 once propagation ends: the solve
+    builds its lanes once, its verification fails, and its report is
+    check_sequence's on the bumped completion it returns."""
+    import solver_cases
+    import trigrade.sequences as sequences
+
+    rng = random.Random(29)
+    propagate, lanes, assemble = solver._propagate, sequences._lanes, solver._assemble
+    calls = {"lanes": 0, "bump": None, "solve": None, "system": None}
+
+    def solve(template, tables, unknown, pins=()):
+        calls["solve"] = (template, tables, unknown, pins)
+        return solve_unknown(template, tables, unknown, pins)
+
+    def count_lanes(*args):
+        calls["lanes"] += 1
+        return lanes(*args)
+
+    def record_assemble(*args):
+        calls["system"] = assemble(*args)
+        return calls["system"]
+
+    def bumped_propagate(system, pins, intervals):
+        got = propagate(system, pins, intervals)
+        if calls["bump"] is not None:
+            slot, delta = calls["bump"]
+            value = intervals[slot][0] + delta
+            intervals[slot] = (value, value)
+        return got
+
+    monkeypatch.setattr(solver_cases, "solve_unknown", solve)
+    monkeypatch.setattr(solver, "_lanes", count_lanes)
+    monkeypatch.setattr(sequences, "_lanes", count_lanes)
+    monkeypatch.setattr(solver, "_assemble", record_assemble)
+    monkeypatch.setattr(solver, "_propagate", bumped_propagate)
+    completions, isolated_bumps, pinned = 0, 0, 0
+    for entry in _golden():
+        if not entry["result"]["determined"]:
+            continue
+        calls["bump"] = None
+        run_case(entry["case"])
+        box, isolated = calls["system"][0], list(calls["system"][6])
+        slots = rng.sample(range(len(box)), min(4, len(box)))
+        if isolated and not set(slots) & set(isolated):
+            slots[0] = rng.choice(isolated)
+        for slot in slots:
+            for delta in (1, 2):
+                calls.update(bump=(slot, delta), lanes=0)
+                res = run_case(entry["case"])
+                assert calls["lanes"] == 1, entry["case"]
+                template, tables, unknown, pins = calls["solve"]
+                tag = unknown if isinstance(unknown, str) else unknown[0]
+                want = _check_completed(template, {**tables, tag: res.table}, pins)
+                assert not res.report.passed, (entry["case"], slot, delta)
+                assert res.report.to_json_obj() == want, (entry["case"], slot, delta)
+                completions += 1
+                isolated_bumps += slot in isolated
+                pinned += bool(pins)
+    assert completions > 1400 and isolated_bumps > 100 and pinned > 100, \
+        (completions, isolated_bumps, pinned)
 
 
 def _assembled(monkeypatch, template, tables, unknown, pins):
@@ -797,17 +871,24 @@ def _assembled(monkeypatch, template, tables, unknown, pins):
 def test_verification_fails_on_a_changed_cell(monkeypatch, spec, name, tag):
     """A +1 on any one cell of the solved box fails the verification, on
     the cells _verify reads off the propagated lanes and on the isolated
-    cells, 8 of the 32 in the cs solve, whose lanes were dropped."""
+    cells, 8 of the 32 in the cs solve, whose lanes were dropped: the report
+    names an exactness failure in a lane reading the cell."""
     tables = family_tables(parse_family(spec))
     known = {t: tab for t, tab in tables.items() if t != tag}
     template, system, pins, intervals = _assembled(
         monkeypatch, builtin_templates()[name], known, tag, [])
     assert len(system[6]) == {"cs": 8, "loc1": 0}[name]
-    assert solver._verify(template, system, pins, intervals)
+    assert solver._verify(template, system, pins, intervals).passed
+    box, lanes, isolated = system[0], system[1], system[6]
     for slot, (value, _hi) in enumerate(intervals):
         bumped = intervals[:]
         bumped[slot] = (value + 1, value + 1)
-        assert not solver._verify(template, system, pins, bumped), slot
+        report = solver._verify(template, system, pins, bumped)
+        reading = [key[:3] for key, _c_lo, cells in lanes if ~slot in cells]
+        reading += [key[:3] for key, _lane in isolated.get(slot, [])]
+        assert report.violations, slot
+        assert all(v.relation.startswith("exactness: ") for v in report.violations), slot
+        assert {v.lane for v in report.violations} & set(reading), (slot, box[slot])
 
 
 def test_verification_fails_on_a_pin_off_by_one(monkeypatch):
@@ -815,9 +896,12 @@ def test_verification_fails_on_a_pin_off_by_one(monkeypatch):
     known = {t: tab for t, tab in tables.items() if t != "Xlim"}
     template, system, pins, intervals = _assembled(
         monkeypatch, builtin_templates()["cs"], known, "Xlim", [RankPin(1, 2, 2)])
-    assert solver._verify(template, system, pins, intervals)
+    assert solver._verify(template, system, pins, intervals).passed
     for rank in (1, 3):
-        assert not solver._verify(template, system, [RankPin(1, rank, 2)], intervals)
+        report = solver._verify(template, system, [RankPin(1, rank, 2)], intervals)
+        assert [v.relation for v in report.violations] == [
+            f"pinned rank: map out of term 1 [Xlim] in degree 2 has total rank 2, "
+            f"pinned {rank}"]
 
 
 def _curve_product(builder_tables, g, t):
