@@ -44,12 +44,13 @@ MAX_DEGREE = 2 * (MAX_N + 1)
 # with the template's length: the builtin templates have at most 4 terms.
 # SequenceTemplate refuses more than MAX_TERMS terms, and _windows an instance
 # whose lanes would hold more than MAX_LANE_CELLS cells in all, about 8 MB of
-# cell references; the largest product instance up to n = MAX_N, cs or
-# mirror-cs with one table unknown, holds about 63,000.  _lanes asks
-# _windows once it would allocate more than LANE_ALLOWANCE cells: an eighth
-# of the budget, 125,000 cells, lies above every product instance, so none
-# of them runs the window pass, and the 1 MB of cell references it allows
-# keeps a refused instance's memory small.
+# cell references; the largest product instance (m <= 2) up to n = MAX_N, cs
+# or mirror-cs with one table unknown, holds about 63,000.  _lanes asks
+# _windows once it would allocate more than LANE_ALLOWANCE cells, an eighth
+# of the budget: no product instance runs the window pass, and a refused
+# instance's memory stays small.  A loc2 solve of Uc at n = m = 16, 83,521
+# unknown cells, runs it once and is accepted (about 5 s and a 30 MB
+# tracemalloc peak on a 2-core Xeon VM).
 MAX_TERMS = 1000
 MAX_LANE_CELLS = 1_000_000
 LANE_ALLOWANCE = MAX_LANE_CELLS // 8
@@ -274,7 +275,7 @@ def _windows(template: SequenceTemplate, sources: dict[str, dict]) -> None:
     since c = k - k_offset and |k_offset| <= B.  The same loop sums the
     lanes' cells, which must stay within MAX_LANE_CELLS.  Checking the
     windows costs one step per lane, not one per entry.  The window pass
-    already refuses an instance, after each term, once it has opened more
+    already refuses an instance, after each term, once it has found more
     than MAX_LANE_CELLS / T lanes, since each holds at least T cells: terms
     that each open lanes of their own would otherwise fill the windows with
     one lane per entry and term before the budget is checked.  Equal terms
@@ -312,8 +313,7 @@ def _windows(template: SequenceTemplate, sources: dict[str, dict]) -> None:
         raise ValueError(OVER_BUDGET)
 
 
-def _lanes(template: SequenceTemplate, sources: dict[str, dict],
-           opened: dict | None = None) -> dict:
+def _lanes(template: SequenceTemplate, sources: dict[str, dict]) -> dict:
     """Map key -> (first cycle, cells) for every lane of a template
     instance, where key = (l, q, p, residue), the order of every report.
 
@@ -331,8 +331,7 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict],
     cells.  The first read of a lane opens it as one cycle of T zero cells,
     T the template's term count.  A later read extends it by whole cycles of
     zeros at either end to reach its cycle, then writes its cell,
-    (c - c_lo) // P * T + j.  When ``opened`` is a dict, it maps the key of
-    each lane that a negative cell opens to that cell.
+    (c - c_lo) // P * T + j.
 
     The pass keeps the budgets of _windows where it allocates, at an opening
     and an extension: it counts the cells these add against LANE_ALLOWANCE,
@@ -350,8 +349,6 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict],
     P = template.period
     T = len(template.terms)
     B = 2 * MAX_DEGREE
-    if opened is None:
-        opened = {}
     allowance = LANE_ALLOWANCE
     lanes: dict = {}
     for j, term in enumerate(template.terms):
@@ -379,8 +376,6 @@ def _lanes(template: SequenceTemplate, sources: dict[str, dict],
                 cells = [0] * T
                 cells[j] = value
                 lanes[key] = (c, cells)
-                if value < 0:
-                    opened[key] = value
                 continue
             if i < 0:
                 cells[:0] = [0] * added
@@ -512,11 +507,12 @@ def _instance_pass(template: SequenceTemplate, tables: dict[str, TriFilteredTabl
                    pins: list[RankPin]):
     """_lane_pass over every lane of a fully known instance, once the
     instance and its pins are checked, with the failing lanes in key order,
-    the order of a report."""
+    the order of a report; an all-empty instance is then refused."""
     _check_instance(template, tables, pins=pins)
     sources = {s: tables[s].entries for s in template.spaces()}
     failures, totals = _lane_pass(template, _lanes(template, sources).items(), pins)
     failures.sort()
+    _require_data(template, tables)
     return failures, totals
 
 
@@ -531,7 +527,6 @@ def check_sequence(template: SequenceTemplate,
     An all-empty instance is an input error, after the pin and table checks.
     """
     failures, totals = _instance_pass(template, tables, pins)
-    _require_data(template, tables)
     return _sequence_report(template, failures, totals, pins)
 
 
@@ -589,7 +584,6 @@ def infer_rank(template: SequenceTemplate, tables: dict[str, TriFilteredTable],
     does, on an all-empty instance, and if any lane is infeasible.
     """
     failures, (total,) = _instance_pass(template, tables, [RankPin(term_index, 0, degree)])
-    _require_data(template, tables)
     if failures:
         key, (_c_lo, cells) = failures[0]
         raise ValueError(f"cannot infer ranks: {_describe_lane(key)} is not exact "

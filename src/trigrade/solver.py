@@ -28,19 +28,22 @@ readers are lists indexed by slot.  The results are read off in slot
 order, which is the sorted order of the cells; only a contradiction's
 "cell ... has no feasible dimension" turns a slot back into its quadruple.
 
-A solve runs in two steps.  _assemble builds the lane system once.
-_lanes builds every lane of the instance, read through the overlay, in one
-pass, and notes each lane that a negative cell opens.  A box cell is
-isolated when each of its reads, one per template term on the unknown's
-space, opens a lane that no other read reaches: a lane of one cycle holding
-the cell between zeros.  _assemble drops those lanes and closes the cell at
-0, as below.  It runs _lane_pass, the lane pass of check_sequence, over the
-other lanes.  The rank recursion breaks on a negative cell, so the pass
-cannot pass a lane reading a cell of the box, nor a lane of known
-dimensions that is not exact.  These lanes, and when there are pins every
-lane holding a pin occurrence, are the lanes propagated, in key order, and
-_assemble keeps the lanes reading each cell, the lanes reading a cell
-twice, each lane's one unknown position and the ranks each pin sums.
+A solve runs in two steps.  _assemble builds the lane system once: _lanes
+builds every lane of the instance, read through the overlay, in one pass,
+as (key, (first cycle, cells)) pairs, the form every caller takes.  A lone
+lane has one cycle and one nonzero cell, an unknown.  A table or the
+overlay holds no 0, so a lane's first read writes a nonzero cell and no
+cell is written twice: a lone lane is reached by that one read alone.  A
+box cell is isolated when each of its reads, one per template term on the
+unknown's space, lies in a lone lane; _assemble drops those lanes and
+closes the cell at 0, as below.  It runs _lane_pass, the lane pass of
+check_sequence, over the other lanes.  The rank recursion breaks on a
+negative cell, so the pass cannot pass a lane reading a cell of the box,
+nor a lane of known dimensions that is not exact.  These lanes, and when
+there are pins every lane holding a pin occurrence, are the lanes
+propagated, and one pass over them in key order indexes the lanes reading
+each cell, the lanes reading a cell twice, each lane's one unknown
+position and the ranks each pin sums.
 _propagate owns all that follows, the worklist, the closed form, the
 interval passes and the pin step; it tightens the intervals in place and
 returns the round count and the contradiction, if any, from which
@@ -59,10 +62,11 @@ round count and, when there is no contradiction, the intervals are the full
 sweep's.  (After a contradiction no interval is read, and an isolated cell
 may read 0 where the sweep stopped before its lanes.)  With pins nothing
 is isolated, since the pin step sums boundary ranks over lanes, and a pin
-contradiction is named by the first lane it sums.  A cell with one such
+contradiction is named by the first lane it sums.  A cell with one lone
 lane and one lane coupling it to other cells (cs reads Xlim twice) is not
-isolated, and both its lanes are propagated.  Finding these cells costs one
-dict entry per lane a negative cell opens, noted while the lanes are built.
+isolated, and both its lanes are propagated; nor is a cell one lane reads
+twice.  A known degree of a degree solve's table is positive, so a lane
+holding one alone is never lone.  Finding these cells costs a length test per lane.
 
 Within one lane each unknown cell usually sits at one position, and then
 the lane's relations form a path: one forward/backward pass already gives
@@ -100,12 +104,17 @@ rank goes negative, the chain closes and the forced value lies in the
 cell's interval, it is that, and the interval passes, seeing points on both
 sides of the cell and being sound, return exactly it.  Otherwise there is
 none, and the lane falls through to the interval passes, the only code that
-reports a contradiction on a lane.  A pin cap changes nothing: the
-closed form succeeds on a visit only if it did on every earlier one (its
-ranks read known cells, intervals only shrink), so the lane's boundary
-always held these point ranks, and the pin step, having checked
-lo_sum <= pin <= hi_sum, caps a point rank r to max(r, pin - others_hi) = r
-and min(r, pin - others_lo) = r, whichever step made it a point.
+reports a contradiction on a lane: in the forward pass, at the close or at
+a cell.  The backward pass empties no rank: once the forward pass raises
+nothing and F[n] starts at 0, R[n] = 0 lies in F[n], and R[i+1] lying in
+F[i+1], within d_i - F[i], makes d_i - R[i+1] meet F[i], so R[i] is not
+empty and lies in F[i]; caps only shrink F, and INF changes nothing.  A pin
+cap changes nothing: the closed form succeeds on a visit only if it did on
+every earlier one (its ranks read known cells, intervals only shrink), so
+the lane's boundary always held these point ranks, and the pin step,
+having checked lo_sum <= pin <= hi_sum, caps a point rank r to
+max(r, pin - others_hi) = r and min(r, pin - others_lo) = r, whichever
+step made it a point.
 
 A determined solve is verified by _verify, which returns check_sequence's
 report on the completed instance, written from the lanes already assembled.
@@ -118,8 +127,8 @@ total against its rank.  Every lane is checked once: the isolated cells'
 lanes and the propagated ones here, the others by _assemble's lane pass; no
 lane or pin is skipped on the strength of the propagation argument.  An
 assembled lane is the completed instance's lane padded with whole cycles of
-zero cells at its ends (the box cells solved to 0, and whole lanes opened
-only by such cells, every cell 0).  Leading zeros keep the rank at 0, and
+zero cells at its ends (the box cells solved to 0, and whole lanes that
+only such cells reach, every cell 0).  Leading zeros keep the rank at 0, and
 trailing zeros keep a rank of 0 at 0 and drive any other rank negative, so
 padding changes neither whether a lane is exact nor any rank a pin sums;
 and _sequence_report cuts a failing lane to its nonzero cycles before it
@@ -223,28 +232,26 @@ def _assemble(template: SequenceTemplate, sources: dict, box: list[Quad],
               pins: list[RankPin], tag: str) -> tuple:
     """The lane system over the unknowns of ``box``, the support box of
     ``tag``, whose cell at slot i the overlay in ``sources`` writes as ~i:
-    (box, lanes, readers, repeats, single, pin_occ, isolated).  isolated
-    maps the slot of each isolated cell, each of whose reads opens a lane
-    holding the cell between zeros (none when there are pins), to those
-    lanes, as (key, (first cycle, cells)) pairs; they are dropped before the
-    lane pass.  lanes[i] = (key, first cycle, cells)
-    are the other lanes _lane_pass cannot pass and, when there are pins, the
-    lanes holding a pin occurrence, in key order, a cell being a known
-    dimension or an unknown's ~slot, the only negative ints there;
-    readers[slot] lists the lanes reading that cell, repeats the lanes
-    reading a cell twice, single[i] lane i's one unknown position (None if
-    none or more), and pin_occ for each pin the (lane, boundary rank) pairs
-    it sums.  The other lanes are exact, and take no further part."""
-    opened: dict = {}
-    lane_map = _lanes(template, sources, opened)
+    (box, lanes, readers, repeats, single, pin_occ, isolated), each lane a
+    (key, (first cycle, cells)) pair as _lanes(...).items() gives it.
+    isolated maps the slot of each isolated cell (none when there are pins)
+    to its lone lanes, which are dropped: lanes of one cycle, T cells, whose
+    one nonzero cell is the unknown, and which its read alone reaches, since
+    sources hold no 0 and no cell is written twice.  lanes are the other
+    lanes _lane_pass cannot pass and, with pins, the lanes holding a pin
+    occurrence, in key order; one pass over them fills readers[slot], the
+    lanes reading that cell, repeats, the lanes reading a cell twice,
+    single[i], lane i's one unknown position (None if none or more), and
+    pin_occ, each pin's (lane, boundary rank) pairs.  The other lanes are
+    exact, and take no further part."""
+    lane_map = _lanes(template, sources)
     isolated: dict[int, list] = {}
-    if not pins and opened:
+    if not pins:
         T = len(template.terms)
         reads = sum(term.space == tag for term in template.terms)
-        lone: dict[int, list] = {}  # ~slot -> the lanes holding it between zeros
-        for key, d in opened.items():
-            cells = lane_map[key][1]
-            if len(cells) == T and cells.count(0) == T - 1:
+        lone: dict[int, list] = {}  # ~slot -> its lone lanes
+        for key, (_c_lo, cells) in lane_map.items():
+            if len(cells) == T and cells.count(0) == T - 1 and (d := min(cells)) < 0:
                 lone.setdefault(d, []).append(key)
         for d, keys in lone.items():
             if len(keys) == reads:
@@ -252,7 +259,11 @@ def _assemble(template: SequenceTemplate, sources: dict, box: list[Quad],
     failures, _totals = _lane_pass(template, lane_map.items(), [])
     failing = {key for key, _lane in failures} if pins else ()
     lanes, pin_occ = [], [[] for _ in pins]
-    for key, (c_lo, cells) in sorted(lane_map.items() if pins else failures):
+    readers: list[list[int]] = [[] for _ in box]
+    repeats, single = [], []
+    for lane in sorted(lane_map.items() if pins else failures):
+        key, (c_lo, cells) = lane
+        li = len(lanes)
         if pins:
             # the rank out of position j is the lane's boundary rank j + 1
             at = [(occ, j + 1) for occ, pin in zip(pin_occ, pins)
@@ -260,21 +271,14 @@ def _assemble(template: SequenceTemplate, sources: dict, box: list[Quad],
             if not at and key not in failing:
                 continue
             for occ, j in at:
-                occ.append((len(lanes), j))
-        lanes.append((key, c_lo, cells))
-    readers: list[list[int]] = [[] for _ in box]
-    repeats, single = [False] * len(lanes), [None] * len(lanes)
-    for li, (_key, _c_lo, cells) in enumerate(lanes):
+                occ.append((li, j))
+        lanes.append(lane)
         unknown = [d for d in cells if d < 0]  # the ~slots of the cells it reads
-        if len(unknown) == 1:
-            single[li] = cells.index(unknown[0])
-        for d in unknown:
-            lis = readers[~d]
-            # lanes are scanned in order, so a repeat is the last reader
-            if lis and lis[-1] == li:
-                repeats[li] = True
-            else:
-                lis.append(li)
+        single.append(cells.index(unknown[0]) if len(unknown) == 1 else None)
+        distinct = dict.fromkeys(unknown)
+        repeats.append(len(distinct) < len(unknown))
+        for d in distinct:
+            readers[~d].append(li)
     return box, lanes, readers, repeats, single, pin_occ, isolated
 
 
@@ -302,7 +306,7 @@ def _propagate(system: tuple, pins: list[RankPin],
         changed = rounds == 1 and bool(isolated)
         requeue: set[int] = set()  # lanes to visit next round
 
-        for li, (key, _c_lo, cells) in enumerate(lanes):
+        for li, (key, (_c_lo, cells)) in enumerate(lanes):
             if not dirty[li]:
                 continue
             dirty[li] = False
@@ -378,8 +382,6 @@ def _propagate(system: tuple, pins: list[RankPin],
                         lo = F_lo[i]
                     if F_hi[i] < hi:
                         hi = F_hi[i]
-                    if lo > hi:
-                        return rounds, (key, i, "forward and backward ranks incompatible")
                     R_lo[i] = r_lo = lo
                     R_hi[i] = r_hi = hi
                 if boundary is not None:
@@ -466,11 +468,10 @@ def _verify(template: SequenceTemplate, system: tuple, pins: list[RankPin],
 
 
 def _completed(lanes: list, single: list, intervals: list[Interval]):
-    """The propagated lanes as _lane_pass takes them, each unknown cell read
-    at the lower end of its slot's interval: a copy of the cells with the one
-    unknown position replaced, or every unknown cell where a lane reads
-    none or more."""
-    for (key, c_lo, cells), pos in zip(lanes, single):
+    """The propagated lanes, each unknown cell read at the lower end of its
+    slot's interval: a copy of the cells with the one unknown position
+    replaced, or every unknown cell where a lane reads none or more."""
+    for (key, (c_lo, cells)), pos in zip(lanes, single):
         if pos is None:
             cells = [intervals[~d][0] if d < 0 else d for d in cells]
         else:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 FIBRATION_KINDS = ("Y", "Z", "U", "Uc")
 DEGENERATION_KINDS = ("Xlim", "Total", "Supported")
 
-# Largest n a descriptor accepts.  A support box grows about as n^4 (30,345
-# cells for U at n = 16), so larger inputs are refused before anything is
-# built from them.
+# Largest n a descriptor accepts.  A support box grows about as n^4; the
+# largest at n = 16 is Uc's at m = 16, 83,521 cells (U's there has 30,345),
+# so larger inputs are refused before anything is built from them.
 MAX_N = 16
 
 
